@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AdaRidgeError
+from .errors import AdaRidgeError, DimensionMismatch, NonFiniteInput, ZeroNormColumn
 from .evidence import (
     DEFAULT_ETA_GRID,
     EVIDENCE_MU,
@@ -80,10 +80,15 @@ def cmd_fit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    try:
+        data, std = standardize(raw_x, raw_y)
+    except (DimensionMismatch, NonFiniteInput, ZeroNormColumn) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+
     opts = FitOptions(max_iter=args.max_iter, conv_tol=args.conv_tol,
                       prune_tol=args.prune_tol)
     try:
-        data, std = standardize(raw_x, raw_y)
         out: dict = {"predictors": names, "intercept": std.y_mean}
         if args.eta == "eb":
             sel = select_eta(data, args.grid, args.evidence, opts,

@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import ExactFit, NoInitializer, SingularSystem, ZeroCoordinate
-from .model import Dataset, FitOptions, Hyper, Standardization
-from .solver import _initial_beta
+from .errors import ExactFit, ZeroCoordinate
+from .model import Dataset, FitOptions, Hyper, Standardization, _ridge_solve
 
 __all__ = ["EmFit", "em_step", "em_step_explicit_sigma", "fit_em"]
 
@@ -49,14 +47,6 @@ def _check_nonzero(beta: np.ndarray):
         raise ZeroCoordinate(int(zero[0]))
 
 
-def _ridge_solve(data: Dataset, d: np.ndarray) -> np.ndarray:
-    a = data.x.T @ data.x + np.diag(d)
-    try:
-        return cho_solve(cho_factor(a, lower=True), data.x.T @ data.y)
-    except LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-
-
 def em_step(data: Dataset, beta_prev: np.ndarray, h: Hyper) -> np.ndarray:
     """One independent-prior step: solve ``(X'X + D) beta = X'y`` with
     ``D_j = (2 eta + 3) S^2 / ((n + 2) beta_j^2)`` and ``S^2`` the residual
@@ -75,7 +65,7 @@ def em_step(data: Dataset, beta_prev: np.ndarray, h: Hyper) -> np.ndarray:
     if s2 == 0.0:
         raise ExactFit("zero residual at the current iterate")
     d = (2.0 * h.eta + 3.0) * s2 / ((data.n + 2.0) * beta_prev**2)
-    return _ridge_solve(data, d)
+    return _ridge_solve(data.xtx, d, data.xty)
 
 
 def em_step_explicit_sigma(
@@ -97,7 +87,7 @@ def em_step_explicit_sigma(
     if sigma2_prev <= 0:
         raise ValueError(f"sigma2_prev must be > 0, got {sigma2_prev}")
     d = (2.0 * h.eta + 1.0) * sigma2_prev / beta_prev**2
-    beta = _ridge_solve(data, d)
+    beta = _ridge_solve(data.xtx, d, data.xty)
     r = data.y - data.x @ beta
     s2 = float(r @ r)
     if s2 == 0.0:
@@ -128,9 +118,7 @@ def fit_em(
         raise ValueError(f"{variant} needs eta >= {boundary}, got {h.eta}")
 
     n, p = data.n, data.p
-    beta = _initial_beta(data)
-    if not np.isfinite(beta).all():
-        raise NoInitializer("initializer produced non-finite values")
+    beta = data.initial_beta.copy()
 
     r = data.y - data.x @ beta
     s2 = float(r @ r)

@@ -77,10 +77,6 @@ class NonFiniteEvidence(AdaRidgeError):
     """An evidence computation produced NaN or infinity."""
 
 
-class NonPositiveS2(AdaRidgeError):
-    """The integrated-out residual quadratic form is not positive."""
-
-
 class EmptyBox(AdaRidgeError):
     """The sampling hypercube has no volume."""
 

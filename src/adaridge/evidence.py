@@ -50,6 +50,7 @@ from .model import (
     Hyper,
     ModeFit,
     PosteriorState,
+    _ridge_solve,
     log_joint_posterior,
     restrict_to_active,
 )
@@ -159,7 +160,7 @@ def negative_hessian(state: PosteriorState, data: Dataset, h: Hyper) -> HessianB
     x = data.x
     r = data.y - x @ beta
     quad = float(r @ r + beta @ (v_inv * beta))
-    bb = (x.T @ x + np.diag(v_inv)) / s2
+    bb = (data.xtx + np.diag(v_inv)) / s2
     ss = -((n + p) / 2.0 + 1.0) / s2**2 + quad / s2**3
     v = 1.0 / v_inv
     vv = v**2 * (0.5 + h.eta)
@@ -176,8 +177,6 @@ def _polish_mode(data: Dataset, beta0: np.ndarray, h: Hyper,
 
     n, p = data.n, data.p
     beta = np.asarray(beta0, dtype=float).copy()
-    xtx = data.x.T @ data.x
-    xty = data.x.T @ data.y
     v_inv = np.zeros(p)
     sigma2 = 1.0
     a = 1.0 + 2.0 * h.eta
@@ -185,7 +184,7 @@ def _polish_mode(data: Dataset, beta0: np.ndarray, h: Hyper,
         r = data.y - data.x @ beta
         sigma2 = float(r @ r + beta @ (v_inv * beta)) / (n + p + 2)
         v_inv = (a * sigma2) / (beta**2 + 2.0 * sigma2 * h.mu)
-        beta_new = np.linalg.solve(xtx + np.diag(v_inv), xty)
+        beta_new = _ridge_solve(data.xtx, v_inv, data.xty)
         done = np.max(np.abs(beta_new - beta)) < tol
         beta = beta_new
         if done:
@@ -268,10 +267,9 @@ def conditional_marginal(data: Dataset, v_inv) -> float:
     """
 
     v = np.asarray(v_inv, dtype=float)
-    xtx = data.x.T @ data.x
-    xty = data.x.T @ data.y
     yty = float(data.y @ data.y)
-    return float(_conditional_marginal_core(xtx, xty, yty, data.n, v[None, :])[0])
+    return float(_conditional_marginal_core(data.xtx, data.xty, yty, data.n,
+                                            v[None, :])[0])
 
 
 def _conditional_marginal_core(xtx, xty, yty, n, v_batch) -> np.ndarray:
@@ -360,14 +358,12 @@ def mc_log_evidence(
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(lo, hi, size=(draws, p_active))
-    xtx = reduced.x.T @ reduced.x
-    xty = reduced.x.T @ reduced.y
     yty = float(reduced.y @ reduced.y)
 
     logs = np.full(draws, -np.inf)
     ok = (u > 0).all(axis=1)
     if ok.any():
-        vals = _conditional_marginal_core(xtx, xty, yty, n, u[ok])
+        vals = _conditional_marginal_core(reduced.xtx, reduced.xty, yty, n, u[ok])
         vals += np.sum(h.eta * np.log(u[ok]) - h.mu * u[ok], axis=1)
         vals -= p_active * math.lgamma(h.eta + 1.0)
         logs[ok] = vals

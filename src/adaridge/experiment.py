@@ -127,18 +127,21 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _STR_KEYS:
-            values[key] = val
-        elif key in _LIST_KEYS:
-            items = [s.strip() for s in val.split(",") if s.strip()]
-            values[key] = tuple(items) if key == "estimators" else tuple(
-                float(s) for s in items)
-        else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            if key in _INT_KEYS:
+                values[key] = int(val)
+            elif key in _FLOAT_KEYS:
+                values[key] = float(val)
+            elif key in _STR_KEYS:
+                values[key] = val
+            elif key in _LIST_KEYS:
+                items = [s.strip() for s in val.split(",") if s.strip()]
+                values[key] = tuple(items) if key == "estimators" else tuple(
+                    float(s) for s in items)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     missing = {"model_id", "n", "sigma", "replications"} - values.keys()
     if missing:
         raise ValueError(f"config missing required keys: {sorted(missing)}")

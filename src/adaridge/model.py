@@ -13,20 +13,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
     InfinitePrecision,
+    NoInitializer,
     NonFiniteInput,
     NonPositiveSigma2,
+    SingularSystem,
     ZeroNormColumn,
 )
 
 # Machine epsilon of the working float type; the default inverse-scale of
 # the precision prior.  Must stay far below prune_tol for pruning to fire.
 MACHINE_EPS = float(np.finfo(np.float64).eps)
+
+# Ridge penalty used to initialize when least squares is unavailable
+# (rank-deficient design or p >= n).
+FALLBACK_RIDGE = 1e-6
+
+# The LAPACK routines behind scipy.linalg.cho_factor / cho_solve.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 __all__ = [
     "MACHINE_EPS",
@@ -55,6 +66,37 @@ def _as_vector(y) -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d vector, got ndim={arr.ndim}")
     return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(gram + diag(d)) x = rhs`` by Cholesky factorization.
+
+    ``d`` is a vector or a scalar added to the diagonal of a copy of
+    ``gram``; ``gram`` itself is left unchanged.  The factorization is the
+    one ``scipy.linalg.cho_factor``/``cho_solve`` compute, without their
+    wrapper overhead or finiteness checks.
+
+    Raises
+    ------
+    SingularSystem
+        If ``gram + diag(d)`` is not positive definite.
+    """
+
+    a = np.array(gram, order="F")
+    a.flat[:: a.shape[0] + 1] += d
+    # info < 0 flags a malformed argument, which a square float64 array
+    # cannot be; info > 0 is the order of the failing leading minor.
+    c, info = _POTRF(a, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
+        raise SingularSystem(
+            f"{info}-th leading minor of the array is not positive definite")
+    x, _ = _POTRS(c, rhs, lower=1)
+    return x
 
 
 @dataclass(frozen=True)
@@ -93,6 +135,44 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    # The products below are computed on first use and kept for the life
+    # of the dataset, so every fit on it shares them.  They are read-only;
+    # ``x`` and ``y`` must not be modified once they have been computed.
+
+    @cached_property
+    def xtx(self) -> np.ndarray:
+        """``X'X``, shape (p, p)."""
+        return _read_only(self.x.T @ self.x)
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """``X'y``, shape (p,)."""
+        return _read_only(self.x.T @ self.y)
+
+    @cached_property
+    def initial_beta(self) -> np.ndarray:
+        """Start of the iterative solvers: least squares, or a lightly
+        ridged solve (penalty ``FALLBACK_RIDGE``) when least squares is
+        unavailable (rank-deficient design or p >= n).
+
+        Raises
+        ------
+        NoInitializer
+            If neither gives finite coefficients.
+        """
+
+        if self.n > self.p:
+            beta, _, rank, _ = np.linalg.lstsq(self.x, self.y, rcond=None)
+            if rank == self.p and np.isfinite(beta).all():
+                return _read_only(beta)
+        try:
+            beta = _ridge_solve(self.xtx, FALLBACK_RIDGE, self.xty)
+        except SingularSystem as exc:
+            raise NoInitializer(str(exc)) from None
+        if not np.isfinite(beta).all():
+            raise NoInitializer("ridge fallback produced non-finite coefficients")
+        return _read_only(beta)
 
 
 @dataclass(frozen=True)
@@ -206,11 +286,13 @@ class PosteriorState:
 class ModeFit:
     """Result of a joint-mode fit (direct or reweighted-ridge path).
 
-    ``log_joint_trace[i]`` is the joint log density on the surviving
-    submodel after iteration ``i+1``; ``active_count_trace[i]`` records
-    how many coordinates were live then.  Trace values are comparable
-    only between iterations with the same live count, since pruning
-    changes the density's dimension.
+    ``log_joint_trace[i]`` is the joint log density
+    (:func:`log_joint_posterior`, under the solver's ``mu``) on the
+    surviving submodel after iteration ``i+1``: the noise variance and
+    precisions of that iteration with the coefficients it produced.
+    ``active_count_trace[i]`` records how many coordinates were live then.
+    Trace values are comparable only between iterations with the same
+    live count, since pruning changes the density's dimension.
     """
 
     state: PosteriorState
@@ -303,16 +385,24 @@ def log_joint_posterior(state: PosteriorState, data: Dataset, h: Hyper) -> float
         raise DimensionMismatch(
             f"state has {len(state.beta)} coordinates, data has {data.p} columns"
         )
-    n, p = data.n, data.p
-    s2 = state.sigma2
     r = data.y - data.x @ state.beta
     quad = float(r @ r + state.beta @ (state.v_inv * state.beta))
+    return _log_joint_density(quad, state.sigma2, state.v_inv, data.n, h)
+
+
+def _log_joint_density(quad: float, s2: float, v_inv: np.ndarray, n: int,
+                       h: Hyper) -> float:
+    """:func:`log_joint_posterior` given its quadratic term
+    ``quad = rss + beta' V^{-1} beta``; the solver supplies ``quad`` from
+    its own residuals."""
+
+    p = len(v_inv)
     lj = -(n + p) / 2.0 * math.log(2.0 * math.pi * s2) - math.log(s2) - quad / (2.0 * s2)
     if p:
         # eta = -1/2 makes the exponent on each precision vanish; guard the
         # 0 * log(0) corner so the OLS boundary evaluates finitely.
         if h.eta != -0.5:
-            lj += float((h.eta + 0.5) * np.sum(np.log(state.v_inv)))
-        lj += float(-h.mu * np.sum(state.v_inv))
+            lj += float((h.eta + 0.5) * np.sum(np.log(v_inv)))
+        lj += float(-h.mu * np.sum(v_inv))
         lj += p * ((h.eta + 1.0) * math.log(h.mu) - math.lgamma(h.eta + 1.0))
     return lj

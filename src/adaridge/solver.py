@@ -16,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     DegenerateResidual,
     EtaAtOlsBoundary,
     ExactFit,
     NonPositiveSigma2,
-    NoInitializer,
-    SingularSystem,
 )
 from .model import (
     Dataset,
@@ -33,6 +30,8 @@ from .model import (
     ModeFit,
     PosteriorState,
     Standardization,
+    _log_joint_density,
+    _ridge_solve,
     log_joint_posterior,
 )
 
@@ -44,10 +43,6 @@ __all__ = [
     "fit_joint_mode",
     "fit_reweighted_ridge",
 ]
-
-# Ridge penalty used to initialize when least squares is unavailable
-# (rank-deficient design or p >= n).
-FALLBACK_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,7 @@ def update_beta(data: Dataset, v_inv: np.ndarray) -> np.ndarray:
     """Conditional mode of the coefficients: solve
     ``(X'X + diag(v_inv)) beta = X'y`` by Cholesky factorization."""
 
-    a = data.x.T @ data.x + np.diag(np.asarray(v_inv, dtype=float))
-    try:
-        return cho_solve(cho_factor(a, lower=True), data.x.T @ data.y)
-    except LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
+    return _ridge_solve(data.xtx, np.asarray(v_inv, dtype=float), data.xty)
 
 
 def update_sigma2(data: Dataset, beta: np.ndarray, v_inv: np.ndarray) -> float:
@@ -110,28 +101,10 @@ def update_v(beta: np.ndarray, sigma2: float, h: Hyper, mu: float | None = None)
     return 1.0 / vtilde
 
 
-def _initial_beta(data: Dataset) -> np.ndarray:
-    """OLS start, or a lightly ridged solve when OLS is unavailable."""
-
-    n, p = data.n, data.p
-    if n > p:
-        beta, _, rank, _ = np.linalg.lstsq(data.x, data.y, rcond=None)
-        if rank == p and np.isfinite(beta).all():
-            return beta
-    a = data.x.T @ data.x + FALLBACK_RIDGE * np.eye(p)
-    try:
-        beta = cho_solve(cho_factor(a, lower=True), data.x.T @ data.y)
-    except LinAlgError as exc:
-        raise NoInitializer(str(exc)) from None
-    if not np.isfinite(beta).all():
-        raise NoInitializer("ridge fallback produced non-finite coefficients")
-    return beta
-
-
 def _ols_boundary_fit(data: Dataset, std: Standardization | None) -> ModeFit:
     # For eta <= -1/2 the precision conditional peaks at zero precision,
     # so the mode is plain least squares with a flat trace.
-    beta = _initial_beta(data)
+    beta = data.initial_beta.copy()
     r = data.y - data.x @ beta
     rss = float(r @ r)
     if rss == 0.0:
@@ -148,14 +121,27 @@ def _ols_boundary_fit(data: Dataset, std: Standardization | None) -> ModeFit:
                    standardization=std)
 
 
-def _finish(data, beta, sigma2, v_inv, active, iters, converged, trace,
+def _finish(p, idx, beta_live, sigma2, v_inv_live, iters, converged, trace,
             counts, std):
-    full_v = np.where(active, v_inv, np.inf)
-    state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=full_v, active=active)
+    # Scatter the live coordinates ``idx`` back into length-p arrays;
+    # pruned coordinates get beta 0 and infinite precision.
+    beta = np.zeros(p)
+    beta[idx] = beta_live
+    v_inv = np.full(p, np.inf)
+    v_inv[idx] = v_inv_live
+    active = np.zeros(p, dtype=bool)
+    active[idx] = True
+    state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv, active=active)
     return ModeFit(state, iterations=iters, converged=converged,
                    log_joint_trace=np.asarray(trace),
                    active_count_trace=np.asarray(counts, dtype=int),
                    standardization=std)
+
+
+def _live(data: Dataset, idx: np.ndarray):
+    """``X``, ``X'X`` and ``X'y`` restricted to the coordinates ``idx``."""
+
+    return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
 
 
 def fit_joint_mode(
@@ -177,6 +163,13 @@ def fit_joint_mode(
     and the procedure is exactly least squares, returned directly.
     Pruning every variable is not an error; the result is the empty model.
 
+    ``X'X``, ``X'y`` and the least-squares start are computed once per
+    :class:`Dataset` object and shared by every fit on it.  Each
+    ``log_joint_trace`` entry is :func:`log_joint_posterior` on the live
+    submodel, with its quadratic term ``rss + beta' V^{-1} beta`` taken
+    from the residual the next iteration computes anyway (one extra
+    residual after the last iteration).
+
     Parameters
     ----------
     data : Dataset
@@ -193,62 +186,54 @@ def fit_joint_mode(
     mu = opts.solver_mu(h)
     h_eff = h if mu == h.mu else Hyper(h.eta, mu=mu)
     n, p = data.n, data.p
-    xtx = data.x.T @ data.x
-    xty = data.x.T @ data.y
 
-    beta = _initial_beta(data)
-    active = np.ones(p, dtype=bool)
+    # Live coordinates and their coefficients and precisions; the data
+    # restricted to them is re-sliced only when pruning shrinks the set.
+    idx = np.arange(p)
+    beta = data.initial_beta
     v_inv = np.zeros(p)
+    x_live, xtx_live, xty_live = _live(data, idx)
     trace: list[float] = []
     counts: list[int] = []
+    pending = None  # (sigma2, v_inv) of the last update, awaiting its trace entry
+    converged = False
     a = 1.0 + 2.0 * h.eta
 
     for it in range(1, opts.max_iter + 1):
-        idx = np.where(active)[0]
-        r = data.y - data.x[:, idx] @ beta[idx]
-        num = float(r @ r + beta[idx] @ (v_inv[idx] * beta[idx]))
-        if num == 0.0:
+        r = data.y - x_live @ beta
+        quad = float(r @ r + beta @ (v_inv * beta))
+        if pending is not None:
+            trace.append(_log_joint_density(quad, *pending, n, h_eff))
+        if quad == 0.0:
             raise ExactFit("zero residual encountered during fitting")
-        sigma2 = num / (n + idx.size + 2)
+        sigma2 = quad / (n + idx.size + 2)
 
-        vtilde = (beta[idx] ** 2 + 2.0 * sigma2 * mu) / (a * sigma2)
+        vtilde = (beta**2 + 2.0 * sigma2 * mu) / (a * sigma2)
         dead = vtilde < opts.prune_tol
         if dead.any():
-            gone = idx[dead]
-            active[gone] = False
-            beta[gone] = 0.0
-            v_inv[gone] = 0.0
-            idx = idx[~dead]
-            vtilde = vtilde[~dead]
-        if idx.size == 0:
-            state_sigma2 = float(data.y @ data.y) / (n + 2)
-            return _finish(data, np.zeros(p), state_sigma2, v_inv,
-                           active, it, True, trace, counts, standardization)
-        v_inv[idx] = 1.0 / vtilde
+            keep = ~dead
+            idx, beta, vtilde = idx[keep], beta[keep], vtilde[keep]
+            if idx.size == 0:
+                null_sigma2 = float(data.y @ data.y) / (n + 2)
+                return _finish(p, idx, beta, null_sigma2, vtilde, it, True,
+                               trace, counts, standardization)
+            x_live, xtx_live, xty_live = _live(data, idx)
+        v_inv = 1.0 / vtilde
 
-        sub = xtx[np.ix_(idx, idx)] + np.diag(v_inv[idx])
-        try:
-            beta_new = cho_solve(cho_factor(sub, lower=True), xty[idx])
-        except LinAlgError as exc:
-            raise SingularSystem(str(exc)) from None
-
-        delta = float(np.max(np.abs(beta_new - beta[idx]) / (1.0 + np.abs(beta[idx]))))
-        beta[idx] = beta_new
-
-        sub_state = PosteriorState(
-            beta=beta[idx], sigma2=sigma2, v_inv=v_inv[idx],
-            active=np.ones(idx.size, dtype=bool),
-        )
-        trace.append(log_joint_posterior(
-            sub_state, Dataset(data.x[:, idx], data.y), h_eff))
+        beta_new = _ridge_solve(xtx_live, v_inv, xty_live)
+        delta = float(np.max(np.abs(beta_new - beta) / (1.0 + np.abs(beta))))
+        beta = beta_new
+        pending = (sigma2, v_inv)
         counts.append(idx.size)
-
         if delta < opts.conv_tol:
-            return _finish(data, beta, sigma2, v_inv, active, it, True,
-                           trace, counts, standardization)
+            converged = True
+            break
 
-    return _finish(data, beta, sigma2, v_inv, active, opts.max_iter, False,
-                   trace, counts, standardization)
+    r = data.y - x_live @ beta
+    trace.append(_log_joint_density(
+        float(r @ r + beta @ (v_inv * beta)), sigma2, v_inv, n, h_eff))
+    return _finish(p, idx, beta, sigma2, v_inv, it, converged, trace, counts,
+                   standardization)
 
 
 def fit_reweighted_ridge(
@@ -277,7 +262,7 @@ def fit_reweighted_ridge(
     n, p = data.n, data.p
     a = 1.0 + 2.0 * h.eta
 
-    beta = _initial_beta(data)
+    beta = data.initial_beta.copy()
     active = np.ones(p, dtype=bool)
     xstar = data.x.copy()
     cum = np.ones(p)
@@ -307,17 +292,13 @@ def fit_reweighted_ridge(
             idx = idx[~dead]
             omega = omega[~dead]
         if idx.size == 0:
-            state_sigma2 = float(data.y @ data.y) / (n + 2)
-            v_inv = np.zeros(p)
-            return _finish(data, np.zeros(p), state_sigma2, v_inv, active,
+            null_sigma2 = float(data.y @ data.y) / (n + 2)
+            return _finish(p, idx, beta[idx], null_sigma2, np.empty(0),
                            it, True, trace, counts, standardization)
 
         xstar[:, idx] = xstar[:, idx] * omega
-        g = xstar[:, idx].T @ xstar[:, idx] + a * np.eye(idx.size)
-        try:
-            bs = cho_solve(cho_factor(g, lower=True), xstar[:, idx].T @ data.y)
-        except LinAlgError as exc:
-            raise SingularSystem(str(exc)) from None
+        bs = _ridge_solve(xstar[:, idx].T @ xstar[:, idx], a,
+                          xstar[:, idx].T @ data.y)
         beta_star[idx] = bs
         beta_orig = cum[idx] * bs
         delta = float(np.max(np.abs(beta_orig - beta[idx]) / (1.0 + np.abs(beta[idx]))))
@@ -335,14 +316,10 @@ def fit_reweighted_ridge(
 
         if delta < opts.conv_tol:
             weights = RidgeWeights(omega=cum[idx], eta=h.eta)
-            v_inv = np.zeros(p)
-            v_inv[idx] = a / weights.omega**2
-            return _finish(data, beta, sigma2, v_inv, active, it, True,
-                           trace, counts, standardization)
+            return _finish(p, idx, beta[idx], sigma2, a / weights.omega**2,
+                           it, True, trace, counts, standardization)
 
     idx = np.where(active)[0]
     weights = RidgeWeights(omega=cum[idx], eta=h.eta)
-    v_inv = np.zeros(p)
-    v_inv[idx] = a / weights.omega**2
-    return _finish(data, beta, sigma2, v_inv, active, opts.max_iter, False,
-                   trace, counts, standardization)
+    return _finish(p, idx, beta[idx], sigma2, a / weights.omega**2,
+                   opts.max_iter, False, trace, counts, standardization)

@@ -117,6 +117,18 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", str(tmp_path / "nope.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("rows, error", [
+        (["x1,x2,y", "1.0,nan,2.0", "2.0,1.0,3.0", "0.5,2.0,1.0"], "NonFiniteInput"),
+        (["x1,x2,y", "1.0,0.0,2.0", "2.0,0.0,3.0", "0.5,0.0,1.0"], "ZeroNormColumn"),
+        (["y", "2.0", "3.0"], "DimensionMismatch"),
+    ])
+    def test_invalid_data_is_an_input_error(self, tmp_path, capsys, rows, error):
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit", str(path), "--eta", "0")
+        assert code == 2
+        assert error in err and out == ""
+
     def test_solver_error_exit_code(self, tmp_path, capsys):
         # a single observation centers to an exactly-zero response, so the
         # initializer interpolates and the solver reports an exact fit

@@ -33,6 +33,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("model_id = 1\nn = 10\nsigma = 1\nreplications = 1\nfoo = 2")
 
+    def test_malformed_number_names_line(self):
+        with pytest.raises(ValueError, match=r"config line 2: invalid literal"):
+            parse_config("model_id = 1\nn = abc\nsigma = 1\nreplications = 1")
+        with pytest.raises(ValueError, match=r"config line 3: could not convert"):
+            parse_config("model_id = 1\nn = 10\neta_grid = 0, x\nsigma = 1")
+
     def test_missing_required_rejected(self):
         with pytest.raises(ValueError, match="missing required"):
             parse_config("model_id = 1")

@@ -9,6 +9,8 @@ from adaridge import (
     fit_ols,
     fit_reweighted_ridge,
     log_joint_posterior,
+    restrict_to_active,
+    select_eta,
     standardize,
     update_beta,
     update_sigma2,
@@ -21,6 +23,7 @@ from adaridge.errors import (
     SingularSystem,
 )
 from adaridge.model import PosteriorState
+from adaridge.simulate import DgpSpec, draw_dataset
 from conftest import fd_gradient, random_instance, toeplitz_design
 
 
@@ -226,6 +229,55 @@ class TestFitJointMode:
         data = Dataset(np.eye(3), np.array([1.0, 2.0, 0.5]))
         with pytest.raises(ValueError):
             fit_joint_mode(data, Hyper(-1.0))
+
+
+class TestLeanKernel:
+    """The solver's shortcuts: trace entries built from in-loop values and
+    products shared per dataset."""
+
+    # every case prunes; (0, 8.0) prunes down to the empty model
+    @pytest.mark.parametrize("seed, eta", [(13, 0.0), (0, 0.5), (4, 2.0),
+                                           (9, 8.0), (0, 8.0)])
+    def test_truncated_traces_are_prefixes_ending_at_the_state(self, seed, eta):
+        data, _, _ = random_instance(seed)
+        h = Hyper(eta)
+        full = fit_joint_mode(data, h)
+        assert not full.state.active.all()
+        for m in range(1, full.iterations + 1):
+            fit = fit_joint_mode(data, h, FitOptions(max_iter=m))
+            tr = fit.log_joint_trace
+            # a fit that prunes everything stops before iteration m's solve
+            assert len(tr) == (m if fit.state.active.any() else m - 1)
+            assert np.array_equal(tr, full.log_joint_trace[:m])
+            assert np.array_equal(fit.active_count_trace,
+                                  full.active_count_trace[:m])
+            if fit.state.active.any():
+                state, sub = restrict_to_active(fit.state, data)
+                assert tr[-1] == pytest.approx(log_joint_posterior(state, sub, h),
+                                               rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("model_id, n", [(3, 100), (3, 20), (1, 30)])
+    def test_grid_fits_equal_standalone_fits(self, model_id, n):
+        raw, _ = draw_dataset(DgpSpec(model_id, n, 3.0, seed=5))
+        data, _ = standardize(raw.x, raw.y)
+        sel = select_eta(data)
+        for eta, fit in zip(sel.grid, sel.fits):
+            alone = fit_joint_mode(Dataset(data.x.copy(), data.y.copy()), Hyper(eta))
+            assert np.array_equal(fit.state.beta, alone.state.beta)
+            assert np.array_equal(fit.state.active, alone.state.active)
+            assert fit.iterations == alone.iterations
+
+    def test_cached_products_are_read_only(self, rng):
+        x, y = toeplitz_design(30, [1.0, 0.0, 2.0], 1.0, rng)
+        data, _ = standardize(x, y)
+        start = data.initial_beta.copy()
+        fit_joint_mode(data, Hyper(0.0))
+        fit_joint_mode(data, Hyper(-0.5))
+        np.testing.assert_array_equal(data.initial_beta, start)
+        np.testing.assert_array_equal(data.xtx, data.x.T @ data.x)
+        for arr in (data.xtx, data.xty, data.initial_beta):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestReweightedRidge:
