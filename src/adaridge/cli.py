@@ -92,8 +92,7 @@ def cmd_fit(args) -> int:
         out: dict = {"predictors": names, "intercept": std.y_mean}
         if args.eta == "eb":
             sel = select_eta(data, args.grid, args.evidence, opts,
-                             k=args.k, draws=args.draws, seed=args.seed,
-                             standardization=std)
+                             k=args.k, draws=args.draws, seed=args.seed)
             fit = sel.refit
             out["selected_eta"] = sel.best_eta
             out["evidence"] = [
@@ -105,7 +104,7 @@ def cmd_fit(args) -> int:
             ]
         else:
             eta = float(args.eta)
-            fit = fit_joint_mode(data, Hyper(eta), opts, standardization=std)
+            fit = fit_joint_mode(data, Hyper(eta), opts)
             out["eta"] = eta
             if args.evidence_value:
                 h_ev = Hyper(eta, mu=EVIDENCE_MU)

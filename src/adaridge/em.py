@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExactFit, ZeroCoordinate
-from .model import Dataset, FitOptions, Hyper, Standardization, _ridge_solve
+from .model import Dataset, FitOptions, Hyper, _ridge_solve
 
 __all__ = ["EmFit", "em_step", "em_step_explicit_sigma", "fit_em"]
 
@@ -38,7 +38,6 @@ class EmFit:
     converged: bool = False
     variant: str = "independent-prior"
     active: np.ndarray | None = None
-    standardization: Standardization | None = None
 
 
 def _check_nonzero(beta: np.ndarray):
@@ -100,7 +99,6 @@ def fit_em(
     h: Hyper,
     opts: FitOptions = FitOptions(),
     variant: str = "independent-prior",
-    standardization: Standardization | None = None,
 ) -> EmFit:
     """Iterate the chosen step to convergence with pruning.
 
@@ -128,7 +126,7 @@ def fit_em(
     if h.eta == boundary:
         return EmFit(beta=beta, s2_trace=np.array([s2]), iterations=1,
                      converged=True, variant=variant,
-                     active=np.ones(p, dtype=bool), standardization=standardization)
+                     active=np.ones(p, dtype=bool))
 
     active = beta != 0.0
     beta[~active] = 0.0
@@ -136,13 +134,16 @@ def fit_em(
     sigma2 = s2 / (n + 2.0)
     a = 2.0 * h.eta + 3.0 if variant == "independent-prior" else 2.0 * h.eta + 1.0
 
+    # The data restricted to the live coordinates ``idx``, rebuilt only
+    # when pruning shrinks them, so its cached X'X and X'y carry over.
+    idx = np.where(active)[0]
+    sub = Dataset(data.x[:, idx], data.y) if idx.size else None
     for it in range(1, opts.max_iter + 1):
-        idx = np.where(active)[0]
         if idx.size == 0:
             return EmFit(beta=np.zeros(p), s2_trace=np.asarray(trace),
                          iterations=it, converged=True, variant=variant,
-                         active=active, standardization=standardization)
-        r = data.y - data.x[:, idx] @ beta[idx]
+                         active=active)
+        r = data.y - sub.x @ beta[idx]
         s2 = float(r @ r)
         if s2 == 0.0:
             raise ExactFit("zero residual encountered during fitting")
@@ -162,8 +163,8 @@ def fit_em(
             idx = idx[~dead]
             if idx.size == 0:
                 continue
+            sub = Dataset(data.x[:, idx], data.y)
 
-        sub = Dataset(data.x[:, idx], data.y)
         if variant == "independent-prior":
             beta_new = em_step(sub, beta[idx], h)
         else:
@@ -173,9 +174,7 @@ def fit_em(
         beta[idx] = beta_new
         if delta < opts.conv_tol:
             return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=it,
-                         converged=True, variant=variant, active=active,
-                         standardization=standardization)
+                         converged=True, variant=variant, active=active)
 
     return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=opts.max_iter,
-                 converged=False, variant=variant, active=active,
-                 standardization=standardization)
+                 converged=False, variant=variant, active=active)

@@ -50,6 +50,7 @@ from .model import (
     Hyper,
     ModeFit,
     PosteriorState,
+    _read_only,
     _ridge_solve,
     log_joint_posterior,
     restrict_to_active,
@@ -107,18 +108,21 @@ class HessianBlocks:
 @dataclass(frozen=True)
 class EvidenceEstimate:
     """One log-evidence value with its method tag; Monte-Carlo estimates
-    carry their box width, draw count and standard error."""
+    carry their box width, draw count, standard error and the log volume
+    of their sampling hypercube (0 for the empty model), which turns a box
+    average into the box integral."""
 
     log_value: float
     method: str
     k: float | None = None
     mc_draws: int | None = None
     mc_se: float | None = None
+    log_box_volume: float | None = None
 
     def __post_init__(self):
         mc = self.method == "hypercube-mc"
-        has_mc_fields = self.k is not None and self.mc_draws is not None and self.mc_se is not None
-        if mc != has_mc_fields:
+        mc_fields = (self.k, self.mc_draws, self.mc_se, self.log_box_volume)
+        if any((f is not None) != mc for f in mc_fields):
             raise ValueError("mc fields must be present exactly for hypercube-mc")
         if self.mc_se is not None and self.mc_se < 0:
             raise ValueError("mc_se must be non-negative")
@@ -194,6 +198,29 @@ def _polish_mode(data: Dataset, beta0: np.ndarray, h: Hyper,
     return beta, sigma2, v_inv
 
 
+def _reduced_mode(fit: ModeFit, data: Dataset, h: Hyper):
+    """The fit's surviving coordinates and their mode re-polished under
+    ``h``: ``(beta, sigma2, v_inv, reduced)`` with ``reduced`` the data
+    restricted to those coordinates.
+
+    The polished vectors (read-only) are memoized on ``data`` by fit and
+    ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
+    does, polishes it once.  ``reduced`` is rebuilt on each call rather
+    than kept, since it holds a copy of the active columns.
+    """
+
+    reduced_state, reduced = restrict_to_active(fit.state, data)
+    key = (id(fit), h)
+    hit = data._memo.get(key)
+    if hit is None:
+        beta, sigma2, v_inv = _polish_mode(reduced, reduced_state.beta, h)
+        # The entry keeps the fit alive, so its id cannot be reused while
+        # the entry exists.
+        hit = data._memo[key] = (fit, _read_only(beta), sigma2, _read_only(v_inv))
+    _, beta, sigma2, v_inv = hit
+    return beta, sigma2, v_inv, reduced
+
+
 def _null_model_log_marginal(data: Dataset) -> float:
     yty = float(data.y @ data.y)
     n = data.n
@@ -236,8 +263,7 @@ def laplace_log_evidence(
         value = lj + 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(curv)
         return EvidenceEstimate(log_value=value, method="laplace")
 
-    reduced_state, reduced = restrict_to_active(state, data)
-    beta, sigma2, v_inv = _polish_mode(reduced, reduced_state.beta, h)
+    beta, sigma2, v_inv, reduced = _reduced_mode(fit, data, h)
     polished = PosteriorState(
         beta=beta, sigma2=sigma2, v_inv=v_inv,
         active=np.ones(p_active, dtype=bool),
@@ -325,8 +351,8 @@ def mc_log_evidence(
     ``mu^{eta+1}`` scale factor is deliberately not applied; see the
     module docstring).  The default estimate is the box average in log
     space with a delta-method standard error; with
-    ``include_box_volume=True`` the log box volume is added, giving the
-    integral itself.
+    ``include_box_volume=True`` the log box volume (reported either way as
+    ``log_box_volume``) is added, giving the integral itself.
 
     An empty reduced model has nothing to integrate: the exact closed
     form is returned with zero standard error.
@@ -343,18 +369,18 @@ def mc_log_evidence(
     if p_active == 0:
         return EvidenceEstimate(
             log_value=_null_model_log_marginal(data), method="hypercube-mc",
-            k=float(k), mc_draws=draws, mc_se=0.0,
+            k=float(k), mc_draws=draws, mc_se=0.0, log_box_volume=0.0,
         )
     if h.eta <= -0.5:
         raise EmptyBox("box width requires eta > -1/2 (finite curvature)")
 
-    reduced_state, reduced = restrict_to_active(state, data)
-    beta, sigma2, v_inv = _polish_mode(reduced, reduced_state.beta, h)
+    _, _, v_inv, reduced = _reduced_mode(fit, data, h)
     sig = v_inv / math.sqrt(0.5 + h.eta)
     lo = np.maximum(0.0, v_inv - k * sig)
     hi = v_inv + k * sig
     if not ((hi - lo) > 0).all():
         raise EmptyBox("degenerate box bounds")
+    log_volume = float(np.sum(np.log(hi - lo)))
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(lo, hi, size=(draws, p_active))
@@ -379,31 +405,13 @@ def mc_log_evidence(
     else:
         se = 0.0
     if include_box_volume:
-        value += float(np.sum(np.log(hi - lo)))
+        value += log_volume
     if not math.isfinite(value):
         raise NonFiniteEvidence(f"mc value {value}")
     return EvidenceEstimate(
         log_value=value, method="hypercube-mc",
-        k=float(k), mc_draws=draws, mc_se=se,
+        k=float(k), mc_draws=draws, mc_se=se, log_box_volume=log_volume,
     )
-
-
-def box_log_volume(fit: ModeFit, data: Dataset, h: Hyper, k: float) -> float:
-    """Log volume of the sampling hypercube used by :func:`mc_log_evidence`
-    for this fit; converts a box average into the box integral."""
-
-    state = fit.state
-    p_active = int(state.active.sum())
-    if p_active == 0:
-        return 0.0
-    if h.eta <= -0.5:
-        raise EmptyBox("box width requires eta > -1/2")
-    reduced_state, reduced = restrict_to_active(state, data)
-    _, _, v_inv = _polish_mode(reduced, reduced_state.beta, h)
-    sig = v_inv / math.sqrt(0.5 + h.eta)
-    lo = np.maximum(0.0, v_inv - k * sig)
-    hi = v_inv + k * sig
-    return float(np.sum(np.log(hi - lo)))
 
 
 def select_eta(
@@ -416,14 +424,14 @@ def select_eta(
     draws: int = 1000,
     seed: int = 0,
     evidence_mu: float = EVIDENCE_MU,
-    standardization=None,
 ) -> EbSelection:
     """Empirical-Bayes choice of the shrinkage level: fit the joint mode
     at every grid value, score each fit with the chosen evidence method,
     return the argmax (ties to the smaller value) and its fit.
 
     Individual grid points may fail (solver or evidence errors); the
-    selection fails only if every point does.  Monte-Carlo scoring draws
+    selection fails only if every point does, with a message that names
+    each point's error.  Monte-Carlo scoring draws
     from a per-point stream derived from ``(seed, grid index, k)`` so
     results do not depend on evaluation order.
     """
@@ -443,10 +451,10 @@ def select_eta(
     estimates: list[EvidenceEstimate | None] = []
     fits: list[ModeFit | None] = []
     best_idx = None
-    last_error: Exception | None = None
+    errors: list[str] = []
     for gi, eta in enumerate(grid):
         try:
-            fit = fit_joint_mode(data, Hyper(eta), opts, standardization)
+            fit = fit_joint_mode(data, Hyper(eta), opts)
             h_ev = Hyper(eta, mu=evidence_mu)
             if method == "laplace":
                 est = laplace_log_evidence(fit, data, h_ev)
@@ -456,7 +464,7 @@ def select_eta(
                     seed=[int(seed), gi, int(round(k))],
                 )
         except AdaRidgeError as exc:
-            last_error = exc
+            errors.append(f"eta={eta:g}: {type(exc).__name__}: {exc}")
             estimates.append(None)
             fits.append(None)
             continue
@@ -466,8 +474,7 @@ def select_eta(
             best_idx = gi
     if best_idx is None:
         raise NonFiniteEvidence(
-            f"every grid point failed; last error: {last_error}"
-        )
+            "every grid point failed; " + "; ".join(errors))
     return EbSelection(
         grid=grid,
         estimates=tuple(estimates),

@@ -28,8 +28,6 @@ from .errors import AdaRidgeError
 from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K_SWEEP,
-    EVIDENCE_MU,
-    box_log_volume,
     select_eta,
 )
 from .metrics import (
@@ -247,8 +245,8 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
                         rep, f"aris-eb-k{kk:g}", res,
                         detail=f"eta={sel.best_eta:g}"))
                     idx = sel.grid.index(sel.best_eta)
-                    total = sel.estimates[idx].log_value + box_log_volume(
-                        sel.refit, data, Hyper(sel.best_eta, mu=EVIDENCE_MU), kk)
+                    est = sel.estimates[idx]
+                    total = est.log_value + est.log_box_volume
                     if best is None or total > best[0] + 1e-12:
                         best = (total, kk, sel, res)
                 _, kk, sel, res = best

@@ -136,9 +136,10 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    # The products below are computed on first use and kept for the life
-    # of the dataset, so every fit on it shares them.  They are read-only;
-    # ``x`` and ``y`` must not be modified once they have been computed.
+    # The products and the memo below are computed on first use and kept
+    # for the life of the dataset, so every fit on it shares them.  They
+    # are read-only; ``x`` and ``y`` must not be modified once they have
+    # been computed.
 
     @cached_property
     def xtx(self) -> np.ndarray:
@@ -149,6 +150,13 @@ class Dataset:
     def xty(self) -> np.ndarray:
         """``X'y``, shape (p,)."""
         return _read_only(self.x.T @ self.y)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Fits and polished evidence modes on this dataset, keyed by
+        what determines them (see :func:`~adaridge.solver.fit_joint_mode`
+        and ``evidence._reduced_mode``)."""
+        return {}
 
     @cached_property
     def initial_beta(self) -> np.ndarray:
@@ -293,6 +301,10 @@ class ModeFit:
     ``active_count_trace[i]`` records how many coordinates were live then.
     Trace values are comparable only between iterations with the same
     live count, since pruning changes the density's dimension.
+
+    Every array of a fit, those of ``state`` included, is made read-only:
+    :func:`~adaridge.solver.fit_joint_mode` hands the same fit to every
+    caller that asks for it on one dataset.
     """
 
     state: PosteriorState
@@ -300,7 +312,11 @@ class ModeFit:
     converged: bool
     log_joint_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     active_count_trace: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    standardization: Standardization | None = None
+
+    def __post_init__(self):
+        for arr in (self.state.beta, self.state.v_inv, self.state.active,
+                    self.log_joint_trace, self.active_count_trace):
+            _read_only(arr)
 
 
 def standardize(raw_x, raw_y) -> tuple[Dataset, Standardization]:

@@ -29,7 +29,6 @@ from .model import (
     Hyper,
     ModeFit,
     PosteriorState,
-    Standardization,
     _log_joint_density,
     _ridge_solve,
     log_joint_posterior,
@@ -101,7 +100,7 @@ def update_v(beta: np.ndarray, sigma2: float, h: Hyper, mu: float | None = None)
     return 1.0 / vtilde
 
 
-def _ols_boundary_fit(data: Dataset, std: Standardization | None) -> ModeFit:
+def _ols_boundary_fit(data: Dataset) -> ModeFit:
     # For eta <= -1/2 the precision conditional peaks at zero precision,
     # so the mode is plain least squares with a flat trace.
     beta = data.initial_beta.copy()
@@ -117,12 +116,11 @@ def _ols_boundary_fit(data: Dataset, std: Standardization | None) -> ModeFit:
     )
     return ModeFit(state, iterations=0, converged=True,
                    log_joint_trace=np.empty(0),
-                   active_count_trace=np.empty(0, dtype=int),
-                   standardization=std)
+                   active_count_trace=np.empty(0, dtype=int))
 
 
 def _finish(p, idx, beta_live, sigma2, v_inv_live, iters, converged, trace,
-            counts, std):
+            counts):
     # Scatter the live coordinates ``idx`` back into length-p arrays;
     # pruned coordinates get beta 0 and infinite precision.
     beta = np.zeros(p)
@@ -134,8 +132,7 @@ def _finish(p, idx, beta_live, sigma2, v_inv_live, iters, converged, trace,
     state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv, active=active)
     return ModeFit(state, iterations=iters, converged=converged,
                    log_joint_trace=np.asarray(trace),
-                   active_count_trace=np.asarray(counts, dtype=int),
-                   standardization=std)
+                   active_count_trace=np.asarray(counts, dtype=int))
 
 
 def _live(data: Dataset, idx: np.ndarray):
@@ -144,12 +141,8 @@ def _live(data: Dataset, idx: np.ndarray):
     return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
 
 
-def fit_joint_mode(
-    data: Dataset,
-    h: Hyper,
-    opts: FitOptions = FitOptions(),
-    standardization: Standardization | None = None,
-) -> ModeFit:
+def fit_joint_mode(data: Dataset, h: Hyper,
+                   opts: FitOptions = FitOptions()) -> ModeFit:
     """Maximize the joint posterior by iterated conditional maximization.
 
     Starting from least squares, each iteration updates the noise
@@ -164,7 +157,10 @@ def fit_joint_mode(
     Pruning every variable is not an error; the result is the empty model.
 
     ``X'X``, ``X'y`` and the least-squares start are computed once per
-    :class:`Dataset` object and shared by every fit on it.  Each
+    :class:`Dataset` object and shared by every fit on it.  So is the fit
+    itself: a second call with an equal ``(h, opts)`` on the same dataset
+    object returns the same :class:`ModeFit`, whose arrays are read-only.
+    A failed fit is not kept and raises again on the next call.  Each
     ``log_joint_trace`` entry is :func:`log_joint_posterior` on the live
     submodel, with its quadratic term ``rss + beta' V^{-1} beta`` taken
     from the residual the next iteration computes anyway (one extra
@@ -178,10 +174,18 @@ def fit_joint_mode(
         Requires ``eta > -1`` for prior propriety.
     """
 
+    key = (h, opts)
+    fit = data._memo.get(key)
+    if fit is None:
+        fit = data._memo[key] = _fit_joint_mode(data, h, opts)
+    return fit
+
+
+def _fit_joint_mode(data: Dataset, h: Hyper, opts: FitOptions) -> ModeFit:
     if h.eta <= -1:
         raise ValueError(f"joint-mode fitting needs eta > -1, got {h.eta}")
     if h.eta <= -0.5:
-        return _ols_boundary_fit(data, standardization)
+        return _ols_boundary_fit(data)
 
     mu = opts.solver_mu(h)
     h_eff = h if mu == h.mu else Hyper(h.eta, mu=mu)
@@ -216,7 +220,7 @@ def fit_joint_mode(
             if idx.size == 0:
                 null_sigma2 = float(data.y @ data.y) / (n + 2)
                 return _finish(p, idx, beta, null_sigma2, vtilde, it, True,
-                               trace, counts, standardization)
+                               trace, counts)
             x_live, xtx_live, xty_live = _live(data, idx)
         v_inv = 1.0 / vtilde
 
@@ -232,16 +236,11 @@ def fit_joint_mode(
     r = data.y - x_live @ beta
     trace.append(_log_joint_density(
         float(r @ r + beta @ (v_inv * beta)), sigma2, v_inv, n, h_eff))
-    return _finish(p, idx, beta, sigma2, v_inv, it, converged, trace, counts,
-                   standardization)
+    return _finish(p, idx, beta, sigma2, v_inv, it, converged, trace, counts)
 
 
-def fit_reweighted_ridge(
-    data: Dataset,
-    h: Hyper,
-    opts: FitOptions = FitOptions(),
-    standardization: Standardization | None = None,
-) -> ModeFit:
+def fit_reweighted_ridge(data: Dataset, h: Hyper,
+                         opts: FitOptions = FitOptions()) -> ModeFit:
     """Reach the same mode as :func:`fit_joint_mode` through reweighted
     ridge regressions.
 
@@ -257,7 +256,7 @@ def fit_reweighted_ridge(
     if h.eta < -0.5:
         raise EtaAtOlsBoundary(f"reweighted ridge needs eta >= -1/2, got {h.eta}")
     if h.eta == -0.5:
-        return _ols_boundary_fit(data, standardization)
+        return _ols_boundary_fit(data)
 
     n, p = data.n, data.p
     a = 1.0 + 2.0 * h.eta
@@ -294,7 +293,7 @@ def fit_reweighted_ridge(
         if idx.size == 0:
             null_sigma2 = float(data.y @ data.y) / (n + 2)
             return _finish(p, idx, beta[idx], null_sigma2, np.empty(0),
-                           it, True, trace, counts, standardization)
+                           it, True, trace, counts)
 
         xstar[:, idx] = xstar[:, idx] * omega
         bs = _ridge_solve(xstar[:, idx].T @ xstar[:, idx], a,
@@ -317,9 +316,9 @@ def fit_reweighted_ridge(
         if delta < opts.conv_tol:
             weights = RidgeWeights(omega=cum[idx], eta=h.eta)
             return _finish(p, idx, beta[idx], sigma2, a / weights.omega**2,
-                           it, True, trace, counts, standardization)
+                           it, True, trace, counts)
 
     idx = np.where(active)[0]
     weights = RidgeWeights(omega=cum[idx], eta=h.eta)
     return _finish(p, idx, beta[idx], sigma2, a / weights.omega**2,
-                   opts.max_iter, False, trace, counts, standardization)
+                   opts.max_iter, False, trace, counts)

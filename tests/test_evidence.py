@@ -18,7 +18,7 @@ from adaridge import (
     standardize,
 )
 from adaridge.errors import EmptyBox, NonFiniteEvidence, NonInteriorMode
-from adaridge.evidence import EvidenceEstimate, box_log_volume, _polish_mode
+from adaridge.evidence import EvidenceEstimate, _polish_mode
 from adaridge.model import restrict_to_active
 from conftest import fd_hessian, log_joint_of_theta, random_instance, toeplitz_design
 
@@ -233,8 +233,8 @@ class TestMonteCarloEvidence:
         avg = mc_log_evidence(fit, data, h, k=5.0, draws=400, seed=0)
         tot = mc_log_evidence(fit, data, h, k=5.0, draws=400, seed=0,
                               include_box_volume=True)
-        vol = box_log_volume(fit, data, h, k=5.0)
-        assert tot.log_value - avg.log_value == pytest.approx(vol, rel=1e-12)
+        assert tot.log_value - avg.log_value == pytest.approx(
+            avg.log_box_volume, rel=1e-12)
 
     def test_every_draw_finite(self):
         # echoes the propriety bound: a positive inverse scale keeps the
@@ -278,7 +278,10 @@ class TestEvidenceEstimateInvariants:
             EvidenceEstimate(log_value=0.0, method="hypercube-mc")
         with pytest.raises(ValueError):
             EvidenceEstimate(log_value=0.0, method="hypercube-mc", k=3.0,
-                             mc_draws=10, mc_se=-0.1)
+                             mc_draws=10, mc_se=-0.1, log_box_volume=0.0)
+        with pytest.raises(ValueError):
+            EvidenceEstimate(log_value=0.0, method="hypercube-mc", k=3.0,
+                             mc_draws=10, mc_se=0.1)
 
 
 class TestSelectEta:
@@ -322,8 +325,11 @@ class TestSelectEta:
             raise NonFiniteEvidence("synthetic failure")
 
         monkeypatch.setattr(ev, "laplace_log_evidence", broken)
-        with pytest.raises(NonFiniteEvidence):
+        with pytest.raises(NonFiniteEvidence) as info:
             ev.select_eta(data, [0.0, 0.5])
+        message = str(info.value)
+        for eta in ("eta=0:", "eta=0.5:"):
+            assert f"{eta} NonFiniteEvidence: synthetic failure" in message
 
     def test_sparse_design_recovers_signal(self):
         hits = 0
@@ -336,3 +342,75 @@ class TestSelectEta:
             if act[0] and not act[1:].any():
                 hits += 1
         assert hits >= 15
+
+
+def fresh_copy(data):
+    return Dataset(data.x.copy(), data.y.copy())
+
+
+class TestEvidenceMemo:
+    """Polished modes are kept per dataset, so rescoring a grid costs no
+    refit and no re-polish, and gives what a fresh dataset gives."""
+
+    def small_study_data(self):
+        from adaridge.simulate import DgpSpec, draw_dataset
+
+        raw, _ = draw_dataset(DgpSpec(3, 20, 3.0, seed=11))
+        return standardize(raw.x, raw.y)[0]
+
+    def test_mc_k_sweep_equals_fresh_copies(self):
+        data = self.small_study_data()
+        previous = None
+        for kk in (3, 10, 100, 1000):
+            sel = select_eta(data, method="mc", k=kk, draws=200, seed=4)
+            alone = select_eta(fresh_copy(data), method="mc", k=kk, draws=200,
+                               seed=4)
+            assert sel.estimates == alone.estimates
+            assert sel.best_eta == alone.best_eta
+            for name in ("beta", "v_inv", "active"):
+                assert np.array_equal(getattr(sel.refit.state, name),
+                                      getattr(alone.refit.state, name))
+            assert sel.refit.state.sigma2 == alone.refit.state.sigma2
+            if previous is not None:
+                assert all(a is b for a, b in zip(sel.fits, previous.fits))
+            previous = sel
+
+    def test_k_sweep_polishes_each_point_once(self, monkeypatch):
+        import adaridge.evidence as ev
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _polish_mode(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "_polish_mode", counted)
+        data = self.small_study_data()
+        ev.select_eta(data, method="mc", k=3.0, draws=50)
+        first = len(calls)
+        assert first > 0
+        for kk in (10.0, 100.0, 1000.0):
+            ev.select_eta(data, method="mc", k=kk, draws=50)
+        ev.select_eta(data, method="laplace")
+        assert len(calls) == first
+
+    def test_laplace_on_a_memo_hit_equals_a_fresh_copy(self):
+        data, _, _ = random_instance(8)
+        h = Hyper(0.5, mu=EVIDENCE_MU)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        first = laplace_log_evidence(fit, data, h)
+        again = laplace_log_evidence(fit, data, h)
+        fresh = fresh_copy(data)
+        alone = laplace_log_evidence(fit_joint_mode(fresh, Hyper(0.5)), fresh, h)
+        assert first == again == alone
+
+    def test_other_mu_is_polished_separately(self):
+        data, _, _ = random_instance(8)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        a = laplace_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU))
+        b = laplace_log_evidence(fit, data, Hyper(0.5, mu=1e-3))
+        fresh = fresh_copy(data)
+        alone = laplace_log_evidence(fit_joint_mode(fresh, Hyper(0.5)), fresh,
+                                     Hyper(0.5, mu=1e-3))
+        assert a != b
+        assert b == alone

@@ -280,6 +280,53 @@ class TestLeanKernel:
                 arr[0] = 1.0
 
 
+class TestFitMemo:
+    """Fits are kept per dataset and handed out again for an equal key."""
+
+    def test_same_key_returns_the_same_fit(self):
+        data, _, _ = random_instance(3)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        assert fit_joint_mode(data, Hyper(0.5), FitOptions()) is fit
+
+    def test_other_options_or_mu_give_distinct_fits(self):
+        data, _, _ = random_instance(3)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        short = fit_joint_mode(data, Hyper(0.5), FitOptions(max_iter=2))
+        other_mu = fit_joint_mode(data, Hyper(0.5, mu=1e-3))
+        assert short is not fit and other_mu is not fit
+        assert short.iterations == 2 < fit.iterations
+        fresh = Dataset(data.x.copy(), data.y.copy())
+        alone = fit_joint_mode(fresh, Hyper(0.5, mu=1e-3))
+        assert np.array_equal(other_mu.state.beta, alone.state.beta)
+        assert np.array_equal(other_mu.state.v_inv, alone.state.v_inv)
+
+    def test_fresh_copies_do_not_share_fits(self):
+        data, _, _ = random_instance(3)
+        copy = Dataset(data.x.copy(), data.y.copy())
+        assert fit_joint_mode(data, Hyper(0.0)) is not fit_joint_mode(copy, Hyper(0.0))
+
+    # an interior fit, a pruned one, the empty model and the OLS boundary
+    @pytest.mark.parametrize("seed, eta", [(6, 0.0), (0, 0.5), (0, 8.0), (6, -0.45)])
+    def test_returned_arrays_reject_writes(self, seed, eta):
+        data, _, _ = random_instance(seed)
+        fit = fit_joint_mode(data, Hyper(eta))
+        st = fit.state
+        for arr in (st.beta, st.v_inv, st.active, fit.log_joint_trace,
+                    fit.active_count_trace):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_failures_are_not_kept(self):
+        data = Dataset(np.array([[1.0], [0.0], [0.0]]), np.array([2.0, 0.0, 0.0]))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ExactFit) as info:
+                fit_joint_mode(data, Hyper(0.0))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert data._memo == {}
+
+
 class TestReweightedRidge:
     def test_single_step_from_ols_orthonormal(self, rng):
         # one iteration from least squares on an orthonormal design is a
