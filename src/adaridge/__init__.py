@@ -62,14 +62,7 @@ from .simulate import (
     draw_test_set,
     make_covariance,
 )
-from .solver import (
-    RidgeWeights,
-    fit_joint_mode,
-    fit_reweighted_ridge,
-    update_beta,
-    update_sigma2,
-    update_v,
-)
+from .solver import fit_joint_mode
 
 __all__ = [
     "__version__",
@@ -85,12 +78,7 @@ __all__ = [
     "destandardize_beta",
     "log_joint_posterior",
     "restrict_to_active",
-    "RidgeWeights",
     "fit_joint_mode",
-    "fit_reweighted_ridge",
-    "update_beta",
-    "update_sigma2",
-    "update_v",
     "EmFit",
     "em_step",
     "em_step_explicit_sigma",

@@ -40,18 +40,8 @@ class SingularSystem(AdaRidgeError):
     """A linear system that should be positive definite is singular."""
 
 
-class DegenerateResidual(AdaRidgeError):
-    """The residual sum of squares is exactly zero; the variance update
-    would be degenerate."""
-
-
 class ExactFit(AdaRidgeError):
     """The solver encountered a perfect interpolation and cannot continue."""
-
-
-class EtaAtOlsBoundary(AdaRidgeError):
-    """The precision update is undefined at or below eta = -1/2, where the
-    procedure collapses to ordinary least squares."""
 
 
 class NoInitializer(AdaRidgeError):

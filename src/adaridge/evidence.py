@@ -51,11 +51,10 @@ from .model import (
     ModeFit,
     PosteriorState,
     _read_only,
-    _ridge_solve,
     log_joint_posterior,
     restrict_to_active,
 )
-from .solver import fit_joint_mode
+from .solver import _cycle, fit_joint_mode
 
 __all__ = [
     "EVIDENCE_MU",
@@ -77,6 +76,11 @@ EVIDENCE_MU = 1e-6
 # Declared, overridable defaults for empirical-Bayes selection.
 DEFAULT_ETA_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_K_SWEEP = (3.0, 10.0, 100.0, 1000.0)
+
+# Iteration cap and relative tolerance of the cycle that re-polishes a
+# fit's mode under the evidence hyper-parameters.
+POLISH_MAX_ITER = 200
+POLISH_CONV_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -174,46 +178,30 @@ def negative_hessian(state: PosteriorState, data: Dataset, h: Hyper) -> HessianB
     return HessianBlocks(bb=bb, ss=float(ss), vv=vv, bv=bv, sb=sb, sv=sv)
 
 
-def _polish_mode(data: Dataset, beta0: np.ndarray, h: Hyper,
-                 max_iter: int = 200, tol: float = 1e-13):
-    """Re-converge the conditional-update cycle on a fixed active design
-    so curvature is evaluated at an exact interior mode under ``h.mu``."""
-
-    n, p = data.n, data.p
-    beta = np.asarray(beta0, dtype=float).copy()
-    v_inv = np.zeros(p)
-    sigma2 = 1.0
-    a = 1.0 + 2.0 * h.eta
-    for _ in range(max_iter):
-        r = data.y - data.x @ beta
-        sigma2 = float(r @ r + beta @ (v_inv * beta)) / (n + p + 2)
-        v_inv = (a * sigma2) / (beta**2 + 2.0 * sigma2 * h.mu)
-        beta_new = _ridge_solve(data.xtx, v_inv, data.xty)
-        done = np.max(np.abs(beta_new - beta)) < tol
-        beta = beta_new
-        if done:
-            break
-    r = data.y - data.x @ beta
-    sigma2 = float(r @ r + beta @ (v_inv * beta)) / (n + p + 2)
-    return beta, sigma2, v_inv
-
-
 def _reduced_mode(fit: ModeFit, data: Dataset, h: Hyper):
     """The fit's surviving coordinates and their mode re-polished under
     ``h``: ``(beta, sigma2, v_inv, reduced)`` with ``reduced`` the data
     restricted to those coordinates.
 
-    The polished vectors (read-only) are memoized on ``data`` by fit and
-    ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
-    does, polishes it once.  ``reduced`` is rebuilt on each call rather
-    than kept, since it holds a copy of the active columns.
+    The polish is the solver's conditional-update cycle run on
+    ``reduced`` from the fit's coefficients, without pruning, so curvature
+    is evaluated at an interior mode under ``h.mu``; ``sigma2`` is the
+    noise-variance mode at the final coefficients.  The polished vectors
+    (read-only) are memoized on ``data`` by fit and ``h``, so scoring one
+    grid fit again, as the Monte-Carlo k-sweep does, polishes it once.
+    ``reduced`` is rebuilt on each call rather than kept, since it holds a
+    copy of the active columns.
     """
 
     reduced_state, reduced = restrict_to_active(fit.state, data)
     key = (id(fit), h)
     hit = data._memo.get(key)
     if hit is None:
-        beta, sigma2, v_inv = _polish_mode(reduced, reduced_state.beta, h)
+        # A prune tolerance of 0 turns pruning off, so the vectors keep
+        # the fit's active length.
+        _, beta, _, v_inv, sigma2, _, _ = _cycle(
+            reduced, h, reduced_state.beta, POLISH_MAX_ITER, POLISH_CONV_TOL,
+            0.0)
         # The entry keeps the fit alive, so its id cannot be reused while
         # the entry exists.
         hit = data._memo[key] = (fit, _read_only(beta), sigma2, _read_only(v_inv))

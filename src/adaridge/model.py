@@ -233,27 +233,20 @@ class Hyper:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Iteration controls shared by all solvers.
-
-    ``mu`` optionally overrides ``Hyper.mu`` inside the solver updates;
-    leave it ``None`` to use the hyper-parameter's own value.
-    """
+    """Iteration controls shared by all solvers: the iteration cap, the
+    relative coefficient change below which a fit has converged, and the
+    prior-variance mode below which a coordinate is pruned.  The prior's
+    inverse scale is ``Hyper.mu``."""
 
     max_iter: int = 500
     conv_tol: float = 1e-8
     prune_tol: float = 1e-8
-    mu: float | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (self.conv_tol > 0 and self.prune_tol > 0):
             raise ValueError("tolerances must be strictly positive")
-        if self.mu is not None and not (self.mu > 0):
-            raise ValueError("mu override must be strictly positive")
-
-    def solver_mu(self, h: Hyper) -> float:
-        return h.mu if self.mu is None else float(self.mu)
 
 
 @dataclass(frozen=True)
@@ -292,10 +285,10 @@ class PosteriorState:
 
 @dataclass(frozen=True)
 class ModeFit:
-    """Result of a joint-mode fit (direct or reweighted-ridge path).
+    """Result of a joint-mode fit.
 
     ``log_joint_trace[i]`` is the joint log density
-    (:func:`log_joint_posterior`, under the solver's ``mu``) on the
+    (:func:`log_joint_posterior`, under the fit's ``Hyper``) on the
     surviving submodel after iteration ``i+1``: the noise variance and
     precisions of that iteration with the coefficients it produced.
     ``active_count_trace[i]`` records how many coordinates were live then.

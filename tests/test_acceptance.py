@@ -24,7 +24,6 @@ from adaridge import (
     fit_em,
     fit_joint_mode,
     fit_ols,
-    fit_reweighted_ridge,
     fit_ridge_gcv,
     mc_log_evidence,
     laplace_log_evidence,
@@ -35,10 +34,11 @@ from adaridge import (
     support_metrics,
 )
 from adaridge import test_mse as prediction_mse
-from adaridge.evidence import EVIDENCE_MU, _polish_mode
+from adaridge.evidence import EVIDENCE_MU, _reduced_mode
 from adaridge.experiment import ExperimentConfig, _derive_seed, run_experiment
-from adaridge.model import PosteriorState, restrict_to_active
+from adaridge.model import PosteriorState
 from conftest import fd_hessian, log_joint_of_theta, random_instance
+from oracles import fit_reweighted_ridge
 
 DEFAULT_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -285,8 +285,7 @@ class TestCriterion7EvidenceAtP1:
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = laplace_log_evidence(fit, data, h)
 
-            red_state, red = restrict_to_active(fit.state, data)
-            _, _, v_inv = _polish_mode(red, red_state.beta, h)
+            _, _, v_inv, red = _reduced_mode(fit, data, h)
             center = v_inv[0]
             sig = center / math.sqrt(0.5 + eta)
 
@@ -313,8 +312,7 @@ class TestCriterion7EvidenceAtP1:
             k = 10.0
             est = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed)
 
-            red_state, red = restrict_to_active(fit.state, data)
-            _, _, v_inv = _polish_mode(red, red_state.beta, h)
+            _, _, v_inv, red = _reduced_mode(fit, data, h)
             center = v_inv[0]
             sig = center / math.sqrt(0.5 + eta)
             lo, hi = max(0.0, center - k * sig), center + k * sig

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from adaridge import (
     Dataset,
     EVIDENCE_MU,
+    FitOptions,
     Hyper,
     PosteriorState,
     conditional_marginal,
@@ -18,8 +19,7 @@ from adaridge import (
     standardize,
 )
 from adaridge.errors import EmptyBox, NonFiniteEvidence, NonInteriorMode
-from adaridge.evidence import EvidenceEstimate, _polish_mode
-from adaridge.model import restrict_to_active
+from adaridge.evidence import EvidenceEstimate, _reduced_mode
 from conftest import fd_hessian, log_joint_of_theta, random_instance, toeplitz_design
 
 
@@ -212,8 +212,7 @@ class TestMonteCarloEvidence:
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = mc_log_evidence(fit, data, h, k=10.0, draws=2000, seed=seed)
 
-            red_state, red = restrict_to_active(fit.state, data)
-            _, _, v_inv = _polish_mode(red, red_state.beta, h)
+            _, _, v_inv, red = _reduced_mode(fit, data, h)
             sig = v_inv[0] / math.sqrt(0.5 + eta)
             lo, hi = max(0.0, v_inv[0] - 10 * sig), v_inv[0] + 10 * sig
 
@@ -377,14 +376,15 @@ class TestEvidenceMemo:
 
     def test_k_sweep_polishes_each_point_once(self, monkeypatch):
         import adaridge.evidence as ev
+        from adaridge.solver import _cycle
 
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return _polish_mode(*args, **kwargs)
+            return _cycle(*args, **kwargs)
 
-        monkeypatch.setattr(ev, "_polish_mode", counted)
+        monkeypatch.setattr(ev, "_cycle", counted)
         data = self.small_study_data()
         ev.select_eta(data, method="mc", k=3.0, draws=50)
         first = len(calls)
@@ -414,3 +414,51 @@ class TestEvidenceMemo:
                                      Hyper(0.5, mu=1e-3))
         assert a != b
         assert b == alone
+
+
+class TestPolish:
+    """The evidence mode is the solver's cycle re-run on the surviving
+    coordinates under the evidence hyper-parameters, without pruning."""
+
+    def test_small_mu_keeps_every_surviving_coordinate(self):
+        # After one iteration at eta = 32 the null coordinates are still
+        # live; polishing under mu = 1e-12 drives their prior-variance
+        # modes far below the fit's prune_tol, and they must stay.
+        data, _, _ = random_instance(4)
+        fit = fit_joint_mode(data, Hyper(32.0), FitOptions(max_iter=1))
+        count = int(fit.state.active.sum())
+        beta, sigma2, v_inv, reduced = _reduced_mode(fit, data,
+                                                     Hyper(32.0, mu=1e-12))
+        assert len(beta) == len(v_inv) == reduced.p == count
+        assert np.isfinite(v_inv).all() and sigma2 > 0
+        assert (1.0 / v_inv < FitOptions().prune_tol).any()
+
+    def test_polish_keeps_no_trace(self, monkeypatch):
+        import adaridge.solver as solver
+
+        data, _, _ = random_instance(8)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solver._log_joint_density(*args)
+
+        monkeypatch.setattr(solver, "_log_joint_density", counted)
+        h = Hyper(0.5, mu=EVIDENCE_MU)
+        laplace_log_evidence(fit, data, h)
+        mc_log_evidence(fit, data, Hyper(0.5, mu=1e-3), k=10.0, draws=50)
+        assert calls == []
+
+    # On these fits the noise variance of the polish's last iteration and
+    # the mode at its final coefficients differ by more than 1e-12.
+    @pytest.mark.parametrize("seed, eta", [(2, 8.0), (31, 8.0), (11, 8.0)])
+    def test_polished_sigma2_is_the_conditional_mode(self, seed, eta):
+        data, _, _ = random_instance(seed)
+        fit = fit_joint_mode(data, Hyper(eta))
+        beta, sigma2, v_inv, reduced = _reduced_mode(
+            fit, data, Hyper(eta, mu=EVIDENCE_MU))
+        r = reduced.y - reduced.x @ beta
+        quad = float(r @ r + beta @ (v_inv * beta))
+        assert sigma2 == pytest.approx(quad / (reduced.n + reduced.p + 2),
+                                       rel=1e-14)

@@ -7,24 +7,17 @@ from adaridge import (
     Hyper,
     fit_joint_mode,
     fit_ols,
-    fit_reweighted_ridge,
     log_joint_posterior,
     restrict_to_active,
     select_eta,
     standardize,
-    update_beta,
-    update_sigma2,
-    update_v,
 )
-from adaridge.errors import (
-    EtaAtOlsBoundary,
-    ExactFit,
-    NonPositiveSigma2,
-    SingularSystem,
-)
-from adaridge.model import PosteriorState
+from adaridge.errors import ExactFit, SingularSystem
+from adaridge.model import MACHINE_EPS, PosteriorState, _ridge_solve
 from adaridge.simulate import DgpSpec, draw_dataset
+from adaridge.solver import _cycle
 from conftest import fd_gradient, random_instance, toeplitz_design
+from oracles import fit_reweighted_ridge
 
 
 def orthonormal_data(rng, n=20, p=3):
@@ -33,85 +26,121 @@ def orthonormal_data(rng, n=20, p=3):
     return Dataset(q, y)
 
 
+def ridge_update(data, v_inv):
+    return _ridge_solve(data.xtx, np.asarray(v_inv, dtype=float), data.xty)
+
+
+def first_cycle(x, y, beta0, h):
+    """One conditional-update cycle from ``beta0`` with zero precisions,
+    without pruning: ``(sigma2_1, v_inv_1, beta_1)``."""
+
+    data = Dataset(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    _, beta, sigma2, v_inv, _, _, _ = _cycle(
+        data, h, np.asarray(beta0, dtype=float), 1, 1e-8, 0.0)
+    return sigma2, v_inv, beta
+
+
 class TestUpdateBeta:
+    """The coefficient update: the ridge solve ``(X'X + V^{-1}) beta = X'y``."""
+
     def test_orthonormal_unit_precisions_halve_projection(self, rng):
         data = orthonormal_data(rng)
-        beta = update_beta(data, np.ones(3))
+        beta = ridge_update(data, np.ones(3))
         np.testing.assert_allclose(beta, (data.x.T @ data.y) / 2.0, atol=1e-12)
 
     def test_zero_precision_limit_is_ols(self, rng):
         x, y = toeplitz_design(50, [1.0, -2.0, 0.5], 1.0, rng)
         data, _ = standardize(x, y)
         ols = np.linalg.lstsq(data.x, data.y, rcond=None)[0]
-        beta = update_beta(data, np.full(3, 1e-12))
+        beta = ridge_update(data, np.full(3, 1e-12))
         np.testing.assert_allclose(beta, ols, atol=1e-8)
 
     def test_scalar_formula(self):
         # x'x = 1, x'y = 2, v_inv = 3 -> 2 / (1 + 3)
         data = Dataset(np.array([[1.0]]), np.array([2.0]))
-        assert update_beta(data, np.array([3.0]))[0] == pytest.approx(0.5, abs=1e-14)
+        assert ridge_update(data, np.array([3.0]))[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_singular_at_zero_precision_with_duplicate_columns(self, rng):
         col = rng.standard_normal(10)
         data = Dataset(np.column_stack([col, col]), rng.standard_normal(10))
         with pytest.raises(SingularSystem):
-            update_beta(data, np.zeros(2))
+            _ridge_solve(data.xtx, np.zeros(2), data.xty)
 
 
 class TestUpdateSigma2:
+    """The noise-variance update ``[rss + beta' V^{-1} beta] / (n + p + 2)``,
+    read from truncated cycles."""
+
     def test_zero_beta(self, rng):
         data = orthonormal_data(rng, n=9, p=4)
-        val = update_sigma2(data, np.zeros(4), np.ones(4))
-        assert val == pytest.approx(float(data.y @ data.y) / (9 + 4 + 2), abs=1e-14)
+        sigma2, _, _ = first_cycle(data.x, data.y, np.zeros(4), Hyper(0.0))
+        assert sigma2 == pytest.approx(float(data.y @ data.y) / (9 + 4 + 2), abs=1e-14)
 
     def test_arithmetic_example(self):
-        # n = 2, p = 1, rss = 4, beta' V^{-1} beta = 1 -> 5 / 5
+        # n = 2, p = 1, x'x = 2, x'y = 4; least squares gives beta_0 = 2.
+        # Iteration 1: rss = 2 -> sigma2 = 2/5; with eta = 9.5 and a
+        # vanishing mu the precision is 20 (2/5) / 4 = 2 and beta = 4/4 = 1.
+        # Iteration 2: rss = 4 plus penalty 1 * 2 * 1 -> sigma2 = 6/5.
         data = Dataset(np.array([[1.0], [1.0]]), np.array([3.0, 1.0]))
-        # beta = 1: residuals (2, 0), rss = 4; v_inv = 1 gives penalty 1
-        assert update_sigma2(data, np.array([1.0]), np.array([1.0])) == pytest.approx(1.0)
+        h = Hyper(9.5, mu=1e-300)
+        one = fit_joint_mode(data, h, FitOptions(max_iter=1)).state
+        assert one.sigma2 == pytest.approx(0.4, rel=1e-12)
+        assert one.v_inv[0] == pytest.approx(2.0, rel=1e-12)
+        assert one.beta[0] == pytest.approx(1.0, rel=1e-12)
+        two = fit_joint_mode(data, h, FitOptions(max_iter=2)).state
+        assert two.sigma2 == pytest.approx(1.2, rel=1e-12)
 
-    def test_matches_conditional_mode_formula(self, rng):
+    def test_matches_conditional_mode_formula(self):
+        # sigma2 of iteration 2 is the conditional mode at iteration 1's
+        # coefficients and precisions, on the coordinates live after it
         for seed in range(10):
             data, _, _ = random_instance(seed)
-            beta = rng.standard_normal(data.p)
-            v_inv = rng.uniform(0.1, 2.0, data.p)
-            r = data.y - data.x @ beta
-            nu_star = (data.n + data.p) / 2.0
+            h = Hyper(0.5)
+            one = fit_joint_mode(data, h, FitOptions(max_iter=1)).state
+            two = fit_joint_mode(data, h, FitOptions(max_iter=2)).state
+            idx = np.where(one.active)[0]
+            beta, v_inv = one.beta[idx], one.v_inv[idx]
+            r = data.y - data.x[:, idx] @ beta
+            nu_star = (data.n + idx.size) / 2.0
             lam_star = float(r @ r + beta @ (v_inv * beta)) / 2.0
-            assert update_sigma2(data, beta, v_inv) == pytest.approx(
-                lam_star / (nu_star + 1.0), rel=1e-12)
-
-    def test_degenerate_residual(self):
-        data = Dataset(np.array([[1.0], [0.0]]), np.array([2.0, 0.0]))
-        from adaridge.errors import DegenerateResidual
-        with pytest.raises(DegenerateResidual):
-            update_sigma2(data, np.array([2.0]), np.zeros(1))
+            assert two.sigma2 == pytest.approx(lam_star / (nu_star + 1.0), rel=1e-12)
 
 
 class TestUpdateV:
-    def test_zero_beta_triggers_prune_scale(self):
-        v_inv = update_v(np.array([0.0]), 1.0, Hyper(0.0))
-        # variance mode collapses to 2 mu, precision explodes
+    """The precision update ``1 / vtilde`` with the prior-variance mode
+    ``vtilde = (beta^2 + 2 sigma2 mu) / ((1 + 2 eta) sigma2)``, taken from
+    the previous coefficients."""
+
+    def test_zero_beta_triggers_prune_scale(self, rng):
+        # variance mode collapses to 2 mu / (1 + 2 eta), precision explodes
+        data = orthonormal_data(rng, p=2)
+        _, v_inv, _ = first_cycle(data.x, data.y, np.array([0.0, 1.0]), Hyper(0.0))
         assert v_inv[0] > 1e12
 
     def test_unit_t_statistic(self):
-        v_inv = update_v(np.array([2.0]), 4.0, Hyper(0.0, mu=1e-300))
+        # beta_0 = 2, rss = 4^2 + 2^2 = 20 -> sigma2 = 20 / 5 = 4 = beta_0^2
+        sigma2, v_inv, _ = first_cycle([[1.0], [1.0]], [6.0, 4.0], [2.0],
+                                       Hyper(0.0, mu=1e-300))
+        assert sigma2 == pytest.approx(4.0, rel=1e-12)
         assert v_inv[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_half_eta_example(self):
-        # eta = 1/2, beta^2 = 4 sigma2 -> variance mode 2
-        v_inv = update_v(np.array([2.0]), 1.0, Hyper(0.5, mu=1e-300))
+        # eta = 1/2, beta_0 = 2, rss = 2^2 + 1^2 -> sigma2 = 1: variance mode 2
+        sigma2, v_inv, _ = first_cycle([[1.0], [1.0]], [4.0, 3.0], [2.0],
+                                       Hyper(0.5, mu=1e-300))
+        assert sigma2 == pytest.approx(1.0, rel=1e-12)
         assert 1.0 / v_inv[0] == pytest.approx(2.0, rel=1e-12)
 
-    def test_monotone_in_beta(self):
-        v = update_v(np.array([1.0, 3.0]), 1.0, Hyper(0.0))
+    def test_monotone_in_beta(self, rng):
+        data = orthonormal_data(rng, p=2)
+        _, v, _ = first_cycle(data.x, data.y, np.array([1.0, 3.0]), Hyper(0.0))
         assert v[1] < v[0]
 
     def test_boundary_and_sigma_errors(self):
-        with pytest.raises(EtaAtOlsBoundary):
-            update_v(np.array([1.0]), 1.0, Hyper(-0.5))
-        with pytest.raises(NonPositiveSigma2):
-            update_v(np.array([1.0]), 0.0, Hyper(0.0))
+        # a zero residual stops the cycle before the precision update
+        # would divide by a zero noise variance
+        with pytest.raises(ExactFit):
+            first_cycle([[1.0], [0.0]], [2.0, 0.0], [2.0], Hyper(0.0))
 
 
 class TestFitJointMode:
@@ -168,19 +197,29 @@ class TestFitJointMode:
         fit = fit_joint_mode(data, Hyper(0.0), opts)
         state = fit.state
         idx = np.where(state.active)[0]
-        sub = Dataset(data.x[:, idx], data.y)
-        s2 = update_sigma2(sub, state.beta[idx], state.v_inv[idx])
-        v_inv = update_v(state.beta[idx], s2, Hyper(0.0))
-        beta = update_beta(sub, v_inv)
+        # one more cycle at eta = 0, written out
+        x, b, v = data.x[:, idx], state.beta[idx], state.v_inv[idx]
+        r = data.y - x @ b
+        s2 = float(r @ r + b @ (v * b)) / (data.n + idx.size + 2)
+        v_inv = s2 / (b**2 + 2.0 * s2 * MACHINE_EPS)
+        beta = np.linalg.solve(x.T @ x + np.diag(v_inv), x.T @ data.y)
         assert np.max(np.abs(beta - state.beta[idx])) < 1e-8
 
-    def test_conditional_updates_zero_the_gradient(self, rng):
-        data, _, _ = random_instance(11)
+    def test_conditional_updates_zero_the_gradient(self):
+        # Truncated fits expose each update: after iteration 1 the state
+        # holds beta_1 and v_inv_1, after iteration 2 sigma2_2 (the mode
+        # given beta_1, v_inv_1), v_inv_2 (given beta_1, sigma2_2) and
+        # beta_2 (given sigma2_2, v_inv_2).  With mu = 1e-4 every
+        # prior-variance mode exceeds 2 mu / (1 + 2 eta) >> prune_tol, so
+        # no coordinate is pruned.  On this instance every precision is
+        # above 0.03, where central differences resolve the v gradient.
+        data, _, _ = random_instance(0)
         h = Hyper(0.3, mu=1e-4)
         p = data.p
-        beta = rng.standard_normal(p) * 2
-        v_inv = rng.uniform(0.2, 2.0, p)
-        sigma2 = update_sigma2(data, beta, v_inv)
+        one = fit_joint_mode(data, h, FitOptions(max_iter=1)).state
+        two = fit_joint_mode(data, h, FitOptions(max_iter=2)).state
+        assert one.active.all() and two.active.all()
+        beta, v_inv, sigma2 = one.beta, one.v_inv, two.sigma2
 
         def f_sigma(s):
             st = PosteriorState(beta=beta, sigma2=float(s[0]), v_inv=v_inv,
@@ -190,7 +229,7 @@ class TestFitJointMode:
         g = fd_gradient(f_sigma, np.array([sigma2]))
         assert abs(g[0]) < 1e-6
 
-        v_new = update_v(beta, sigma2, h)
+        v_new = two.v_inv
 
         def f_v(v):
             st = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v,
@@ -200,7 +239,7 @@ class TestFitJointMode:
         g = fd_gradient(f_v, v_new)
         assert np.max(np.abs(g)) < 1e-6
 
-        beta_new = update_beta(data, v_new)
+        beta_new = two.beta
 
         def f_beta(b):
             st = PosteriorState(beta=b, sigma2=sigma2, v_inv=v_new,
@@ -369,3 +408,9 @@ class TestReweightedRidge:
         data, _ = standardize(x, y)
         fit = fit_reweighted_ridge(data, Hyper(-0.5))
         np.testing.assert_allclose(fit.state.beta, fit_ols(data), atol=1e-10)
+
+    def test_below_boundary_raises(self, rng):
+        x, y = toeplitz_design(40, [1.0, 0.0], 1.0, rng)
+        data, _ = standardize(x, y)
+        with pytest.raises(ValueError):
+            fit_reweighted_ridge(data, Hyper(-0.75))
