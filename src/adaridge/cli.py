@@ -23,7 +23,7 @@ from .evidence import (
     mc_log_evidence,
     select_eta,
 )
-from .experiment import ExperimentFailure, parse_config, run_experiment
+from .experiment import ExperimentFailure, default_jobs, parse_config, run_experiment
 from .model import FitOptions, Hyper, destandardize_beta, standardize
 from .simulate import DgpSpec, dataset_to_csv, draw_dataset, draw_test_set
 from .solver import fit_joint_mode
@@ -132,11 +132,12 @@ def cmd_fit(args) -> int:
 def cmd_experiment(args) -> int:
     try:
         config = parse_config(Path(args.config).read_text())
+        jobs = default_jobs() if args.jobs is None else args.jobs
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = run_experiment(config, args.out, jobs=args.jobs,
+        report = run_experiment(config, args.out, jobs=jobs,
                                 allow_failures=args.allow_failures)
     except ExperimentFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ from .errors import (
     NonFiniteEvidence,
     NonInteriorMode,
     NonPositiveSigma2,
+    SingularSystem,
 )
 from .model import (
     Dataset,
@@ -288,20 +289,30 @@ def conditional_marginal(data: Dataset, v_inv) -> float:
 
 def _conditional_marginal_core(xtx, xty, yty, n, v_batch) -> np.ndarray:
     """Batched evaluation of the conditional log marginal; ``v_batch`` has
-    one precision vector per row."""
+    one precision vector per row.
 
-    from .errors import SingularSystem
+    One Cholesky factor of the bordered matrix
+    ``[[X'X + V^{-1}, X'y], [X'y', 2 y'y]]`` gives both terms: its first
+    ``p`` pivots are those of ``X'X + V^{-1}``, and its last pivot squared
+    is ``2 y'y - y'X (X'X + V^{-1})^{-1} X'y = y'y + S^2``.  The ``2 y'y``
+    corner keeps that pivot at least ``y'y``, so the bordered matrix is
+    positive definite exactly when ``X'X + V^{-1}`` is (for ``y'y > 0``).
+    """
 
     m, p = v_batch.shape
-    a = np.broadcast_to(xtx, (m, p, p)).copy()
+    a = np.empty((m, p + 1, p + 1))
+    a[:, :p, :p] = xtx
     ii = np.arange(p)
     a[:, ii, ii] += v_batch
+    a[:, :p, p] = xty
+    a[:, p, :p] = xty
+    a[:, p, p] = 2.0 * yty
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    w = np.linalg.solve(chol, np.broadcast_to(xty, (m, p))[..., None])[..., 0]
-    s2 = yty - np.einsum("ij,ij->i", w, w)
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    s2 = pivots[:, p] ** 2 - yty
     floor = 1e-12 * yty
     if (s2 <= floor).any():
         warnings.warn(
@@ -310,7 +321,7 @@ def _conditional_marginal_core(xtx, xty, yty, n, v_batch) -> np.ndarray:
             stacklevel=2,
         )
         s2 = np.maximum(s2, floor)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    logdet = 2.0 * np.sum(np.log(pivots[:, :p]), axis=1)
     return (
         math.lgamma(n / 2.0)
         - (n / 2.0) * math.log(math.pi)

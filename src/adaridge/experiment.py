@@ -8,11 +8,15 @@ correct/incorrect selection counts, and the exact-recovery proportion.
 
 Replications execute independently (optionally across processes); every
 random stream is derived from ``(master_seed, replication index)`` so the
-outputs are byte-identical for any worker count.
+outputs are byte-identical for any worker count.  Pool workers run their
+BLAS on one thread; the calling process keeps its own setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .baselines import fit_ols, fit_ridge_gcv
@@ -268,12 +273,90 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
     return records
 
 
-def _worker(args) -> tuple[int, list[dict] | None, str]:
+# Extension modules linked against numpy's and scipy's BLAS; a symbol
+# lookup through their handles searches the libraries they depend on.
+_BLAS_LINKED_MODULES = (
+    ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"),
+    ("scipy.linalg._fblas",),
+)
+# OpenBLAS thread-control symbols, ``{}`` being ``set`` or ``get``: the
+# prefixed names of the scipy-openblas wheels (ILP64 and LP64), then the
+# plain ones.
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+)
+
+
+def _blas_linked_libraries():
+    """ctypes handles of one extension module linked against numpy's BLAS
+    and one linked against scipy's."""
+
+    for candidates in _BLAS_LINKED_MODULES:
+        for name in candidates:
+            try:
+                lib = ctypes.CDLL(importlib.import_module(name).__file__)
+            except (ImportError, OSError):
+                continue
+            yield lib
+            break
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """``(set, get)`` thread-count functions of every OpenBLAS copy that
+    numpy and scipy have loaded (their wheels bundle one each); empty
+    where none resolves."""
+
+    controls = []
+    for lib in _blas_linked_libraries():
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, symbol.format("set"), None)
+            getter = getattr(lib, symbol.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return tuple(controls)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: each worker runs its BLAS on one thread, so that
+    ``jobs`` workers do not oversubscribe the cores with BLAS threads on
+    the small matrices of a replication."""
+
+    for setter, _ in _openblas_thread_controls():
+        setter(1)
+
+
+def _blas_threads() -> int | None:
+    """Largest thread count of the loaded OpenBLAS copies, or ``None``
+    where no thread control resolves."""
+
+    counts = [getter() for _, getter in _openblas_thread_controls()]
+    return max(counts) if counts else None
+
+
+def _blas_build(show_config) -> str | None:
+    """``"<name> <version>"`` of the BLAS a package was built against."""
+
+    try:
+        blas = show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _worker(args) -> tuple[int, list[dict] | None, str, int | None]:
     config, rep = args
     try:
-        return rep, run_replication(config, rep), ""
+        recs, err = run_replication(config, rep), ""
     except Exception as exc:  # recorded; aborts later unless allowed
-        return rep, None, f"{type(exc).__name__}: {exc}"
+        recs, err = None, f"{type(exc).__name__}: {exc}"
+    return rep, recs, err, _blas_threads()
 
 
 def _row_order(config: ExperimentConfig) -> list[str]:
@@ -365,9 +448,15 @@ def _write_report_txt(path: Path, config: ExperimentConfig,
 
 
 def default_jobs() -> int:
+    """Worker count from ``ADARIDGE_JOBS``, else the number of cores."""
+
     env = os.environ.get(JOBS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -384,27 +473,29 @@ def run_experiment(
     A failed replication aborts the run unless ``allow_failures`` is set,
     in which case it is recorded and excluded from the aggregates.
     Results are byte-identical for any ``jobs`` value.
+
+    At most ``min(jobs, replications)`` worker processes start, each with
+    its BLAS on one thread; with one worker the replications run in the
+    calling process, whose BLAS threads are left as they are.
     """
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = min(jobs, config.replications)
 
     tasks = [(config, rep) for rep in range(config.replications)]
-    results: dict[int, tuple[list[dict] | None, str]] = {}
-    if jobs == 1 or config.replications == 1:
-        for task in tasks:
-            rep, recs, err = _worker(task)
-            results[rep] = (recs, err)
+    if jobs == 1:
+        outcomes = [_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rep, recs, err in pool.map(_worker, tasks):
-                results[rep] = (recs, err)
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_one_blas_thread) as pool:
+            outcomes = list(pool.map(_worker, tasks))
+    threads = [t for *_, t in outcomes if t is not None]
 
     records: list[dict] = []
     failures: list[tuple[int, str]] = []
-    for rep in range(config.replications):
-        recs, err = results[rep]
+    for rep, recs, err, _ in outcomes:
         if recs is None:
             failures.append((rep, err))
             records.append(_result_record(rep, "__error__", None, detail=err))
@@ -420,6 +511,14 @@ def run_experiment(
                    for k, v in asdict(config).items()},
         "package_version": __version__,
         "failures": [{"replication": r, "error": e} for r, e in failures],
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "numpy_blas": _blas_build(np.show_config),
+            "scipy_blas": _blas_build(scipy.show_config),
+            "jobs": jobs,
+            "blas_threads": max(threads) if threads else None,
+        },
     }
     _write_report_csv(out / "report.csv", rows)
     _write_replications_csv(out / "replications.csv", records)

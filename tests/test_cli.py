@@ -160,6 +160,16 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", str(cfg))
         assert code == 2
 
+    def test_bad_jobs_env_exit_code(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("model_id = 3\nn = 50\nsigma = 3\nreplications = 2\n")
+        monkeypatch.setenv("ADARIDGE_JOBS", "abc")
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out",
+                                 str(tmp_path / "o"))
+        assert code == 2
+        assert "ADARIDGE_JOBS" in err and out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(

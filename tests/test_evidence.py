@@ -18,8 +18,8 @@ from adaridge import (
     select_eta,
     standardize,
 )
-from adaridge.errors import EmptyBox, NonFiniteEvidence, NonInteriorMode
-from adaridge.evidence import EvidenceEstimate, _reduced_mode
+from adaridge.errors import EmptyBox, NonFiniteEvidence, NonInteriorMode, SingularSystem
+from adaridge.evidence import EvidenceEstimate, _conditional_marginal_core, _reduced_mode
 from conftest import fd_hessian, log_joint_of_theta, random_instance, toeplitz_design
 
 
@@ -192,6 +192,66 @@ class TestConditionalMarginal:
         small = conditional_marginal(data, [1e2])
         assert abs(big - null) < abs(small - null)
         assert big == pytest.approx(null, abs=1e-3)
+
+
+def reference_conditional_marginal(xtx, xty, yty, n, v):
+    """The conditional log marginal by ``slogdet`` and a general solve."""
+
+    a = xtx + np.diag(v)
+    sign, logdet = np.linalg.slogdet(a)
+    assert sign > 0
+    s2 = yty - xty @ np.linalg.solve(a, xty)
+    return (math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi)
+            - (n / 2.0) * math.log(s2) + 0.5 * np.sum(np.log(v)) - 0.5 * logdet)
+
+
+def assert_core_matches_reference(data, v_batch):
+    yty = float(data.y @ data.y)
+    got = _conditional_marginal_core(data.xtx, data.xty, yty, data.n, v_batch)
+    for value, v in zip(got, v_batch):
+        ref = reference_conditional_marginal(data.xtx, data.xty, yty, data.n, v)
+        assert value == pytest.approx(ref, rel=1e-12)
+
+
+class TestConditionalMarginalCore:
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_slogdet_solve_reference(self, p, seed):
+        data, _, _ = random_instance(seed, p_range=(p, p))
+        rng = np.random.default_rng(100 + seed)
+        assert_core_matches_reference(data, np.exp(rng.uniform(-4.0, 4.0, size=(50, p))))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_interpolating_fit(self, seed):
+        # the residual quadratic is 0.1-1% of y'y.  S^2 = y'y - w'w loses
+        # about log10(y'y / S^2) digits in either form, so the 1e-12
+        # agreement holds down to about this fit
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((60, 5))
+        y = x @ np.array([3.0, -2.0, 1.0, 0.5, 4.0]) + 0.3 * rng.standard_normal(60)
+        data = Dataset(x, y)
+        v_batch = np.exp(rng.uniform(-12.0, -6.0, size=(30, 5)))
+        assert_core_matches_reference(data, v_batch)
+        for v in v_batch:
+            s2 = y @ y - data.xty @ np.linalg.solve(data.xtx + np.diag(v), data.xty)
+            assert s2 < 1e-2 * (y @ y)
+
+    def test_exact_fit_clamps_with_warning(self, rng):
+        x = rng.standard_normal((20, 3))
+        y = x @ np.array([1.0, 2.0, -1.0])
+        data = Dataset(x, y)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            got = _conditional_marginal_core(data.xtx, data.xty, float(y @ y),
+                                             data.n, np.full((2, 3), 1e-20))
+        assert np.isfinite(got).all()
+
+    def test_non_positive_definite_batch_raises(self, rng):
+        data, _, _ = random_instance(2)
+        v_batch = rng.uniform(0.5, 2.0, size=(4, data.p))
+        v_batch[2, 0] = -10.0  # X'X has unit diagonal
+        yty = float(data.y @ data.y)
+        with pytest.raises(SingularSystem):
+            _conditional_marginal_core(data.xtx, data.xty, yty, data.n, v_batch)
 
 
 class TestMonteCarloEvidence:

@@ -1,8 +1,17 @@
+import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 import pytest
+import scipy
 
 from adaridge.experiment import (
     ExperimentConfig,
     ExperimentFailure,
+    _blas_threads,
+    _one_blas_thread,
+    _openblas_thread_controls,
     parse_config,
     run_experiment,
     run_replication,
@@ -137,6 +146,33 @@ class TestRunExperiment:
         monkeypatch.delenv("ADARIDGE_JOBS")
         assert default_jobs() >= 1
 
+    def test_bad_jobs_env_var_names_it(self, monkeypatch):
+        from adaridge.experiment import default_jobs
+
+        monkeypatch.setenv("ADARIDGE_JOBS", "abc")
+        with pytest.raises(ValueError, match="ADARIDGE_JOBS"):
+            default_jobs()
+
+    def test_workers_capped_at_replications(self, tmp_path):
+        cfg = ExperimentConfig(3, 40, 3.0, 2, test_size=100, eta_grid=(0.0,),
+                               estimators=("ols",), master_seed=6)
+        report = run_experiment(cfg, tmp_path, jobs=8)
+        assert report.provenance["environment"]["jobs"] == 2
+
+    def test_provenance_records_numeric_environment(self, tmp_path):
+        cfg = ExperimentConfig(3, 40, 3.0, 1, test_size=100, eta_grid=(0.0,),
+                               estimators=("ols",), master_seed=6)
+        run_experiment(cfg, tmp_path, jobs=1)
+        env = json.loads((tmp_path / "provenance.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert env["jobs"] == 1
+        assert set(env) == {"numpy", "scipy", "numpy_blas", "scipy_blas",
+                            "jobs", "blas_threads"}
+        for name in ("report.csv", "replications.csv"):
+            text = (tmp_path / name).read_text()
+            assert np.__version__ not in text and "blas" not in text
+
     def test_report_files_written(self, tmp_path):
         cfg = ExperimentConfig(3, 60, 3.0, 2, test_size=200, eta_grid=(0.0,),
                                estimators=("aris-eta0",), master_seed=2)
@@ -146,3 +182,33 @@ class TestRunExperiment:
             assert (tmp_path / name).exists()
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "estimator,median_mse,boot_se,mean_c,mean_i,cm"
+
+
+class TestBlasThreads:
+    """Pool workers run one BLAS thread; the calling process keeps its own."""
+
+    @pytest.fixture
+    def controls(self):
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control resolves")
+        return controls
+
+    def test_forked_worker_reports_one_thread(self, controls):
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx,
+                                 initializer=_one_blas_thread) as pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == 1
+
+    def test_parent_threads_unchanged_by_pooled_run(self, controls, tmp_path):
+        # two threads in the parent, so that a pin leaking into it shows
+        before = [get() for _, get in controls]
+        try:
+            for set_threads, _ in controls:
+                set_threads(2)
+            report = run_experiment(parse_config(CONFIG_TEXT), tmp_path, jobs=2)
+            assert [get() for _, get in controls] == [2] * len(controls)
+        finally:
+            for (set_threads, _), count in zip(controls, before):
+                set_threads(count)
+        assert report.provenance["environment"]["blas_threads"] == 1
