@@ -12,7 +12,7 @@ reference comparison studies against least squares and GCV-tuned ridge.
 __version__ = "0.1.0"
 
 from .baselines import RidgeFit, fit_ols, fit_ridge_gcv
-from .em import EmFit, em_step, em_step_explicit_sigma, fit_em
+from .em import EmFit, fit_em
 from .errors import AdaRidgeError
 from .evidence import (
     DEFAULT_ETA_GRID,
@@ -50,7 +50,6 @@ from .model import (
     Standardization,
     destandardize_beta,
     log_joint_posterior,
-    restrict_to_active,
     standardize,
 )
 from .simulate import (
@@ -77,11 +76,8 @@ __all__ = [
     "standardize",
     "destandardize_beta",
     "log_joint_posterior",
-    "restrict_to_active",
     "fit_joint_mode",
     "EmFit",
-    "em_step",
-    "em_step_explicit_sigma",
     "fit_em",
     "RidgeFit",
     "fit_ols",

@@ -3,9 +3,8 @@
 Two variants mirror the two prior constructions: ``independent-prior``
 (coefficients a priori independent of the noise variance, variance
 profiled out through the residual sum) and ``explicit-sigma`` (the noise
-variance kept as an explicit iterate).  Both reduce to a sequence of
-ridge solves with coordinate weights built from the previous iterate, and
-both share the pruning and stopping rules of the joint-mode solver.
+variance kept as an explicit iterate).  Both share the pruning and
+stopping rules of the joint-mode solver.
 
 The independent-prior weights use the conditional-mode variance plug-in
 ``S^2 / (n + 2)`` rather than the raw ``S^2 / n`` moment: with it, the
@@ -16,14 +15,14 @@ solvers are held to in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExactFit, ZeroCoordinate
+from .errors import ExactFit
 from .model import Dataset, FitOptions, Hyper, _ridge_solve
 
-__all__ = ["EmFit", "em_step", "em_step_explicit_sigma", "fit_em"]
+__all__ = ["EmFit", "fit_em"]
 
 VARIANTS = ("independent-prior", "explicit-sigma")
 
@@ -33,65 +32,19 @@ class EmFit:
     """Converged marginal-mode estimate with its residual-sum trace."""
 
     beta: np.ndarray
-    s2_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-    iterations: int = 0
-    converged: bool = False
-    variant: str = "independent-prior"
-    active: np.ndarray | None = None
+    s2_trace: np.ndarray
+    iterations: int
+    converged: bool
+    variant: str
+    active: np.ndarray
 
 
-def _check_nonzero(beta: np.ndarray):
-    zero = np.where(beta == 0.0)[0]
-    if zero.size:
-        raise ZeroCoordinate(int(zero[0]))
-
-
-def em_step(data: Dataset, beta_prev: np.ndarray, h: Hyper) -> np.ndarray:
-    """One independent-prior step: solve ``(X'X + D) beta = X'y`` with
-    ``D_j = (2 eta + 3) S^2 / ((n + 2) beta_j^2)`` and ``S^2`` the residual
-    sum at ``beta_prev``.
-
-    ``eta = -3/2`` zeroes the weights (flat prior) and returns least
-    squares in a single step.
-    """
-
-    if h.eta < -1.5:
-        raise ValueError(f"independent-prior step needs eta >= -3/2, got {h.eta}")
-    beta_prev = np.asarray(beta_prev, dtype=float)
-    _check_nonzero(beta_prev)
-    r = data.y - data.x @ beta_prev
+def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    r = y - x @ b
     s2 = float(r @ r)
     if s2 == 0.0:
-        raise ExactFit("zero residual at the current iterate")
-    d = (2.0 * h.eta + 3.0) * s2 / ((data.n + 2.0) * beta_prev**2)
-    return _ridge_solve(data.xtx, d, data.xty)
-
-
-def em_step_explicit_sigma(
-    data: Dataset, beta_prev: np.ndarray, sigma2_prev: float, h: Hyper
-) -> tuple[np.ndarray, float]:
-    """One explicit-sigma step: ridge weights
-    ``D_j = (2 eta + 1) sigma2 / beta_j^2`` followed by the variance
-    update ``sigma2 = rss / (n + 2)``.
-
-    The weight equals ``(2 eta + 1) / t_j^2`` for the t-statistic
-    ``t_j = beta_j / sigma``; conventional testing intuition, with
-    ``eta = -1/2`` giving least squares outright.
-    """
-
-    if h.eta < -0.5:
-        raise ValueError(f"explicit-sigma step needs eta >= -1/2, got {h.eta}")
-    beta_prev = np.asarray(beta_prev, dtype=float)
-    _check_nonzero(beta_prev)
-    if sigma2_prev <= 0:
-        raise ValueError(f"sigma2_prev must be > 0, got {sigma2_prev}")
-    d = (2.0 * h.eta + 1.0) * sigma2_prev / beta_prev**2
-    beta = _ridge_solve(data.xtx, d, data.xty)
-    r = data.y - data.x @ beta
-    s2 = float(r @ r)
-    if s2 == 0.0:
-        raise ExactFit("zero residual after the step")
-    return beta, s2 / (data.n + 2.0)
+        raise ExactFit("zero residual: the iterate interpolates y exactly")
+    return s2
 
 
 def fit_em(
@@ -102,26 +55,32 @@ def fit_em(
 ) -> EmFit:
     """Iterate the chosen step to convergence with pruning.
 
-    Coordinates that are exactly zero in the initializer stay zero
-    (zero-absorption); a coordinate whose implied prior-variance scale
-    falls below ``opts.prune_tol`` is pruned permanently.  At the flat
-    prior boundary (``eta = -3/2`` independent-prior, ``eta = -1/2``
+    Each iteration solves ``(X'X + D) beta = X'y`` on the live
+    coordinates, with weights from the previous iterate and its residual
+    sum ``S^2``: ``D_j = (2 eta + 3) S^2 / ((n + 2) beta_j^2)``
+    (independent-prior) or ``D_j = (2 eta + 1) sigma2 / beta_j^2`` with
+    ``sigma2 = S^2 / (n + 2)`` (explicit-sigma; the weight is
+    ``(2 eta + 1) / t_j^2`` for the t-statistic ``beta_j / sigma``).
+
+    A coordinate whose implied prior-variance scale ``1 / D_j`` falls
+    below ``opts.prune_tol`` is pruned permanently, and coordinates that
+    are exactly zero in the initializer stay zero (zero-absorption).
+    ``s2_trace`` holds each iteration's ``S^2`` before pruning; the
+    independent-prior weights take it after pruning.  At the flat prior
+    boundary (``eta = -3/2`` independent-prior, ``eta = -1/2``
     explicit-sigma) the estimator is least squares in one step.
     """
 
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    boundary = -1.5 if variant == "independent-prior" else -0.5
+    independent = variant == "independent-prior"
+    boundary = -1.5 if independent else -0.5
     if h.eta < boundary:
         raise ValueError(f"{variant} needs eta >= {boundary}, got {h.eta}")
 
     n, p = data.n, data.p
     beta = data.initial_beta.copy()
-
-    r = data.y - data.x @ beta
-    s2 = float(r @ r)
-    if s2 == 0.0:
-        raise ExactFit("initializer interpolates y exactly")
+    s2 = _rss(data.y, data.x, beta)
 
     if h.eta == boundary:
         return EmFit(beta=beta, s2_trace=np.array([s2]), iterations=1,
@@ -131,8 +90,8 @@ def fit_em(
     active = beta != 0.0
     beta[~active] = 0.0
     trace: list[float] = []
-    sigma2 = s2 / (n + 2.0)
-    a = 2.0 * h.eta + 3.0 if variant == "independent-prior" else 2.0 * h.eta + 1.0
+    a = 2.0 * h.eta + (3.0 if independent else 1.0)
+    converged = False
 
     # The data restricted to the live coordinates ``idx``, rebuilt only
     # when pruning shrinks them, so its cached X'X and X'y carry over.
@@ -140,41 +99,33 @@ def fit_em(
     sub = Dataset(data.x[:, idx], data.y) if idx.size else None
     for it in range(1, opts.max_iter + 1):
         if idx.size == 0:
-            return EmFit(beta=np.zeros(p), s2_trace=np.asarray(trace),
-                         iterations=it, converged=True, variant=variant,
-                         active=active)
-        r = data.y - sub.x @ beta[idx]
-        s2 = float(r @ r)
-        if s2 == 0.0:
-            raise ExactFit("zero residual encountered during fitting")
+            converged = True
+            break
+        b = beta[idx]
+        s2 = _rss(data.y, sub.x, b)
         trace.append(s2)
 
-        # implied prior-variance scale; same knob as the joint solver
-        if variant == "independent-prior":
-            vtilde = (n + 2.0) * beta[idx] ** 2 / (a * s2)
-        else:
-            sigma2 = s2 / (n + 2.0)
-            vtilde = beta[idx] ** 2 / (a * sigma2)
-        dead = vtilde < opts.prune_tol
+        # D = c / den, so den / c is the implied prior-variance scale
+        c = a * s2 if independent else a * (s2 / (n + 2.0))
+        den = (n + 2.0) * b**2 if independent else b**2
+        dead = den / c < opts.prune_tol
         if dead.any():
-            gone = idx[dead]
-            active[gone] = False
-            beta[gone] = 0.0
-            idx = idx[~dead]
+            active[idx[dead]] = False
+            beta[idx[dead]] = 0.0
+            keep = ~dead
+            idx, b, den = idx[keep], b[keep], den[keep]
             if idx.size == 0:
                 continue
             sub = Dataset(data.x[:, idx], data.y)
+            if independent:
+                c = a * _rss(data.y, sub.x, b)
 
-        if variant == "independent-prior":
-            beta_new = em_step(sub, beta[idx], h)
-        else:
-            beta_new, sigma2 = em_step_explicit_sigma(sub, beta[idx], sigma2, h)
-
-        delta = float(np.max(np.abs(beta_new - beta[idx]) / (1.0 + np.abs(beta[idx]))))
+        beta_new = _ridge_solve(sub.xtx, c / den, sub.xty)
+        delta = (np.abs(beta_new - b) / (1.0 + np.abs(b))).max()
         beta[idx] = beta_new
         if delta < opts.conv_tol:
-            return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=it,
-                         converged=True, variant=variant, active=active)
+            converged = True
+            break
 
-    return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=opts.max_iter,
-                 converged=False, variant=variant, active=active)
+    return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=it,
+                 converged=converged, variant=variant, active=active)

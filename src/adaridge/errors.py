@@ -49,15 +49,6 @@ class NoInitializer(AdaRidgeError):
     starting point."""
 
 
-class ZeroCoordinate(AdaRidgeError):
-    """An exactly-zero coefficient reached a step that divides by it;
-    zeros must be pruned before stepping."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"coordinate {index} is exactly zero; prune it first")
-
-
 class NonInteriorMode(AdaRidgeError):
     """The curvature matrix at the reported mode is not positive definite;
     the mode is not interior."""
@@ -82,7 +73,3 @@ class EmptyInput(AdaRidgeError):
 
 class RankDeficient(AdaRidgeError):
     """The design matrix does not have full column rank."""
-
-
-class NotPositiveDefinite(AdaRidgeError):
-    """A covariance matrix failed its Cholesky factorization."""

@@ -53,7 +53,6 @@ from .model import (
     PosteriorState,
     _read_only,
     log_joint_posterior,
-    restrict_to_active,
 )
 from .solver import _cycle, fit_joint_mode
 
@@ -194,14 +193,16 @@ def _reduced_mode(fit: ModeFit, data: Dataset, h: Hyper):
     copy of the active columns.
     """
 
-    reduced_state, reduced = restrict_to_active(fit.state, data)
+    # ``data`` itself when nothing was pruned: its cached products keep the bits
+    mask = fit.state.active
+    reduced = data if mask.all() else Dataset(data.x[:, mask], data.y)
     key = (id(fit), h)
     hit = data._memo.get(key)
     if hit is None:
         # A prune tolerance of 0 turns pruning off, so the vectors keep
         # the fit's active length.
         _, beta, _, v_inv, sigma2, _, _ = _cycle(
-            reduced, h, reduced_state.beta, POLISH_MAX_ITER, POLISH_CONV_TOL,
+            reduced, h, fit.state.beta[mask], POLISH_MAX_ITER, POLISH_CONV_TOL,
             0.0)
         # The entry keeps the fit alive, so its id cannot be reused while
         # the entry exists.

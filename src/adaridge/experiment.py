@@ -225,9 +225,8 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
                 rep, "aris-eta0", score(fit.state.beta, fit.state.active)))
         elif name == "em":
             emf = fit_em(data, Hyper(config.em_eta), opts, config.em_variant)
-            active = emf.active if emf.active is not None else emf.beta != 0
             records.append(_result_record(
-                rep, "em", score(emf.beta, active),
+                rep, "em", score(emf.beta, emf.active),
                 detail=f"eta={config.em_eta:g};{config.em_variant}"))
         elif name == "aris-eb":
             if config.evidence_method == "laplace":

@@ -50,7 +50,6 @@ __all__ = [
     "standardize",
     "destandardize_beta",
     "log_joint_posterior",
-    "restrict_to_active",
 ]
 
 
@@ -202,10 +201,6 @@ class Standardization:
         object.__setattr__(self, "column_norms", norms)
         object.__setattr__(self, "y_mean", float(self.y_mean))
 
-    @classmethod
-    def identity(cls, p: int) -> "Standardization":
-        return cls(np.ones(p), 0.0)
-
 
 @dataclass(frozen=True)
 class Hyper:
@@ -356,22 +351,6 @@ def destandardize_beta(beta_std, s: Standardization) -> np.ndarray:
     return beta / s.column_norms
 
 
-def restrict_to_active(state: PosteriorState, data: Dataset) -> tuple[PosteriorState, Dataset]:
-    """Drop pruned coordinates from a state and its dataset, yielding the
-    reduced model on which densities and curvatures are evaluated."""
-
-    mask = state.active
-    if mask.all():
-        return state, data
-    reduced = PosteriorState(
-        beta=state.beta[mask],
-        sigma2=state.sigma2,
-        v_inv=state.v_inv[mask],
-        active=np.ones(int(mask.sum()), dtype=bool),
-    )
-    return reduced, Dataset(data.x[:, mask], data.y)
-
-
 def log_joint_posterior(state: PosteriorState, data: Dataset, h: Hyper) -> float:
     """Log of the unnormalized joint posterior density, all constants kept.
 
@@ -383,7 +362,8 @@ def log_joint_posterior(state: PosteriorState, data: Dataset, h: Hyper) -> float
     The eta- and mu-dependent normalization (``(eta+1) log mu`` and
     ``-log Gamma(eta+1)`` per coordinate) is included because evidence
     values are compared across eta.  All precisions must be finite:
-    callers evaluate pruned models through :func:`restrict_to_active`.
+    callers evaluate a pruned model on its active coordinates, keeping
+    only those entries of the state and those columns of ``X``.
     """
 
     if state.sigma2 <= 0:

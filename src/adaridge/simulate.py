@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
 from .model import Dataset
 
 __all__ = [
@@ -82,10 +81,6 @@ def make_covariance(model_id: int) -> np.ndarray:
         c = 0.5 ** np.abs(np.subtract.outer(idx, idx))
     else:
         raise ValueError(f"unknown model_id {model_id}")
-    try:
-        np.linalg.cholesky(c)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
     return c
 
 

@@ -1,10 +1,14 @@
-"""Test oracles: an independently coded route to the joint mode.
+"""Test oracles: independently coded routes to the solvers' results.
 
 The reweighted-ridge path reaches the fixed point of
 :func:`adaridge.fit_joint_mode` by rescaling columns and solving standard
 ridge problems.  It shares only the least-squares boundary and the
 assembly of the result with the solver, so agreement between the two
 checks the solver's conditional-update cycle.
+
+:func:`em_step` and :func:`em_step_explicit_sigma` are single steps of
+the two :func:`adaridge.fit_em` variants, written out on their own:
+iterating them from the least-squares start reproduces the EM loop.
 """
 
 from __future__ import annotations
@@ -24,6 +28,52 @@ from adaridge.model import (
     log_joint_posterior,
 )
 from adaridge.solver import _finish, _ols_boundary_fit
+
+
+def em_step(data: Dataset, beta_prev: np.ndarray, h: Hyper) -> np.ndarray:
+    """One independent-prior step: solve ``(X'X + D) beta = X'y`` with
+    ``D_j = (2 eta + 3) S^2 / ((n + 2) beta_j^2)`` and ``S^2`` the residual
+    sum at ``beta_prev``.
+
+    ``eta = -3/2`` zeroes the weights (flat prior) and returns least
+    squares in a single step.
+    """
+
+    if h.eta < -1.5:
+        raise ValueError(f"independent-prior step needs eta >= -3/2, got {h.eta}")
+    beta_prev = np.asarray(beta_prev, dtype=float)
+    r = data.y - data.x @ beta_prev
+    s2 = float(r @ r)
+    if s2 == 0.0:
+        raise ExactFit("zero residual at the current iterate")
+    d = (2.0 * h.eta + 3.0) * s2 / ((data.n + 2.0) * beta_prev**2)
+    return _ridge_solve(data.xtx, d, data.xty)
+
+
+def em_step_explicit_sigma(
+    data: Dataset, beta_prev: np.ndarray, sigma2_prev: float, h: Hyper
+) -> tuple[np.ndarray, float]:
+    """One explicit-sigma step: ridge weights
+    ``D_j = (2 eta + 1) sigma2 / beta_j^2`` followed by the variance
+    update ``sigma2 = rss / (n + 2)``.
+
+    The weight equals ``(2 eta + 1) / t_j^2`` for the t-statistic
+    ``t_j = beta_j / sigma``; conventional testing intuition, with
+    ``eta = -1/2`` giving least squares outright.
+    """
+
+    if h.eta < -0.5:
+        raise ValueError(f"explicit-sigma step needs eta >= -1/2, got {h.eta}")
+    beta_prev = np.asarray(beta_prev, dtype=float)
+    if sigma2_prev <= 0:
+        raise ValueError(f"sigma2_prev must be > 0, got {sigma2_prev}")
+    d = (2.0 * h.eta + 1.0) * sigma2_prev / beta_prev**2
+    beta = _ridge_solve(data.xtx, d, data.xty)
+    r = data.y - data.x @ beta
+    s2 = float(r @ r)
+    if s2 == 0.0:
+        raise ExactFit("zero residual after the step")
+    return beta, s2 / (data.n + 2.0)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,13 @@ from adaridge import (
     Dataset,
     FitOptions,
     Hyper,
-    em_step,
-    em_step_explicit_sigma,
     fit_em,
     fit_joint_mode,
     fit_ols,
     standardize,
 )
-from adaridge.errors import ZeroCoordinate
 from conftest import random_instance, toeplitz_design
+from oracles import em_step, em_step_explicit_sigma
 
 
 class TestEmStep:
@@ -38,12 +36,6 @@ class TestEmStep:
         data = Dataset(x, y)
         beta = em_step(data, np.array([1.0]), Hyper(-1.0))
         assert beta[0] == pytest.approx((n + 2) / (2 * n + 2), abs=1e-12)
-
-    def test_zero_coordinate_rejected(self, rng):
-        x, y = toeplitz_design(20, [1.0, 1.0], 1.0, rng)
-        data, _ = standardize(x, y)
-        with pytest.raises(ZeroCoordinate):
-            em_step(data, np.array([1.0, 0.0]), Hyper(0.0))
 
     def test_step_decreases_previous_weighted_objective(self):
         # the step is the exact minimizer of the convex surrogate built
@@ -155,6 +147,72 @@ class TestFitEm:
         emf = fit_em(data, Hyper(-1.0))
         assert len(emf.s2_trace) == emf.iterations
         assert (emf.s2_trace > 0).all()
+
+    # (variant, random_instance seed, eta): nothing prunes in 4 iterations
+    @pytest.mark.parametrize("variant, seed, eta", [
+        ("independent-prior", 0, -1.0), ("independent-prior", 12, 0.0),
+        ("explicit-sigma", 4, 0.0), ("explicit-sigma", 12, 0.5)])
+    def test_truncated_fit_iterates_the_oracle_step(self, variant, seed, eta):
+        data, _, _ = random_instance(seed)
+        h = Hyper(eta)
+        # fit_em steps on a copy of the live columns; the oracle steps on
+        # an equal copy, so both form X'X and X'y from the same layout
+        live = Dataset(data.x[:, np.arange(data.p)], data.y)
+        beta = data.initial_beta.copy()
+        r = live.y - live.x @ beta
+        sigma2 = float(r @ r) / (live.n + 2)
+        s2s = []
+        for m in range(1, 5):
+            r = live.y - live.x @ beta
+            s2s.append(float(r @ r))
+            if variant == "independent-prior":
+                beta = em_step(live, beta, h)
+            else:
+                beta, sigma2 = em_step_explicit_sigma(live, beta, sigma2, h)
+            emf = fit_em(data, h, FitOptions(max_iter=m), variant)
+            assert emf.active.all() and emf.iterations == m
+            np.testing.assert_allclose(emf.beta, beta, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(emf.s2_trace, s2s, rtol=1e-13, atol=0)
+
+    # every case prunes at least once and keeps a coordinate
+    @pytest.mark.parametrize("variant, seed, eta", [
+        ("independent-prior", 1, 0.0), ("independent-prior", 6, 0.0),
+        ("independent-prior", 10, 4.0), ("independent-prior", 19, 1.0),
+        ("explicit-sigma", 1, 0.5), ("explicit-sigma", 9, 4.0)])
+    def test_step_after_a_prune_uses_the_variants_residual_sum(
+            self, variant, seed, eta):
+        # The iteration that prunes weights the survivors with the residual
+        # sum at the pruned iterate (independent-prior) or with the noise
+        # variance taken before pruning (explicit-sigma).
+        data, _, _ = random_instance(seed)
+        h = Hyper(eta)
+        n = data.n
+        prev = fit_em(data, h, FitOptions(max_iter=1), variant)
+        prunes = 0
+        for m in range(2, fit_em(data, h, variant=variant).iterations + 1):
+            emf = fit_em(data, h, FitOptions(max_iter=m), variant)
+            idx = np.where(prev.active)[0]
+            b = prev.beta[idx]
+            r = data.y - data.x[:, idx] @ b
+            s2 = float(r @ r)
+            if variant == "independent-prior":
+                vtilde = (n + 2.0) * b**2 / ((2 * eta + 3) * s2)
+            else:
+                vtilde = b**2 / ((2 * eta + 1) * (s2 / (n + 2.0)))
+            keep = idx[vtilde >= FitOptions().prune_tol]
+            if keep.size < idx.size and keep.size:
+                prunes += 1
+                sub = Dataset(data.x[:, keep], data.y)
+                if variant == "independent-prior":
+                    want = em_step(sub, prev.beta[keep], h)
+                else:
+                    want, _ = em_step_explicit_sigma(
+                        sub, prev.beta[keep], s2 / (n + 2.0), h)
+                assert np.array_equal(np.where(emf.active)[0], keep)
+                np.testing.assert_allclose(emf.beta[keep], want,
+                                           rtol=1e-13, atol=0)
+            prev = emf
+        assert prunes
 
     def test_variant_validation(self):
         data, _, _ = random_instance(1)

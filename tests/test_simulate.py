@@ -23,8 +23,9 @@ class TestMakeCovariance:
         c = make_covariance(model_id)
         np.testing.assert_allclose(np.diag(c), 1.0)
 
-    def test_four_variable_design_positive_definite(self):
-        c = make_covariance(0)
+    @pytest.mark.parametrize("model_id", [0, 1, 2, 3])
+    def test_design_positive_definite(self, model_id):
+        c = make_covariance(model_id)
         eigs = np.linalg.eigvalsh(c)
         assert eigs.min() > 0
         np.linalg.cholesky(c)

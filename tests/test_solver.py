@@ -8,7 +8,6 @@ from adaridge import (
     fit_joint_mode,
     fit_ols,
     log_joint_posterior,
-    restrict_to_active,
     select_eta,
     standardize,
 )
@@ -290,8 +289,13 @@ class TestLeanKernel:
             assert np.array_equal(tr, full.log_joint_trace[:m])
             assert np.array_equal(fit.active_count_trace,
                                   full.active_count_trace[:m])
-            if fit.state.active.any():
-                state, sub = restrict_to_active(fit.state, data)
+            mask = fit.state.active
+            if mask.any():
+                state = PosteriorState(beta=fit.state.beta[mask],
+                                       sigma2=fit.state.sigma2,
+                                       v_inv=fit.state.v_inv[mask],
+                                       active=np.ones(mask.sum(), dtype=bool))
+                sub = Dataset(data.x[:, mask], data.y)
                 assert tr[-1] == pytest.approx(log_joint_posterior(state, sub, h),
                                                rel=1e-12, abs=0)
 
