@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,8 +74,37 @@ def _read_csv_matrix(path: str, response: str | None):
     return np.asarray(x_rows), np.asarray(y_vals), names
 
 
+def _fit_settings(args):
+    """Check the option values of ``fit``; return ``(eta, opts)`` with
+    ``eta`` None for 'eb'."""
+
+    eta = None
+    if args.eta != "eb":
+        try:
+            eta = float(args.eta)
+        except ValueError:
+            raise _ParseError(
+                f"--eta must be a number or 'eb', got {args.eta!r}") from None
+    for flag, value in [("--eta", eta)] + [("--grid", g) for g in args.grid]:
+        if value is not None and not (math.isfinite(value) and value > -1):
+            raise _ParseError(f"{flag} values must be finite and > -1, got {value:g}")
+    if sorted(args.grid) != args.grid:
+        raise _ParseError("--grid must be ascending")
+    if args.draws < 1:
+        raise _ParseError(f"--draws must be >= 1, got {args.draws}")
+    if args.k is not None and not (math.isfinite(args.k) and args.k > 0):
+        raise _ParseError(f"--k must be finite and > 0, got {args.k:g}")
+    try:
+        opts = FitOptions(max_iter=args.max_iter, conv_tol=args.conv_tol,
+                          prune_tol=args.prune_tol)
+    except ValueError as exc:
+        raise _ParseError(str(exc)) from None
+    return eta, opts
+
+
 def cmd_fit(args) -> int:
     try:
+        eta, opts = _fit_settings(args)
         raw_x, raw_y, names = _read_csv_matrix(args.csv, args.response)
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -86,11 +116,9 @@ def cmd_fit(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    opts = FitOptions(max_iter=args.max_iter, conv_tol=args.conv_tol,
-                      prune_tol=args.prune_tol)
     try:
         out: dict = {"predictors": names, "intercept": std.y_mean}
-        if args.eta == "eb":
+        if eta is None:
             sel = select_eta(data, args.grid, args.evidence, opts,
                              k=args.k, draws=args.draws, seed=args.seed)
             fit = sel.refit
@@ -103,7 +131,6 @@ def cmd_fit(args) -> int:
                 for eta, est in zip(sel.grid, sel.estimates)
             ]
         else:
-            eta = float(args.eta)
             fit = fit_joint_mode(data, Hyper(eta), opts)
             out["eta"] = eta
             if args.evidence_value:

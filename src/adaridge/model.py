@@ -290,21 +290,34 @@ class ModeFit:
     Trace values are comparable only between iterations with the same
     live count, since pruning changes the density's dimension.
 
-    Every array of a fit, those of ``state`` included, is made read-only:
-    :func:`~adaridge.solver.fit_joint_mode` hands the same fit to every
-    caller that asks for it on one dataset.
+    The trace is computed on first access, from ``log_joint_terms``: the
+    sample size, the ``Hyper`` and one ``(quad, sigma2, v_inv)`` triple per
+    iteration, with ``quad = rss + beta' V^{-1} beta`` (empty when the fit
+    keeps no trace).  A fit that nobody inspects never evaluates it.
+
+    Every array of a fit, those of ``state`` and the trace included, is
+    read-only: :func:`~adaridge.solver.fit_joint_mode` hands the same fit
+    to every caller that asks for it on one dataset.
     """
 
     state: PosteriorState
     iterations: int
     converged: bool
-    log_joint_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     active_count_trace: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    log_joint_terms: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         for arr in (self.state.beta, self.state.v_inv, self.state.active,
-                    self.log_joint_trace, self.active_count_trace):
+                    self.active_count_trace):
             _read_only(arr)
+
+    @cached_property
+    def log_joint_trace(self) -> np.ndarray:
+        """Joint log density after each iteration (see the class notes)."""
+        n, h, parts = self.log_joint_terms or (0, None, ())
+        return _read_only(np.array(
+            [_log_joint_density(quad, s2, v_inv, n, h) for quad, s2, v_inv in parts],
+            dtype=float))
 
 
 def standardize(raw_x, raw_y) -> tuple[Dataset, Standardization]:

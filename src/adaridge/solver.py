@@ -22,7 +22,6 @@ from .model import (
     Hyper,
     ModeFit,
     PosteriorState,
-    _log_joint_density,
     _ridge_solve,
 )
 
@@ -44,14 +43,15 @@ def _ols_boundary_fit(data: Dataset) -> ModeFit:
         active=np.ones(data.p, dtype=bool),
     )
     return ModeFit(state, iterations=0, converged=True,
-                   log_joint_trace=np.empty(0),
                    active_count_trace=np.empty(0, dtype=int))
 
 
-def _finish(p, idx, beta_live, sigma2, v_inv_live, iters, converged, trace,
-            counts):
+def _finish(data, h, idx, beta_live, sigma2, v_inv_live, iters, converged,
+            trace, counts):
     # Scatter the live coordinates ``idx`` back into length-p arrays;
-    # pruned coordinates get beta 0 and infinite precision.
+    # pruned coordinates get beta 0 and infinite precision.  ``trace``
+    # holds the per-iteration terms of ``ModeFit.log_joint_trace``.
+    p = data.p
     beta = np.zeros(p)
     beta[idx] = beta_live
     v_inv = np.full(p, np.inf)
@@ -60,8 +60,8 @@ def _finish(p, idx, beta_live, sigma2, v_inv_live, iters, converged, trace,
     active[idx] = True
     state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv, active=active)
     return ModeFit(state, iterations=iters, converged=converged,
-                   log_joint_trace=np.asarray(trace),
-                   active_count_trace=np.asarray(counts, dtype=int))
+                   active_count_trace=np.asarray(counts, dtype=int),
+                   log_joint_terms=(data.n, h, trace))
 
 
 def _live(data: Dataset, idx: np.ndarray):
@@ -93,7 +93,8 @@ def fit_joint_mode(data: Dataset, h: Hyper,
     ``log_joint_trace`` entry is :func:`log_joint_posterior` on the live
     submodel, with its quadratic term ``rss + beta' V^{-1} beta`` taken
     from the residual the next iteration computes anyway (one extra
-    residual after the last iteration).
+    residual after the last iteration).  The loop keeps only those terms;
+    the trace is evaluated when it is first read.
 
     Parameters
     ----------
@@ -115,12 +116,12 @@ def _fit_joint_mode(data: Dataset, h: Hyper, opts: FitOptions) -> ModeFit:
         raise ValueError(f"joint-mode fitting needs eta > -1, got {h.eta}")
     if h.eta <= -0.5:
         return _ols_boundary_fit(data)
-    trace: list[float] = []
+    trace: list[tuple] = []
     counts: list[int] = []
     idx, beta, sigma2, v_inv, _, iters, converged = _cycle(
         data, h, data.initial_beta, opts.max_iter, opts.conv_tol,
         opts.prune_tol, trace, counts)
-    return _finish(data.p, idx, beta, sigma2, v_inv, iters, converged, trace,
+    return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, trace,
                    counts)
 
 
@@ -136,8 +137,8 @@ def _cycle(data: Dataset, h: Hyper, beta: np.ndarray, max_iter: int,
     ``prune_tol = 0`` never prunes.  Stops once the relative coefficient
     change ``max |d beta| / (1 + |beta|)`` is below ``conv_tol``, or after
     ``max_iter`` iterations.  When ``trace`` and ``counts`` are lists,
-    each iteration appends its log joint density and its live count (see
-    :class:`ModeFit`).
+    each iteration appends the terms ``(quad, sigma2, v_inv)`` of its log
+    joint density and its live count (see :class:`ModeFit`).
 
     Returns ``(idx, beta, sigma2, v_inv, exit_sigma2, iterations,
     converged)``: the live coordinates with their coefficients and
@@ -164,7 +165,7 @@ def _cycle(data: Dataset, h: Hyper, beta: np.ndarray, max_iter: int,
         r = data.y - x_live @ beta
         quad = float(r @ r + beta @ (v_inv * beta))
         if trace is not None and it:
-            trace.append(_log_joint_density(quad, sigma2, v_inv, n, h))
+            trace.append((quad, sigma2, v_inv))
         mode = quad / (n + idx.size + 2)
         if converged or it == max_iter:
             break

@@ -9,6 +9,10 @@ checks the solver's conditional-update cycle.
 :func:`em_step` and :func:`em_step_explicit_sigma` are single steps of
 the two :func:`adaridge.fit_em` variants, written out on their own:
 iterating them from the least-squares start reproduces the EM loop.
+
+:func:`assemble_hessian` lays the blocks of
+:func:`adaridge.negative_hessian` out as one dense matrix, for comparison
+with finite differences.
 """
 
 from __future__ import annotations
@@ -23,11 +27,26 @@ from adaridge.model import (
     FitOptions,
     Hyper,
     ModeFit,
-    PosteriorState,
     _ridge_solve,
-    log_joint_posterior,
 )
+from adaridge.evidence import HessianBlocks
 from adaridge.solver import _finish, _ols_boundary_fit
+
+
+def assemble_hessian(blocks: HessianBlocks) -> np.ndarray:
+    """The dense ``(2p+1, 2p+1)`` negative Hessian from its blocks, in
+    the parameter order (coefficients, noise variance, precisions)."""
+
+    p = len(blocks.vv)
+    h = np.zeros((2 * p + 1, 2 * p + 1))
+    h[:p, :p] = blocks.bb
+    h[p, p] = blocks.ss
+    h[p + 1:, p + 1:] = np.diag(blocks.vv)
+    h[:p, p + 1:] = np.diag(blocks.bv)
+    h[p + 1:, :p] = np.diag(blocks.bv)
+    h[p, :p] = h[:p, p] = blocks.sb
+    h[p, p + 1:] = h[p + 1:, p] = blocks.sv
+    return h
 
 
 def em_step(data: Dataset, beta_prev: np.ndarray, h: Hyper) -> np.ndarray:
@@ -122,7 +141,7 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
     cum = np.ones(p)
     beta_star = beta.copy()
     pen = 0.0
-    trace: list[float] = []
+    trace: list[tuple] = []
     counts: list[int] = []
 
     for it in range(1, opts.max_iter + 1):
@@ -147,7 +166,7 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
             omega = omega[~dead]
         if idx.size == 0:
             null_sigma2 = float(data.y @ data.y) / (n + 2)
-            return _finish(p, idx, beta[idx], null_sigma2, np.empty(0),
+            return _finish(data, h, idx, beta[idx], null_sigma2, np.empty(0),
                            it, True, trace, counts)
 
         xstar[:, idx] = xstar[:, idx] * omega
@@ -159,21 +178,19 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
         beta[idx] = beta_orig
         pen = a * float(bs @ bs)
 
+        # the terms of log_joint_posterior on the live submodel
         v_inv_idx = a / cum[idx] ** 2
-        sub_state = PosteriorState(
-            beta=beta[idx], sigma2=sigma2, v_inv=v_inv_idx,
-            active=np.ones(idx.size, dtype=bool),
-        )
-        trace.append(log_joint_posterior(
-            sub_state, Dataset(data.x[:, idx], data.y), h))
+        r = data.y - data.x[:, idx] @ beta[idx]
+        quad = float(r @ r + beta[idx] @ (v_inv_idx * beta[idx]))
+        trace.append((quad, sigma2, v_inv_idx))
         counts.append(idx.size)
 
         if delta < opts.conv_tol:
             weights = RidgeWeights(omega=cum[idx], eta=h.eta)
-            return _finish(p, idx, beta[idx], sigma2, a / weights.omega**2,
+            return _finish(data, h, idx, beta[idx], sigma2, a / weights.omega**2,
                            it, True, trace, counts)
 
     idx = np.where(active)[0]
     weights = RidgeWeights(omega=cum[idx], eta=h.eta)
-    return _finish(p, idx, beta[idx], sigma2, a / weights.omega**2,
+    return _finish(data, h, idx, beta[idx], sigma2, a / weights.omega**2,
                    opts.max_iter, False, trace, counts)

@@ -38,7 +38,7 @@ from adaridge.evidence import EVIDENCE_MU, _reduced_mode
 from adaridge.experiment import ExperimentConfig, _derive_seed, run_experiment
 from adaridge.model import PosteriorState
 from conftest import fd_hessian, log_joint_of_theta, random_instance
-from oracles import fit_reweighted_ridge
+from oracles import assemble_hessian, fit_reweighted_ridge
 
 DEFAULT_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
@@ -259,7 +259,7 @@ class TestCriterion6Hessian:
                 active=np.ones(p, dtype=bool),
             )
             h = Hyper(etas[point % 4], mu=0.01)
-            analytic = negative_hessian(state, data, h).assemble()
+            analytic = assemble_hessian(negative_hessian(state, data, h))
             theta = np.concatenate([state.beta, [state.sigma2], state.v_inv])
             fd = -fd_hessian(log_joint_of_theta(data, h), theta)
             rel = float(np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic)))

@@ -129,6 +129,25 @@ class TestFit:
         assert code == 2
         assert error in err and out == ""
 
+    # one bad value per option; each must stop before any fitting
+    @pytest.mark.parametrize("option", [
+        ["--eta", "-1"],
+        ["--eta", "abc"],
+        ["--max-iter", "0"],
+        ["--conv-tol", "0"],
+        ["--grid", "1", "0"],
+        ["--grid", "-2"],
+        ["--evidence", "mc", "--draws", "0"],
+        ["--evidence", "mc", "--k", "0"],
+    ], ids=["eta-minus-one", "eta-text", "max-iter", "conv-tol", "grid-descending",
+            "grid-below-minus-one", "draws", "k"])
+    def test_bad_option_value_is_an_input_error(self, tmp_path, capsys, rng, option):
+        path = tmp_path / "d.csv"
+        self.make_single_signal_csv(path, rng)
+        code, out, err = run_cli(capsys, "fit", str(path), *option)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_solver_error_exit_code(self, tmp_path, capsys):
         # a single observation centers to an exactly-zero response, so the
         # initializer interpolates and the solver reports an exact fit

@@ -13,14 +13,24 @@ from adaridge import (
     conditional_marginal,
     fit_joint_mode,
     laplace_log_evidence,
+    log_joint_posterior,
     mc_log_evidence,
     negative_hessian,
     select_eta,
     standardize,
 )
 from adaridge.errors import EmptyBox, NonFiniteEvidence, NonInteriorMode, SingularSystem
-from adaridge.evidence import EvidenceEstimate, _conditional_marginal_core, _reduced_mode
+from adaridge.evidence import (
+    POLISH_CONV_TOL,
+    POLISH_MAX_ITER,
+    EvidenceEstimate,
+    _conditional_marginal_core,
+    _newton_polish,
+    _reduced_mode,
+)
+from adaridge.solver import _cycle
 from conftest import fd_hessian, log_joint_of_theta, random_instance, toeplitz_design
+from oracles import assemble_hessian
 
 
 def interior_state(data, rng, eta=0.8):
@@ -45,8 +55,7 @@ class TestNegativeHessian:
             data, _, _ = random_instance(seed, n_range=(30, 60), p_range=(2, 4))
             rng = np.random.default_rng(seed)
             state, h = interior_state(data, rng)
-            blocks = negative_hessian(state, data, h)
-            analytic = blocks.assemble()
+            analytic = assemble_hessian(negative_hessian(state, data, h))
             theta = np.concatenate([state.beta, [state.sigma2], state.v_inv])
             fd = -fd_hessian(log_joint_of_theta(data, h), theta)
             scale = np.max(np.abs(analytic))
@@ -74,7 +83,7 @@ class TestNegativeHessian:
     def test_assembled_matrix_symmetric(self, rng):
         data, _, _ = random_instance(8, p_range=(3, 5))
         state, h = interior_state(data, rng)
-        m = negative_hessian(state, data, h).assemble()
+        m = assemble_hessian(negative_hessian(state, data, h))
         np.testing.assert_array_equal(m, m.T)
 
     def test_boundary_eta_rejected(self, rng):
@@ -436,15 +445,16 @@ class TestEvidenceMemo:
 
     def test_k_sweep_polishes_each_point_once(self, monkeypatch):
         import adaridge.evidence as ev
-        from adaridge.solver import _cycle
 
+        # every polish starts with Newton, whatever it falls back to
+        real = ev._newton_polish
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return _cycle(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(ev, "_cycle", counted)
+        monkeypatch.setattr(ev, "_newton_polish", counted)
         data = self.small_study_data()
         ev.select_eta(data, method="mc", k=3.0, draws=50)
         first = len(calls)
@@ -477,7 +487,7 @@ class TestEvidenceMemo:
 
 
 class TestPolish:
-    """The evidence mode is the solver's cycle re-run on the surviving
+    """The evidence mode is the fit's mode re-polished on the surviving
     coordinates under the evidence hyper-parameters, without pruning."""
 
     def test_small_mu_keeps_every_surviving_coordinate(self):
@@ -494,21 +504,23 @@ class TestPolish:
         assert (1.0 / v_inv < FitOptions().prune_tol).any()
 
     def test_polish_keeps_no_trace(self, monkeypatch):
-        import adaridge.solver as solver
+        import adaridge.model as model
 
         data, _, _ = random_instance(8)
         fit = fit_joint_mode(data, Hyper(0.5))
+        real = model._log_joint_density
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return solver._log_joint_density(*args)
+            return real(*args)
 
-        monkeypatch.setattr(solver, "_log_joint_density", counted)
+        monkeypatch.setattr(model, "_log_joint_density", counted)
         h = Hyper(0.5, mu=EVIDENCE_MU)
         laplace_log_evidence(fit, data, h)
         mc_log_evidence(fit, data, Hyper(0.5, mu=1e-3), k=10.0, draws=50)
-        assert calls == []
+        # the one evaluation is the Laplace value's own density at the mode
+        assert len(calls) == 1
 
     # On these fits the noise variance of the polish's last iteration and
     # the mode at its final coefficients differ by more than 1e-12.
@@ -522,3 +534,280 @@ class TestPolish:
         quad = float(r @ r + beta @ (v_inv * beta))
         assert sigma2 == pytest.approx(quad / (reduced.n + reduced.p + 2),
                                        rel=1e-14)
+
+
+def study_replication(master_seed, rep, design=3, n=100):
+    """The standardized training data of one study replication."""
+
+    from adaridge.experiment import _derive_seed
+    from adaridge.simulate import DgpSpec, draw_dataset
+
+    raw, _ = draw_dataset(DgpSpec(design, n, 3.0, seed=_derive_seed(master_seed, rep)))
+    return standardize(raw.x, raw.y)[0]
+
+
+def wide_instance(input_id, n=800, p=200, nonzero=10):
+    """n=800, p=200 with 10 nonzero coefficients of size U(0.5, 2) and
+    random signs, noise sd 1, rows iid N(0, I)."""
+
+    rng = np.random.default_rng([input_id, 31])
+    x = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    where = rng.choice(p, nonzero, replace=False)
+    beta[where] = rng.choice([-1.0, 1.0], nonzero) * rng.uniform(0.5, 2.0, nonzero)
+    return standardize(x, x @ beta + rng.standard_normal(n))[0]
+
+
+def polish_inputs(fit, data):
+    mask = fit.state.active
+    reduced = data if mask.all() else Dataset(data.x[:, mask], data.y)
+    return reduced, fit.state.beta[mask], fit.state.sigma2, fit.state.v_inv[mask]
+
+
+def relative_gradient(reduced, h, beta, sigma2, v_inv):
+    """The gradient of the log joint density, each block relative to the
+    size of its terms."""
+
+    n, p = reduced.n, reduced.p
+    r = reduced.y - reduced.x @ beta
+    quad = float(r @ r + beta @ (v_inv * beta))
+    g_beta = (reduced.x.T @ r - v_inv * beta) / sigma2
+    g_sigma2 = -((n + p) / 2.0 + 1.0) / sigma2 + quad / (2.0 * sigma2**2)
+    g_v = (h.eta + 0.5) / v_inv - h.mu - beta**2 / (2.0 * sigma2)
+    return (np.max(np.abs(g_beta)) * sigma2 / np.max(np.abs(reduced.xty)),
+            abs(g_sigma2) * sigma2 / ((n + p) / 2.0 + 1.0),
+            np.max(np.abs(g_v) * v_inv / (h.eta + 0.5)))
+
+
+class TestNewtonPolish:
+    """The evidence mode is found by Newton steps on the exact Hessian;
+    the conditional-update cycle is the fallback."""
+
+    CASES = [(seed, eta) for seed in range(12) for eta in (-0.25, 0.0, 0.5, 2.0, 8.0)]
+
+    def test_gradient_vanishes_at_the_polished_mode(self):
+        checked = 0
+        for seed, eta in self.CASES:
+            data, _, _ = random_instance(seed)
+            fit = fit_joint_mode(data, Hyper(eta))
+            if not fit.state.active.any():
+                continue
+            h = Hyper(eta, mu=EVIDENCE_MU)
+            beta, sigma2, v_inv, reduced = _reduced_mode(fit, data, h)
+            assert max(relative_gradient(reduced, h, beta, sigma2, v_inv)) < 1e-13
+            checked += 1
+        assert checked > 40
+
+    def test_matches_a_converged_cycle(self):
+        # The cycle's v_inv trails its beta by one iteration, and its
+        # stopping rule bounds |d beta| by 1e-13 (1 + |beta|), so a
+        # precision (proportional to 1/beta^2) keeps up to about
+        # 2e-13 (1 + |beta|) / |beta| of relative error: hence 1e-11 there.
+        checked = 0
+        for seed, eta in self.CASES:
+            data, _, _ = random_instance(seed)
+            fit = fit_joint_mode(data, Hyper(eta))
+            if not fit.state.active.any():
+                continue
+            h = Hyper(eta, mu=EVIDENCE_MU)
+            beta, sigma2, v_inv, reduced = _reduced_mode(fit, data, h)
+            _, c_beta, _, c_v_inv, c_sigma2, _, converged = _cycle(
+                reduced, h, polish_inputs(fit, data)[1], 10_000, 1e-13, 0.0)
+            assert converged
+            np.testing.assert_allclose(beta, c_beta, rtol=1e-12, atol=0)
+            assert sigma2 == pytest.approx(c_sigma2, rel=1e-12, abs=0)
+            np.testing.assert_allclose(v_inv, c_v_inv, rtol=1e-11, atol=0)
+            checked += 1
+        assert checked > 40
+
+    def test_laplace_log_determinant_is_the_dense_one(self):
+        # the Schur-complement log determinant against slogdet of the
+        # assembled (2p+1)-square negative Hessian at the polished mode.
+        # On the two study replications the first Newton step already
+        # meets the stopping rule, so a factor taken before that step
+        # would be off by about 4e-11 relative.
+        cases = [(random_instance(seed)[0], eta) for seed, eta in self.CASES]
+        cases += [(study_replication(13, 0), 1.0), (study_replication(97, 12), 2.0)]
+        checked = 0
+        for data, eta in cases:
+            fit = fit_joint_mode(data, Hyper(eta))
+            if not fit.state.active.any():
+                continue
+            h = Hyper(eta, mu=EVIDENCE_MU)
+            est = laplace_log_evidence(fit, data, h)
+            beta, sigma2, v_inv, reduced = _reduced_mode(fit, data, h)
+            state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv,
+                                   active=np.ones(len(beta), dtype=bool))
+            sign, logdet = np.linalg.slogdet(
+                assemble_hessian(negative_hessian(state, reduced, h)))
+            assert sign > 0
+            dense = (log_joint_posterior(state, reduced, h)
+                     + (2 * len(beta) + 1) / 2.0 * math.log(2.0 * math.pi)
+                     - 0.5 * logdet)
+            assert est.log_value == pytest.approx(dense, rel=1e-12, abs=0)
+            checked += 1
+        assert checked > 40
+
+    # Design 3, n=100: the fit itself stopped unconverged, and Newton
+    # fails from its point.
+    @pytest.mark.parametrize("master_seed, rep", [(83, 6), (95, 5)])
+    def test_fallback_reproduces_the_cycle(self, master_seed, rep):
+        data = study_replication(master_seed, rep)
+        fit = fit_joint_mode(data, Hyper(16.0))
+        assert not fit.converged
+        h = Hyper(16.0, mu=EVIDENCE_MU)
+        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        assert _newton_polish(reduced, h, beta0, sigma20, v_inv0) is None
+        beta, sigma2, v_inv, _ = _reduced_mode(fit, data, h)
+        _, c_beta, _, c_v_inv, c_sigma2, _, _ = _cycle(
+            reduced, h, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+        assert np.array_equal(beta, c_beta) and np.array_equal(v_inv, c_v_inv)
+        assert sigma2 == c_sigma2
+
+    def test_converges_where_the_cycle_is_capped(self):
+        data = study_replication(1, 3)
+        fit = fit_joint_mode(data, Hyper(16.0))
+        h = Hyper(16.0, mu=EVIDENCE_MU)
+        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        assert not _cycle(reduced, h, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)[6]
+        polished = _newton_polish(reduced, h, beta0, sigma20, v_inv0)
+        assert polished is not None
+        assert max(relative_gradient(reduced, h, *polished[:3])) < 1e-13
+
+    def test_damped_steps_converge_on_a_wide_unconverged_fit(self):
+        # 113 live coordinates after 500 iterations; the first full Newton
+        # step lands where the negative Hessian is indefinite, so it must
+        # be halved
+        data = wide_instance(40)
+        fit = fit_joint_mode(data, Hyper(-0.45))
+        assert not fit.converged and fit.state.active.sum() == 113
+        h = Hyper(-0.45, mu=EVIDENCE_MU)
+        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        polished = _newton_polish(reduced, h, beta0, sigma20, v_inv0)
+        assert polished is not None
+        assert max(relative_gradient(reduced, h, *polished[:3])) < 1e-12
+
+    def test_indefinite_start_falls_back(self):
+        # 129 live coordinates after 500 iterations, some still on their
+        # way to pruning: the negative Hessian at the fit's point is
+        # indefinite, so Newton cannot start, and the cycle converges
+        data = wide_instance(24)
+        fit = fit_joint_mode(data, Hyper(-0.45))
+        assert not fit.converged and fit.state.active.sum() == 129
+        h = Hyper(-0.45, mu=EVIDENCE_MU)
+        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        assert _newton_polish(reduced, h, beta0, sigma20, v_inv0) is None
+        assert _cycle(reduced, h, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)[6]
+        est = laplace_log_evidence(fit, data, h)
+        assert math.isfinite(est.log_value)
+
+
+class TestTraceOnDemand:
+    def test_no_density_until_the_trace_is_read(self, monkeypatch):
+        import adaridge.model as model
+
+        real = model._log_joint_density
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_log_joint_density", counted)
+        data, _, _ = random_instance(5)
+        fits = [fit_joint_mode(data, Hyper(eta)) for eta in (0.0, 0.5, 8.0)]
+        select_eta(data, method="mc", draws=50)
+        assert calls == []
+        trace = fits[1].log_joint_trace
+        assert len(calls) == len(trace) == fits[1].iterations
+        assert fits[1].log_joint_trace is trace
+        assert len(calls) == len(trace)
+
+
+class TestEvidenceAtP2:
+    """Both evidence methods against a tensor Gauss-Legendre integral over
+    the two precisions, with the integrand evaluated by ``slogdet`` and a
+    general solve rather than by the code under test."""
+
+    @staticmethod
+    def instance(seed, n):
+        # two strong signals on correlated (rho = 0.5) columns
+        rng = np.random.default_rng([720, seed])
+        z = rng.standard_normal((n, 2))
+        x = np.column_stack([z[:, 0], 0.5 * z[:, 0] + math.sqrt(0.75) * z[:, 1]])
+        y = x @ np.array([3.0, 2.0]) + rng.standard_normal(n)
+        return standardize(x, y)[0]
+
+    @staticmethod
+    def log_integrand(red, h, v, prior_scale):
+        """``log p(y | v) + log prior kernel`` at each row of ``v``; with
+        ``prior_scale`` the prior's ``mu^(eta+1)`` factors are included."""
+
+        n, p = red.n, red.p
+        a = red.xtx + v[:, :, None] * np.eye(p)
+        sign, logdet = np.linalg.slogdet(a)
+        assert (sign > 0).all()
+        rhs = np.broadcast_to(red.xty, v.shape)[..., None]
+        s2 = float(red.y @ red.y) - np.einsum(
+            "j,mj->m", red.xty, np.linalg.solve(a, rhs)[..., 0])
+        out = (math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi)
+               - (n / 2.0) * np.log(s2) + 0.5 * np.log(v).sum(axis=1)
+               - 0.5 * logdet
+               + (h.eta * np.log(v) - h.mu * v).sum(axis=1)
+               - p * math.lgamma(h.eta + 1.0))
+        if prior_scale:
+            out += p * (h.eta + 1.0) * math.log(h.mu)
+        return out
+
+    def log_integral(self, red, h, lo, hi, nodes, prior_scale=False):
+        """``log`` of the integral over the box ``[lo, hi]``."""
+
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        t = [a + (b - a) * (x + 1.0) / 2.0 for a, b in zip(lo, hi)]
+        tw = [w * (b - a) / 2.0 for a, b in zip(lo, hi)]
+        g0, g1 = np.meshgrid(t[0], t[1], indexing="ij")
+        v = np.column_stack([g0.ravel(), g1.ravel()])
+        f = (self.log_integrand(red, h, v, prior_scale)
+             + np.log(np.outer(tw[0], tw[1])).ravel())
+        top = f.max()
+        return top + math.log(np.exp(f - top).sum())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mc_box_average_and_integral(self, seed):
+        eta, k = (0.5, 2.0)[seed % 2], 10.0
+        data = self.instance(seed, n=60)
+        fit = fit_joint_mode(data, Hyper(eta))
+        assert fit.state.active.all()
+        h = Hyper(eta, mu=EVIDENCE_MU)
+        _, _, center, red = _reduced_mode(fit, data, h)
+        sig = center / math.sqrt(0.5 + eta)
+        lo, hi = np.maximum(0.0, center - k * sig), center + k * sig
+        integral = self.log_integral(red, h, lo, hi, 128)
+        # the rule has converged: doubling the nodes moves it by < 1e-10
+        assert integral == pytest.approx(self.log_integral(red, h, lo, hi, 256),
+                                         abs=1e-10)
+        log_volume = float(np.sum(np.log(hi - lo)))
+
+        avg = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed)
+        assert abs(avg.log_value - (integral - log_volume)) <= 3.0 * avg.mc_se
+        tot = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed,
+                              include_box_volume=True)
+        assert tot.log_box_volume == pytest.approx(log_volume, rel=1e-12)
+        assert abs(tot.log_value - integral) <= 3.0 * tot.mc_se
+
+    # The Laplace error is mostly that of the gamma-shaped precision
+    # directions: about 0.11 per coordinate at eta 0.5 and 0.06 at eta 2
+    # (-0.216 and -0.121 here at p = 2), so the bound is 0.125 per coordinate.
+    @pytest.mark.parametrize("seed", range(10))
+    def test_laplace_within_stated_bound(self, seed):
+        eta = (0.5, 2.0)[seed % 2]
+        data = self.instance(seed, n=400)
+        fit = fit_joint_mode(data, Hyper(eta))
+        assert fit.state.active.all()
+        h = Hyper(eta, mu=EVIDENCE_MU)
+        est = laplace_log_evidence(fit, data, h)
+        _, _, center, red = _reduced_mode(fit, data, h)
+        hi = center + 40.0 * center / math.sqrt(0.5 + eta)
+        integral = self.log_integral(red, h, np.full(2, 1e-12), hi, 256,
+                                     prior_scale=True)
+        assert abs(est.log_value - integral) <= 2 * 0.125
