@@ -6,10 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, RankDeficient
+from .errors import RankDeficient
 from .model import Dataset
 
-__all__ = ["RidgeFit", "fit_ols", "fit_ridge_gcv", "default_lambda_grid"]
+__all__ = ["RidgeFit", "fit_ols", "fit_ridge_gcv"]
+
+# Candidate ridge penalties of the GCV search.
+LAMBDA_GRID = np.logspace(-6, 3, 50)
 
 
 @dataclass(frozen=True)
@@ -28,24 +31,14 @@ def fit_ols(data: Dataset) -> np.ndarray:
     return beta
 
 
-def default_lambda_grid() -> np.ndarray:
-    return np.logspace(-6, 3, 50)
-
-
-def fit_ridge_gcv(data: Dataset, lambda_grid=None) -> RidgeFit:
+def fit_ridge_gcv(data: Dataset) -> RidgeFit:
     """Ridge regression with the penalty chosen by generalized
     cross-validation.
 
-    For each candidate penalty computes ``GCV = n RSS / (n - tr H)^2``
-    with ``H`` the ridge hat matrix, and returns the minimizer (ties go to
-    the smaller penalty).  A single SVD serves the whole grid.
+    For each penalty in ``LAMBDA_GRID`` computes ``GCV = n RSS / (n - tr
+    H)^2`` with ``H`` the ridge hat matrix, and returns the minimizer (ties
+    go to the smaller penalty).  A single SVD serves the whole grid.
     """
-
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
-    lams = np.asarray(lambda_grid, dtype=float)
-    if lams.size == 0:
-        raise EmptyInput("lambda grid is empty")
 
     u, s, vt = np.linalg.svd(data.x, full_matrices=False)
     uty = u.T @ data.y
@@ -53,7 +46,7 @@ def fit_ridge_gcv(data: Dataset, lambda_grid=None) -> RidgeFit:
     yty = float(data.y @ data.y)
 
     best = None
-    for lam in lams:
+    for lam in LAMBDA_GRID:
         shrink = s**2 / (s**2 + lam)          # diagonal of the hat matrix in U-space
         fitted_norm2 = float(np.sum((shrink * uty) ** 2))
         cross = float(np.sum(shrink * uty**2))

@@ -24,7 +24,8 @@ from .model import Dataset, FitOptions, Hyper, _ridge_solve
 
 __all__ = ["EmFit", "fit_em"]
 
-VARIANTS = ("independent-prior", "explicit-sigma")
+# The variants, each with its least ``eta``: the flat-prior boundary.
+VARIANTS = {"independent-prior": -1.5, "explicit-sigma": -0.5}
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,9 @@ def fit_em(
     """
 
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
     independent = variant == "independent-prior"
-    boundary = -1.5 if independent else -0.5
+    boundary = VARIANTS[variant]
     if h.eta < boundary:
         raise ValueError(f"{variant} needs eta >= {boundary}, got {h.eta}")
 

@@ -15,7 +15,7 @@ Both are centred on the fit's mode re-polished under the evidence
 hyper-parameters, by Newton steps on the exact Hessian of the log joint
 density (the precision block eliminated by a Schur complement), with the
 solver's conditional-update cycle as the fallback.  The last Newton
-factor gives the Laplace log determinant.
+step gives the Laplace log determinant and log joint density.
 
 Two conventions here are deliberate and documented:
 
@@ -28,10 +28,10 @@ Two conventions here are deliberate and documented:
   weakest shrinkage on the grid.  ``1e-6`` keeps the documented
   selection behaviour of the method across sample sizes.
 * The Monte-Carlo estimator reports the box *average* of the integrand
-  (the integral divided by the hypercube volume) by default.  The box
-  width ``k`` then acts as the parsimony dial: each retained coordinate
-  dilutes the average by roughly ``log(2k / sqrt(2 pi))``.  Pass
-  ``include_box_volume=True`` for the plain integral over the box.
+  (the integral divided by the hypercube volume).  The box width ``k``
+  then acts as the parsimony dial: each retained coordinate dilutes the
+  average by roughly ``log(2k / sqrt(2 pi))``.  Adding the estimate's
+  ``log_box_volume`` gives the plain integral over the box.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
     EmptyBox,
     NonFiniteEvidence,
     NonInteriorMode,
-    NonPositiveSigma2,
     SingularSystem,
 )
 from .model import (
@@ -59,8 +58,8 @@ from .model import (
     Hyper,
     ModeFit,
     PosteriorState,
+    _log_joint_density,
     _read_only,
-    log_joint_posterior,
 )
 from .solver import _cycle, fit_joint_mode
 
@@ -156,8 +155,6 @@ def negative_hessian(state: PosteriorState, data: Dataset, h: Hyper) -> HessianB
     parameterization, ``v_j^2 (1/2 + eta)``.
     """
 
-    if state.sigma2 <= 0:
-        raise NonPositiveSigma2(str(state.sigma2))
     if h.eta <= -0.5:
         raise NonInteriorMode(f"eta={h.eta}: precision block is not positive")
     v_inv = state.v_inv
@@ -167,8 +164,9 @@ def negative_hessian(state: PosteriorState, data: Dataset, h: Hyper) -> HessianB
 
 
 def _derivatives(beta, s2, v_inv, data: Dataset, h: Hyper):
-    """Gradient ``(g_beta, g_sigma2, g_v_inv)`` and negative Hessian
-    blocks of the log joint density at an interior point."""
+    """Gradient ``(g_beta, g_sigma2, g_v_inv)``, negative Hessian blocks
+    and quadratic term ``quad = ||y - X beta||^2 + beta' V^{-1} beta`` of
+    the log joint density at an interior point."""
 
     n, p = data.n, data.p
     r = data.y - data.x @ beta
@@ -191,21 +189,23 @@ def _derivatives(beta, s2, v_inv, data: Dataset, h: Hyper):
         sb=g_beta / s2,
         sv=-half_b2 / s2,
     )
-    return grad, blocks
+    return grad, blocks, quad
 
 
-def _newton_step(grad, blocks: HessianBlocks):
-    """Solve ``H d = g`` for the Newton step on the log joint density.
+def _newton_step(beta, s2, v_inv, data: Dataset, h: Hyper):
+    """Solve ``H d = g`` for the Newton step on the log joint density at
+    an interior point.
 
     The diagonal precision block ``D = diag(vv)`` is eliminated, leaving
     the ``(p+1)`` Schur complement ``S`` of the (coefficients, noise
     variance) block, which one Cholesky factor solves.  Returns
-    ``(d_beta, d_sigma2, d_v_inv, logdet)`` with ``logdet = log det H =
-    sum log vv + log det S``, or ``None`` when ``S`` is not positive
-    definite.
+    ``(d_beta, d_sigma2, d_v_inv, logdet, quad)`` with ``logdet = log det
+    H = sum log vv + log det S`` and ``quad`` the quadratic term of
+    :func:`_derivatives` at the point, or ``None`` when ``S`` is not
+    positive definite.
     """
 
-    gb, gs, gv = grad
+    (gb, gs, gv), blocks, quad = _derivatives(beta, s2, v_inv, data, h)
     vv, bv, sv = blocks.vv, blocks.bv, blocks.sv
     p = len(vv)
     wb, ws = bv / vv, sv / vv
@@ -224,7 +224,7 @@ def _newton_step(grad, blocks: HessianBlocks):
     db, ds = d[:p], d[p]
     dv = (gv - bv * db - sv * ds) / vv
     logdet = np.log(vv).sum() + 2.0 * np.log(chol.diagonal()).sum()
-    return db, ds, dv, float(logdet)
+    return db, ds, dv, float(logdet), quad
 
 
 def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
@@ -235,23 +235,24 @@ def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
     at a point where the Schur complement is positive definite.  The
     polish has converged after a full step whose relative coefficient
     change ``max |d beta| / (1 + |beta|)`` is below ``POLISH_CONV_TOL``,
-    and returns ``(beta, sigma2, v_inv, logdet)`` with ``logdet`` the
-    negative Hessian's log determinant at that final point.  Returns
+    and returns ``(beta, sigma2, v_inv, logdet, quad)`` with ``logdet``
+    the negative Hessian's log determinant and ``quad`` the log joint
+    density's quadratic term at that final point.  Returns
     ``None`` when the Schur complement at the start is not positive
     definite, a step cannot be damped, or no step converges within
     ``POLISH_NEWTON_MAX_STEPS``.
     """
 
-    step = _newton_step(*_derivatives(beta, sigma2, v_inv, data, h))
+    step = _newton_step(beta, sigma2, v_inv, data, h)
     if step is None:
         return None
     for _ in range(POLISH_NEWTON_MAX_STEPS):
-        db, ds, dv, _ = step
+        db, ds, dv, _, _ = step
         t = 1.0
         for _ in range(POLISH_MAX_HALVINGS):
             trial = beta + t * db, sigma2 + t * ds, v_inv + t * dv
             if trial[1] > 0 and (trial[2] > 0).all():
-                step = _newton_step(*_derivatives(*trial, data, h))
+                step = _newton_step(*trial, data, h)
                 if step is not None:
                     break
             t *= 0.5
@@ -260,16 +261,16 @@ def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
         delta = float((abs(trial[0] - beta) / (1.0 + abs(beta))).max())
         beta, sigma2, v_inv = trial
         if t == 1.0 and delta < POLISH_CONV_TOL:
-            return beta, sigma2, v_inv, step[3]
+            return (beta, sigma2, v_inv) + step[3:]
     return None
 
 
 def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
     """The fit's surviving coordinates and their mode re-polished under
-    ``h``: ``(beta, sigma2, v_inv, logdet, reduced)``, with ``logdet`` the
-    log determinant of the negative Hessian there (``None`` when it is not
-    positive definite) and ``reduced`` the data restricted to those
-    coordinates.
+    ``h``: ``(beta, sigma2, v_inv, logdet, quad, reduced)``, with ``logdet``
+    and ``quad`` those of :func:`_newton_step` there (both ``None`` when the
+    negative Hessian is not positive definite) and ``reduced`` the data
+    restricted to those coordinates.
 
     The polish runs Newton steps on the exact Hessian (:func:`_newton_polish`)
     from the fit's own ``(beta, sigma2, v_inv)``, so curvature is
@@ -300,21 +301,14 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
             _, beta, _, v_inv, sigma2, _, _ = _cycle(
                 reduced, h, state.beta[mask], POLISH_MAX_ITER, POLISH_CONV_TOL,
                 0.0)
-            step = _newton_step(*_derivatives(beta, sigma2, v_inv, reduced, h))
-            polished = beta, sigma2, v_inv, None if step is None else step[3]
-        beta, sigma2, v_inv, logdet = polished
+            step = _newton_step(beta, sigma2, v_inv, reduced, h)
+            polished = (beta, sigma2, v_inv) + (step[3:] if step else (None, None))
+        beta, sigma2, v_inv, logdet, quad = polished
         # The entry keeps the fit alive, so its id cannot be reused while
         # the entry exists.
         hit = data._memo[key] = (fit, _read_only(beta), sigma2,
-                                 _read_only(v_inv), logdet)
+                                 _read_only(v_inv), logdet, quad)
     return hit[1:] + (reduced,)
-
-
-def _reduced_mode(fit: ModeFit, data: Dataset, h: Hyper):
-    """``(beta, sigma2, v_inv, reduced)`` of :func:`_polished_mode`."""
-
-    beta, sigma2, v_inv, _, reduced = _polished_mode(fit, data, h)
-    return beta, sigma2, v_inv, reduced
 
 
 def _null_model_log_marginal(data: Dataset) -> float:
@@ -323,28 +317,19 @@ def _null_model_log_marginal(data: Dataset) -> float:
     return math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi) - (n / 2.0) * math.log(yty)
 
 
-def laplace_log_evidence(
-    fit: ModeFit,
-    data: Dataset,
-    h: Hyper,
-    dimension_constant: str = "full",
-) -> EvidenceEstimate:
+def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstimate:
     """Laplace approximation of the log marginal likelihood at the
     reduced-model mode.
 
     Evaluates the joint log density at the (re-polished) mode of the
-    surviving coordinates, adds ``(p*/2) log 2 pi`` and subtracts half the
-    log determinant of the negative Hessian.  ``dimension_constant`` picks
-    ``p*``: ``"full"`` (default) uses the dimension of the integrated
-    space, ``2 p + 1``; ``"variables"`` uses the literal variable count
-    ``p``.  An empty model reduces to the one-dimensional noise-variance
-    integral.
+    surviving coordinates, adds ``(p*/2) log 2 pi`` with ``p* = 2 p + 1``
+    the dimension of the integrated space, and subtracts half the log
+    determinant of the negative Hessian.  An empty model reduces to the
+    one-dimensional noise-variance integral, at its mode
+    ``y'y / (n + 2)``.
     """
 
-    if dimension_constant not in ("full", "variables"):
-        raise ValueError("dimension_constant must be 'full' or 'variables'")
-    state = fit.state
-    p_active = int(state.active.sum())
+    p_active = int(fit.state.active.sum())
     n = data.n
     if p_active and h.eta <= -0.5:
         raise NonInteriorMode(
@@ -354,21 +339,15 @@ def laplace_log_evidence(
     if p_active == 0:
         yty = float(data.y @ data.y)
         s2 = yty / (n + 2)
-        lj = -(n / 2.0) * math.log(2.0 * math.pi * s2) - math.log(s2) - yty / (2.0 * s2)
+        lj = _log_joint_density(yty, s2, np.empty(0), n, h)
         curv = -(n / 2.0 + 1.0) / s2**2 + yty / s2**3
-        value = lj + 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(curv)
-        return EvidenceEstimate(log_value=value, method="laplace")
-
-    beta, sigma2, v_inv, logdet, reduced = _polished_mode(fit, data, h)
-    if logdet is None:
-        raise NonInteriorMode("negative Hessian not positive definite")
-    polished = PosteriorState(
-        beta=beta, sigma2=sigma2, v_inv=v_inv,
-        active=np.ones(p_active, dtype=bool),
-    )
-    lj = log_joint_posterior(polished, reduced, h)
-    p_star = 2 * p_active + 1 if dimension_constant == "full" else p_active
-    value = lj + (p_star / 2.0) * math.log(2.0 * math.pi) - 0.5 * logdet
+        logdet = math.log(curv)
+    else:
+        _, sigma2, v_inv, logdet, quad, _ = _polished_mode(fit, data, h)
+        if logdet is None:
+            raise NonInteriorMode("negative Hessian not positive definite")
+        lj = _log_joint_density(quad, sigma2, v_inv, n, h)
+    value = lj + ((2 * p_active + 1) / 2.0) * math.log(2.0 * math.pi) - 0.5 * logdet
     if not math.isfinite(value):
         raise NonFiniteEvidence(f"laplace value {value}")
     return EvidenceEstimate(log_value=value, method="laplace")
@@ -440,7 +419,6 @@ def mc_log_evidence(
     k: float,
     draws: int = 1000,
     seed=0,
-    include_box_volume: bool = False,
 ) -> EvidenceEstimate:
     """Monte-Carlo evidence over a hypercube of precisions around the mode.
 
@@ -450,10 +428,9 @@ def mc_log_evidence(
     score ``p(y | v^{-1})`` times the prior kernel
     ``prod_j v_inv_j^eta exp(-mu v_inv_j) / Gamma(eta+1)`` (the prior's
     ``mu^{eta+1}`` scale factor is deliberately not applied; see the
-    module docstring).  The default estimate is the box average in log
-    space with a delta-method standard error; with
-    ``include_box_volume=True`` the log box volume (reported either way as
-    ``log_box_volume``) is added, giving the integral itself.
+    module docstring).  The estimate is the box average in log space with
+    a delta-method standard error; adding the reported ``log_box_volume``
+    gives the integral itself.
 
     An empty reduced model has nothing to integrate: the exact closed
     form is returned with zero standard error.
@@ -475,7 +452,7 @@ def mc_log_evidence(
     if h.eta <= -0.5:
         raise EmptyBox("box width requires eta > -1/2 (finite curvature)")
 
-    _, _, v_inv, reduced = _reduced_mode(fit, data, h)
+    _, _, v_inv, _, _, reduced = _polished_mode(fit, data, h)
     sig = v_inv / math.sqrt(0.5 + h.eta)
     lo = np.maximum(0.0, v_inv - k * sig)
     hi = v_inv + k * sig
@@ -505,14 +482,21 @@ def mc_log_evidence(
         se = float(np.std(w, ddof=1) / (math.sqrt(draws) * mean_w))
     else:
         se = 0.0
-    if include_box_volume:
-        value += log_volume
     if not math.isfinite(value):
         raise NonFiniteEvidence(f"mc value {value}")
     return EvidenceEstimate(
         log_value=value, method="hypercube-mc",
         k=float(k), mc_draws=draws, mc_se=se, log_box_volume=log_volume,
     )
+
+
+def _ascending_grid(grid) -> tuple[float, ...]:
+    """``grid`` as floats, checked to be non-empty and ascending."""
+
+    grid = tuple(float(g) for g in grid)
+    if not grid or sorted(grid) != list(grid):
+        raise ValueError("grid must be non-empty and ascending")
+    return grid
 
 
 def select_eta(
@@ -524,10 +508,10 @@ def select_eta(
     k: float | None = None,
     draws: int = 1000,
     seed: int = 0,
-    evidence_mu: float = EVIDENCE_MU,
 ) -> EbSelection:
     """Empirical-Bayes choice of the shrinkage level: fit the joint mode
-    at every grid value, score each fit with the chosen evidence method,
+    at every grid value, score each fit with the chosen evidence method
+    (``"laplace"`` or ``"mc"``) under ``Hyper(eta, mu=EVIDENCE_MU)``, and
     return the argmax (ties to the smaller value) and its fit.
 
     Individual grid points may fail (solver or evidence errors); the
@@ -537,17 +521,10 @@ def select_eta(
     results do not depend on evaluation order.
     """
 
-    grid = tuple(float(g) for g in grid)
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if sorted(grid) != list(grid):
-        raise ValueError("grid must be ascending")
-    if method in ("mc", "hypercube-mc"):
-        method = "hypercube-mc"
-        if k is None:
-            k = 1000.0
-    elif method != "laplace":
+    grid = _ascending_grid(grid)
+    if method not in ("laplace", "mc"):
         raise ValueError(f"unknown evidence method {method!r}")
+    k = 1000.0 if k is None else k
 
     estimates: list[EvidenceEstimate | None] = []
     fits: list[ModeFit | None] = []
@@ -556,7 +533,7 @@ def select_eta(
     for gi, eta in enumerate(grid):
         try:
             fit = fit_joint_mode(data, Hyper(eta), opts)
-            h_ev = Hyper(eta, mu=evidence_mu)
+            h_ev = Hyper(eta, mu=EVIDENCE_MU)
             if method == "laplace":
                 est = laplace_log_evidence(fit, data, h_ev)
             else:

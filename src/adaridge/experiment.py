@@ -33,6 +33,7 @@ from .errors import AdaRidgeError
 from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K_SWEEP,
+    _ascending_grid,
     select_eta,
 )
 from .metrics import (
@@ -83,10 +84,14 @@ class ExperimentConfig:
     n_boot: int = 500
 
     def __post_init__(self):
+        # Every check runs here, so a bad config fails before any replication.
+        DgpSpec(self.model_id, self.n, self.sigma, 0)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.test_size < 1:
             raise ValueError("test_size must be >= 1")
+        if self.n_boot < 2:
+            raise ValueError("n_boot must be >= 2")
         if self.evidence_method not in EVIDENCE_METHODS:
             raise ValueError(f"evidence_method must be one of {EVIDENCE_METHODS}")
         if not self.estimators:
@@ -97,14 +102,23 @@ class ExperimentConfig:
         if "aris-eb" in self.estimators and self.evidence_method == "eta0-only":
             raise ValueError("aris-eb needs evidence_method 'laplace' or 'mc'")
         if self.em_variant not in VARIANTS:
-            raise ValueError(f"em_variant must be one of {VARIANTS}")
-        if not self.eta_grid:
-            raise ValueError("eta_grid must be non-empty")
-        if any(g <= -1 for g in self.eta_grid):
-            raise ValueError("eta_grid entries must exceed -1")
-        object.__setattr__(self, "eta_grid", tuple(float(g) for g in self.eta_grid))
+            raise ValueError(f"em_variant must be one of {tuple(VARIANTS)}")
+        if "em" in self.estimators and not self.em_eta >= VARIANTS[self.em_variant]:
+            raise ValueError(f"em_eta must be >= {VARIANTS[self.em_variant]} for {self.em_variant}")
+        grid = _ascending_grid(self.eta_grid)
+        if not all(-1 < g < np.inf for g in grid):
+            raise ValueError("eta_grid entries must be finite and exceed -1")
+        object.__setattr__(self, "eta_grid", grid)
         object.__setattr__(self, "k_sweep", tuple(float(k) for k in self.k_sweep))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if "aris-eb" in self.estimators and self.evidence_method == "mc":
+            if not (self.k_sweep and all(0 < k < np.inf for k in self.k_sweep)):
+                raise ValueError("k_sweep must be non-empty, with finite entries > 0")
+            if self.mc_draws < 1:
+                raise ValueError("mc_draws must be >= 1")
+        rows = _row_order(self)
+        if len(set(rows)) != len(rows):
+            raise ValueError(f"report rows repeat: {rows}")
 
 
 _INT_KEYS = {"model_id", "n", "replications", "test_size", "mc_draws",

@@ -154,7 +154,7 @@ class Dataset:
     def _memo(self) -> dict:
         """Fits and polished evidence modes on this dataset, keyed by
         what determines them (see :func:`~adaridge.solver.fit_joint_mode`
-        and ``evidence._reduced_mode``)."""
+        and ``evidence._polished_mode``)."""
         return {}
 
     @cached_property
@@ -379,8 +379,6 @@ def log_joint_posterior(state: PosteriorState, data: Dataset, h: Hyper) -> float
     only those entries of the state and those columns of ``X``.
     """
 
-    if state.sigma2 <= 0:
-        raise NonPositiveSigma2(str(state.sigma2))
     if not np.isfinite(state.v_inv).all():
         raise InfinitePrecision("restrict to the active set before evaluating")
     if len(state.beta) != data.p:
@@ -395,8 +393,8 @@ def log_joint_posterior(state: PosteriorState, data: Dataset, h: Hyper) -> float
 def _log_joint_density(quad: float, s2: float, v_inv: np.ndarray, n: int,
                        h: Hyper) -> float:
     """:func:`log_joint_posterior` given its quadratic term
-    ``quad = rss + beta' V^{-1} beta``; the solver supplies ``quad`` from
-    its own residuals."""
+    ``quad = rss + beta' V^{-1} beta``; the solver's trace and the Laplace
+    evidence supply ``quad`` from residuals they already hold."""
 
     p = len(v_inv)
     lj = -(n + p) / 2.0 * math.log(2.0 * math.pi * s2) - math.log(s2) - quad / (2.0 * s2)

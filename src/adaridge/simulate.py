@@ -55,8 +55,8 @@ class DgpSpec:
             raise ValueError(f"model_id must be one of {sorted(MODEL_BETAS)}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (self.sigma >= 0):
-            raise ValueError("sigma must be non-negative")
+        if not (0 <= self.sigma < np.inf):
+            raise ValueError("sigma must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from adaridge import (
     support_metrics,
 )
 from adaridge import test_mse as prediction_mse
-from adaridge.evidence import EVIDENCE_MU, _reduced_mode
+from adaridge.evidence import EVIDENCE_MU, _polished_mode
 from adaridge.experiment import ExperimentConfig, _derive_seed, run_experiment
 from adaridge.model import PosteriorState
 from conftest import fd_hessian, log_joint_of_theta, random_instance
@@ -285,7 +285,7 @@ class TestCriterion7EvidenceAtP1:
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = laplace_log_evidence(fit, data, h)
 
-            _, _, v_inv, red = _reduced_mode(fit, data, h)
+            _, _, v_inv, _, _, red = _polished_mode(fit, data, h)
             center = v_inv[0]
             sig = center / math.sqrt(0.5 + eta)
 
@@ -312,7 +312,7 @@ class TestCriterion7EvidenceAtP1:
             k = 10.0
             est = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed)
 
-            _, _, v_inv, red = _reduced_mode(fit, data, h)
+            _, _, v_inv, _, _, red = _polished_mode(fit, data, h)
             center = v_inv[0]
             sig = center / math.sqrt(0.5 + eta)
             lo, hi = max(0.0, center - k * sig), center + k * sig

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+import adaridge.baselines as baselines
 from adaridge import Dataset, fit_ols, fit_ridge_gcv, standardize
 from adaridge.errors import RankDeficient
 from conftest import toeplitz_design
+
+
+def ridge_gcv_on_grid(monkeypatch, data, grid):
+    """``fit_ridge_gcv`` searching ``grid`` in place of ``LAMBDA_GRID``."""
+
+    monkeypatch.setattr(baselines, "LAMBDA_GRID", np.asarray(grid, dtype=float))
+    return fit_ridge_gcv(data)
 
 
 class TestOls:
@@ -35,34 +43,34 @@ class TestOls:
 
 
 class TestRidgeGcv:
-    def test_huge_penalty_kills_coefficients(self, rng):
+    def test_huge_penalty_kills_coefficients(self, rng, monkeypatch):
         x, y = toeplitz_design(40, [2.0, 1.0], 1.0, rng)
         data, _ = standardize(x, y)
-        rf = fit_ridge_gcv(data, [1e9])
+        rf = ridge_gcv_on_grid(monkeypatch, data, [1e9])
         assert np.max(np.abs(rf.beta)) < 1e-6
         rss = float((data.y - data.x @ rf.beta) @ (data.y - data.x @ rf.beta))
         assert rss == pytest.approx(float(data.y @ data.y), rel=1e-5)
 
-    def test_zero_penalty_limit_is_ols(self, rng):
+    def test_zero_penalty_limit_is_ols(self, rng, monkeypatch):
         x, y = toeplitz_design(40, [2.0, 1.0, -0.5], 1.0, rng)
         data, _ = standardize(x, y)
-        rf = fit_ridge_gcv(data, [1e-12])
+        rf = ridge_gcv_on_grid(monkeypatch, data, [1e-12])
         np.testing.assert_allclose(rf.beta, fit_ols(data), atol=1e-8)
 
-    def test_shrinkage_monotone_in_penalty(self, rng):
+    def test_shrinkage_monotone_in_penalty(self, rng, monkeypatch):
         x, y = toeplitz_design(50, [1.0, 2.0, 0.0, -1.0], 1.5, rng)
         data, _ = standardize(x, y)
         norms = [
-            float(np.linalg.norm(fit_ridge_gcv(data, [lam]).beta))
+            float(np.linalg.norm(ridge_gcv_on_grid(monkeypatch, data, [lam]).beta))
             for lam in np.logspace(-4, 3, 12)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_argmin_matches_bruteforce_gcv(self, rng):
+    def test_argmin_matches_bruteforce_gcv(self, rng, monkeypatch):
         x, y = toeplitz_design(30, [1.0, 0.5, 0.0], 1.0, rng)
         data, _ = standardize(x, y)
         grid = np.logspace(-3, 2, 20)
-        rf = fit_ridge_gcv(data, grid)
+        rf = ridge_gcv_on_grid(monkeypatch, data, grid)
         # brute force with explicit hat matrices
         scores = []
         for lam in grid:

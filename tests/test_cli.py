@@ -3,6 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from adaridge import (
+    EVIDENCE_MU,
+    Hyper,
+    fit_joint_mode,
+    laplace_log_evidence,
+    mc_log_evidence,
+    standardize,
+)
 from adaridge.cli import main
 
 
@@ -148,6 +156,42 @@ class TestFit:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method, extra", [
+        ("laplace", []),
+        ("mc", ["--k", "10", "--draws", "200", "--seed", "3"]),
+    ])
+    def test_evidence_value_is_the_library_value(self, tmp_path, capsys, rng,
+                                                 method, extra):
+        path = tmp_path / "d.csv"
+        x = rng.standard_normal((50, 3))
+        y = x @ np.array([3.0, 0.0, 1.0]) + rng.standard_normal(50)
+        rows = ["x1,x2,x3,y"] + [
+            ",".join(repr(float(v)) for v in list(xi) + [yi])
+            for xi, yi in zip(x, y)
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, _ = run_cli(capsys, "fit", str(path), "--eta", "0.5",
+                               "--evidence", method, "--evidence-value", *extra)
+        assert code == 0
+        raw = np.loadtxt(path, delimiter=",", skiprows=1)
+        data, _ = standardize(raw[:, :3], raw[:, 3])
+        fit = fit_joint_mode(data, Hyper(0.5))
+        h = Hyper(0.5, mu=EVIDENCE_MU)
+        if method == "laplace":
+            expected = laplace_log_evidence(fit, data, h)
+        else:
+            expected = mc_log_evidence(fit, data, h, k=10.0, draws=200, seed=3)
+        assert json.loads(out)["log_evidence"] == expected.log_value
+
+    def test_evidence_value_at_the_boundary_is_a_solver_error(self, tmp_path,
+                                                              capsys, rng):
+        path = tmp_path / "d.csv"
+        self.make_single_signal_csv(path, rng)
+        code, out, err = run_cli(capsys, "fit", str(path), "--eta", "-0.5",
+                                 "--evidence-value")
+        assert code == 3 and out == ""
+        assert "NonInteriorMode" in err
+
     def test_solver_error_exit_code(self, tmp_path, capsys):
         # a single observation centers to an exactly-zero response, so the
         # initializer interpolates and the solver reports an exact fit
@@ -187,6 +231,19 @@ class TestExperimentCommand:
                                  str(tmp_path / "o"))
         assert code == 2
         assert "ADARIDGE_JOBS" in err and out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_config_checked_before_any_replication(self, tmp_path, capsys):
+        # both box widths label their report row "aris-eb-k10"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "model_id = 3\nn = 20\nsigma = 3\nreplications = 2\n"
+            "evidence_method = mc\nk_sweep = 10, 10.000001\n"
+        )
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out",
+                                 str(tmp_path / "o"), "--jobs", "1")
+        assert code == 2 and out == ""
+        assert "aris-eb-k10" in err
         assert not (tmp_path / "o").exists()
 
     def test_failure_exit_code(self, tmp_path, capsys):

@@ -26,7 +26,7 @@ from adaridge.evidence import (
     EvidenceEstimate,
     _conditional_marginal_core,
     _newton_polish,
-    _reduced_mode,
+    _polished_mode,
 )
 from adaridge.solver import _cycle
 from conftest import fd_hessian, log_joint_of_theta, random_instance, toeplitz_design
@@ -133,16 +133,6 @@ class TestLaplace:
         est = laplace_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU))
         assert est.method == "laplace"
         assert est.k is None and est.mc_se is None
-
-    def test_dimension_constant_switch(self):
-        data, _, _ = random_instance(3)
-        fit = fit_joint_mode(data, Hyper(0.5))
-        h = Hyper(0.5, mu=EVIDENCE_MU)
-        full = laplace_log_evidence(fit, data, h, dimension_constant="full")
-        lit = laplace_log_evidence(fit, data, h, dimension_constant="variables")
-        p_active = int(fit.state.active.sum())
-        gap = (p_active + 1) / 2.0 * math.log(2 * math.pi)
-        assert full.log_value - lit.log_value == pytest.approx(gap, rel=1e-12)
 
 
 class TestConditionalMarginal:
@@ -281,7 +271,7 @@ class TestMonteCarloEvidence:
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = mc_log_evidence(fit, data, h, k=10.0, draws=2000, seed=seed)
 
-            _, _, v_inv, red = _reduced_mode(fit, data, h)
+            _, _, v_inv, _, _, red = _polished_mode(fit, data, h)
             sig = v_inv[0] / math.sqrt(0.5 + eta)
             lo, hi = max(0.0, v_inv[0] - 10 * sig), v_inv[0] + 10 * sig
 
@@ -293,16 +283,6 @@ class TestMonteCarloEvidence:
             val, _ = quad(lambda t: math.exp(ilog(t) - shift), lo, hi, limit=400)
             oracle = shift + math.log(val / (hi - lo))
             assert abs(est.log_value - oracle) <= 3.0 * est.mc_se
-
-    def test_volume_flag_shifts_by_box_volume(self):
-        data, _ = single_predictor_instance(13)
-        fit = fit_joint_mode(data, Hyper(1.0))
-        h = Hyper(1.0, mu=EVIDENCE_MU)
-        avg = mc_log_evidence(fit, data, h, k=5.0, draws=400, seed=0)
-        tot = mc_log_evidence(fit, data, h, k=5.0, draws=400, seed=0,
-                              include_box_volume=True)
-        assert tot.log_value - avg.log_value == pytest.approx(
-            avg.log_box_volume, rel=1e-12)
 
     def test_every_draw_finite(self):
         # echoes the propriety bound: a positive inverse scale keeps the
@@ -374,11 +354,11 @@ class TestSelectEta:
         real = ev.laplace_log_evidence
         calls = {"n": 0}
 
-        def flaky(fit, d, h, dimension_constant="full"):
+        def flaky(fit, d, h):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise NonFiniteEvidence("synthetic failure")
-            return real(fit, d, h, dimension_constant)
+            return real(fit, d, h)
 
         monkeypatch.setattr(ev, "laplace_log_evidence", flaky)
         sel = ev.select_eta(data, [0.0, 0.5])
@@ -389,7 +369,7 @@ class TestSelectEta:
         data, _, _ = random_instance(6)
         import adaridge.evidence as ev
 
-        def broken(fit, d, h, dimension_constant="full"):
+        def broken(fit, d, h):
             raise NonFiniteEvidence("synthetic failure")
 
         monkeypatch.setattr(ev, "laplace_log_evidence", broken)
@@ -497,30 +477,55 @@ class TestPolish:
         data, _, _ = random_instance(4)
         fit = fit_joint_mode(data, Hyper(32.0), FitOptions(max_iter=1))
         count = int(fit.state.active.sum())
-        beta, sigma2, v_inv, reduced = _reduced_mode(fit, data,
-                                                     Hyper(32.0, mu=1e-12))
+        beta, sigma2, v_inv, _, _, reduced = _polished_mode(
+            fit, data, Hyper(32.0, mu=1e-12))
         assert len(beta) == len(v_inv) == reduced.p == count
         assert np.isfinite(v_inv).all() and sigma2 > 0
         assert (1.0 / v_inv < FitOptions().prune_tol).any()
 
     def test_polish_keeps_no_trace(self, monkeypatch):
-        import adaridge.model as model
+        import adaridge.evidence as ev
 
         data, _, _ = random_instance(8)
         fit = fit_joint_mode(data, Hyper(0.5))
-        real = model._log_joint_density
+        real = ev._log_joint_density
         calls = []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(model, "_log_joint_density", counted)
+        monkeypatch.setattr(ev, "_log_joint_density", counted)
         h = Hyper(0.5, mu=EVIDENCE_MU)
         laplace_log_evidence(fit, data, h)
         mc_log_evidence(fit, data, Hyper(0.5, mu=1e-3), k=10.0, draws=50)
         # the one evaluation is the Laplace value's own density at the mode
         assert len(calls) == 1
+
+    def test_laplace_log_joint_is_the_density_at_the_polished_mode(self):
+        # Laplace takes ``quad`` from the polish's last derivative
+        # evaluation: it must be that of the point the polish returns, so
+        # the value equals the reference density there to the bit.  The
+        # last case falls back to the cycle.
+        cases = [(random_instance(seed)[0], eta)
+                 for seed in range(6) for eta in (0.0, 0.5, 2.0)]
+        cases.append((wide_instance(24), -0.45))
+        checked = 0
+        for data, eta in cases:
+            fit = fit_joint_mode(data, Hyper(eta))
+            if not fit.state.active.any():
+                continue
+            h = Hyper(eta, mu=EVIDENCE_MU)
+            est = laplace_log_evidence(fit, data, h)
+            beta, sigma2, v_inv, logdet, _, reduced = _polished_mode(fit, data, h)
+            state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv,
+                                   active=np.ones(len(beta), dtype=bool))
+            expected = (log_joint_posterior(state, reduced, h)
+                        + (2 * len(beta) + 1) / 2.0 * math.log(2.0 * math.pi)
+                        - 0.5 * logdet)
+            assert est.log_value == expected
+            checked += 1
+        assert checked > 12
 
     # On these fits the noise variance of the polish's last iteration and
     # the mode at its final coefficients differ by more than 1e-12.
@@ -528,7 +533,7 @@ class TestPolish:
     def test_polished_sigma2_is_the_conditional_mode(self, seed, eta):
         data, _, _ = random_instance(seed)
         fit = fit_joint_mode(data, Hyper(eta))
-        beta, sigma2, v_inv, reduced = _reduced_mode(
+        beta, sigma2, v_inv, _, _, reduced = _polished_mode(
             fit, data, Hyper(eta, mu=EVIDENCE_MU))
         r = reduced.y - reduced.x @ beta
         quad = float(r @ r + beta @ (v_inv * beta))
@@ -593,7 +598,7 @@ class TestNewtonPolish:
             if not fit.state.active.any():
                 continue
             h = Hyper(eta, mu=EVIDENCE_MU)
-            beta, sigma2, v_inv, reduced = _reduced_mode(fit, data, h)
+            beta, sigma2, v_inv, _, _, reduced = _polished_mode(fit, data, h)
             assert max(relative_gradient(reduced, h, beta, sigma2, v_inv)) < 1e-13
             checked += 1
         assert checked > 40
@@ -610,7 +615,7 @@ class TestNewtonPolish:
             if not fit.state.active.any():
                 continue
             h = Hyper(eta, mu=EVIDENCE_MU)
-            beta, sigma2, v_inv, reduced = _reduced_mode(fit, data, h)
+            beta, sigma2, v_inv, _, _, reduced = _polished_mode(fit, data, h)
             _, c_beta, _, c_v_inv, c_sigma2, _, converged = _cycle(
                 reduced, h, polish_inputs(fit, data)[1], 10_000, 1e-13, 0.0)
             assert converged
@@ -635,7 +640,7 @@ class TestNewtonPolish:
                 continue
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = laplace_log_evidence(fit, data, h)
-            beta, sigma2, v_inv, reduced = _reduced_mode(fit, data, h)
+            beta, sigma2, v_inv, _, _, reduced = _polished_mode(fit, data, h)
             state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv,
                                    active=np.ones(len(beta), dtype=bool))
             sign, logdet = np.linalg.slogdet(
@@ -658,7 +663,7 @@ class TestNewtonPolish:
         h = Hyper(16.0, mu=EVIDENCE_MU)
         reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
         assert _newton_polish(reduced, h, beta0, sigma20, v_inv0) is None
-        beta, sigma2, v_inv, _ = _reduced_mode(fit, data, h)
+        beta, sigma2, v_inv, _, _, _ = _polished_mode(fit, data, h)
         _, c_beta, _, c_v_inv, c_sigma2, _, _ = _cycle(
             reduced, h, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
         assert np.array_equal(beta, c_beta) and np.array_equal(v_inv, c_v_inv)
@@ -779,7 +784,7 @@ class TestEvidenceAtP2:
         fit = fit_joint_mode(data, Hyper(eta))
         assert fit.state.active.all()
         h = Hyper(eta, mu=EVIDENCE_MU)
-        _, _, center, red = _reduced_mode(fit, data, h)
+        _, _, center, _, _, red = _polished_mode(fit, data, h)
         sig = center / math.sqrt(0.5 + eta)
         lo, hi = np.maximum(0.0, center - k * sig), center + k * sig
         integral = self.log_integral(red, h, lo, hi, 128)
@@ -790,10 +795,9 @@ class TestEvidenceAtP2:
 
         avg = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed)
         assert abs(avg.log_value - (integral - log_volume)) <= 3.0 * avg.mc_se
-        tot = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed,
-                              include_box_volume=True)
-        assert tot.log_box_volume == pytest.approx(log_volume, rel=1e-12)
-        assert abs(tot.log_value - integral) <= 3.0 * tot.mc_se
+        assert avg.log_box_volume == pytest.approx(log_volume, rel=1e-12)
+        tot = avg.log_value + avg.log_box_volume
+        assert abs(tot - integral) <= 3.0 * avg.mc_se
 
     # The Laplace error is mostly that of the gamma-shaped precision
     # directions: about 0.11 per coordinate at eta 0.5 and 0.06 at eta 2
@@ -806,7 +810,7 @@ class TestEvidenceAtP2:
         assert fit.state.active.all()
         h = Hyper(eta, mu=EVIDENCE_MU)
         est = laplace_log_evidence(fit, data, h)
-        _, _, center, red = _reduced_mode(fit, data, h)
+        _, _, center, _, _, red = _polished_mode(fit, data, h)
         hi = center + 40.0 * center / math.sqrt(0.5 + eta)
         integral = self.log_integral(red, h, np.full(2, 1e-12), hi, 256,
                                      prior_scale=True)

@@ -59,6 +59,41 @@ class TestParseConfig:
             ExperimentConfig(1, 30, 3.0, 2, estimators=("aris-eb",),
                              evidence_method="eta0-only")
 
+    # each of these used to fail only inside the replications, or to write
+    # duplicate report rows
+    MC = dict(evidence_method="mc", estimators=("aris-eb",))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(eta_grid=(1.0, 0.0)), "ascending"),
+        (dict(eta_grid=(0.0, float("nan"))), "eta_grid"),
+        (dict(model_id=7), "model_id"),
+        (dict(sigma=-1.0), "sigma"),
+        (dict(sigma=float("inf")), "sigma"),
+        (dict(MC, k_sweep=()), "k_sweep"),
+        (dict(MC, k_sweep=(3.0, float("inf"))), "k_sweep"),
+        (dict(MC, k_sweep=(0.0,)), "k_sweep"),
+        (dict(MC, mc_draws=0), "mc_draws"),
+        (dict(n_boot=1), "n_boot"),
+        (dict(estimators=("em",), em_variant="explicit-sigma", em_eta=-1.0),
+         "em_eta"),
+        (dict(estimators=("ols", "ols")), "repeat"),
+        (dict(MC, k_sweep=(10.0, 10.0)), "repeat"),
+        (dict(MC, k_sweep=(10.0, 10.000001)), "repeat"),
+    ], ids=["grid-descending", "grid-nan", "model-id", "sigma", "sigma-infinite",
+            "k-sweep-empty",
+            "k-sweep-infinite", "k-sweep-zero", "mc-draws", "n-boot", "em-eta",
+            "estimator-repeated", "k-repeated", "k-label-repeated"])
+    def test_bad_config_rejected_before_any_replication(self, kwargs, message):
+        fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | kwargs
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+
+    def test_boundary_values_accepted(self):
+        ExperimentConfig(3, 40, 3.0, 2, n_boot=2, estimators=("em",),
+                         em_variant="explicit-sigma", em_eta=-0.5)
+        ExperimentConfig(3, 40, 0.0, 2, k_sweep=(10.0, 10.0001), mc_draws=1,
+                         **self.MC)
+
 
 class TestRunReplication:
     def test_produces_one_record_per_estimator(self):

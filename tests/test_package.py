@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import adaridge
@@ -28,3 +29,35 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert family - {"AdaRidgeError"} - raised == set()
+
+
+def test_every_public_default_is_passed_somewhere():
+    # A defaulted parameter that no call in the package passes is an option
+    # with one value in use.  Dataclass fields are exempt: configs are
+    # filled from outside input.
+    src = Path(adaridge.__file__).parent
+    positional: dict[str, float] = {}
+    keywords: dict[str, set] = {}
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            positional[name] = max(positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    unused = []
+    for name in adaridge.__all__:
+        obj = getattr(adaridge, name)
+        if not inspect.isfunction(obj):
+            continue
+        for i, param in enumerate(inspect.signature(obj).parameters.values()):
+            if param.default is param.empty:
+                continue
+            by_position = (param.kind is not param.KEYWORD_ONLY
+                           and positional.get(name, 0) > i)
+            if not (by_position or param.name in keywords.get(name, ())):
+                unused.append(f"{name}({param.name}=)")
+    assert unused == []
