@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,9 +18,10 @@ import numpy as np
 from .errors import AdaRidgeError, DimensionMismatch, NonFiniteInput, ZeroNormColumn
 from .evidence import (
     DEFAULT_ETA_GRID,
-    EVIDENCE_MU,
-    laplace_log_evidence,
-    mc_log_evidence,
+    DEFAULT_K,
+    _check_grid,
+    _check_mc,
+    _score,
     select_eta,
 )
 from .experiment import ExperimentFailure, default_jobs, parse_config, run_experiment
@@ -85,16 +85,11 @@ def _fit_settings(args):
         except ValueError:
             raise _ParseError(
                 f"--eta must be a number or 'eb', got {args.eta!r}") from None
-    for flag, value in [("--eta", eta)] + [("--grid", g) for g in args.grid]:
-        if value is not None and not (math.isfinite(value) and value > -1):
-            raise _ParseError(f"{flag} values must be finite and > -1, got {value:g}")
-    if sorted(args.grid) != args.grid:
-        raise _ParseError("--grid must be ascending")
-    if args.draws < 1:
-        raise _ParseError(f"--draws must be >= 1, got {args.draws}")
-    if args.k is not None and not (math.isfinite(args.k) and args.k > 0):
-        raise _ParseError(f"--k must be finite and > 0, got {args.k:g}")
     try:
+        if eta is not None:
+            _check_grid([eta], "--eta")
+        _check_grid(args.grid, "--grid")
+        _check_mc(args.k, args.draws, ("--k", "--draws"))
         opts = FitOptions(max_iter=args.max_iter, conv_tol=args.conv_tol,
                           prune_tol=args.prune_tol)
     except ValueError as exc:
@@ -134,12 +129,8 @@ def cmd_fit(args) -> int:
             fit = fit_joint_mode(data, Hyper(eta), opts)
             out["eta"] = eta
             if args.evidence_value:
-                h_ev = Hyper(eta, mu=EVIDENCE_MU)
-                if args.evidence == "laplace":
-                    est = laplace_log_evidence(fit, data, h_ev)
-                else:
-                    est = mc_log_evidence(fit, data, h_ev, k=args.k or 1000.0,
-                                          draws=args.draws, seed=args.seed)
+                est = _score(fit, data, eta, args.evidence, args.k, args.draws,
+                             args.seed)
                 out["log_evidence"] = est.log_value
         state = fit.state
         out.update({
@@ -212,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--evidence", choices=["laplace", "mc"], default="laplace")
     p_fit.add_argument("--evidence-value", action="store_true",
                        help="also report the log evidence of a fixed-eta fit")
-    p_fit.add_argument("--k", type=float, default=None, help="MC box width")
+    p_fit.add_argument("--k", type=float, default=DEFAULT_K, help="MC box width")
     p_fit.add_argument("--draws", type=int, default=1000)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--grid", type=float, nargs="+",

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +83,7 @@ EVIDENCE_MU = 1e-6
 # Declared, overridable defaults for empirical-Bayes selection.
 DEFAULT_ETA_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_K_SWEEP = (3.0, 10.0, 100.0, 1000.0)
+DEFAULT_K = 1000.0
 
 # Relative coefficient change at which a polish has converged, and the
 # iteration caps of its Newton steps and of the conditional-update cycle
@@ -132,18 +133,16 @@ class EvidenceEstimate:
 
 @dataclass(frozen=True)
 class EbSelection:
-    """Grid of candidate shrinkage levels with their evidence values,
-    the winner, and its fit.
-
-    ``fits`` keeps every grid fit (``None`` where a point failed) so
-    callers can inspect the whole solution path without refitting.
+    """Grid of candidate shrinkage levels with their evidence values
+    (``None`` where a point failed), the winner, and its fit.  The other
+    grid fits stay in the dataset's memo: ``fit_joint_mode(data,
+    Hyper(eta), opts)`` on the same ``data`` returns them without refitting.
     """
 
     grid: tuple[float, ...]
     estimates: tuple[EvidenceEstimate | None, ...]
     best_eta: float
     refit: ModeFit
-    fits: tuple[ModeFit | None, ...] = field(default=(), repr=False)
 
 
 def negative_hessian(state: PosteriorState, data: Dataset, h: Hyper) -> HessianBlocks:
@@ -433,13 +432,11 @@ def mc_log_evidence(
     gives the integral itself.
 
     An empty reduced model has nothing to integrate: the exact closed
-    form is returned with zero standard error.
+    form is returned with zero standard error.  A ``k`` not finite and
+    positive, or ``draws < 1``, raises ``ValueError``.
     """
 
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    if k <= 0:
-        raise EmptyBox(f"box width multiplier must be positive, got {k}")
+    _check_mc(k, draws)
     state = fit.state
     p_active = int(state.active.sum())
     n = data.n
@@ -490,13 +487,36 @@ def mc_log_evidence(
     )
 
 
-def _ascending_grid(grid) -> tuple[float, ...]:
-    """``grid`` as floats, checked to be non-empty and ascending."""
+def _check_grid(grid, name: str = "grid") -> tuple[float, ...]:
+    """``grid`` as floats, checked to be non-empty and ascending, with
+    finite values above -1 (a proper prior); errors call it ``name``."""
 
     grid = tuple(float(g) for g in grid)
+    bad = [g for g in grid if not -1 < g < math.inf]
+    if bad:
+        raise ValueError(f"{name} values must be finite and > -1, got {bad[0]:g}")
     if not grid or sorted(grid) != list(grid):
-        raise ValueError("grid must be non-empty and ascending")
+        raise ValueError(f"{name} must be non-empty and ascending")
     return grid
+
+
+def _check_mc(k, draws, names: tuple[str, str] = ("k", "draws")) -> None:
+    """Check a Monte-Carlo box width and draw count; errors use ``names``."""
+
+    if not 0 < k < math.inf:
+        raise ValueError(f"{names[0]} must be finite and > 0, got {k:g}")
+    if draws < 1:
+        raise ValueError(f"{names[1]} must be >= 1, got {draws}")
+
+
+def _score(fit, data, eta, method, k, draws, seed) -> EvidenceEstimate:
+    """Evidence of ``fit`` under ``Hyper(eta, mu=EVIDENCE_MU)`` by ``method``,
+    ``"laplace"`` or ``"mc"`` (which alone reads ``k``, ``draws``, ``seed``)."""
+
+    h = Hyper(eta, mu=EVIDENCE_MU)
+    if method == "laplace":
+        return laplace_log_evidence(fit, data, h)
+    return mc_log_evidence(fit, data, h, k=k, draws=draws, seed=seed)
 
 
 def select_eta(
@@ -514,49 +534,41 @@ def select_eta(
     (``"laplace"`` or ``"mc"``) under ``Hyper(eta, mu=EVIDENCE_MU)``, and
     return the argmax (ties to the smaller value) and its fit.
 
-    Individual grid points may fail (solver or evidence errors); the
-    selection fails only if every point does, with a message that names
-    each point's error.  Monte-Carlo scoring draws
-    from a per-point stream derived from ``(seed, grid index, k)`` so
-    results do not depend on evaluation order.
+    A bad method, grid, ``k`` or ``draws`` raises ``ValueError`` before
+    any fit, for either method; ``k=None`` is ``DEFAULT_K``.  Grid points
+    may fail (solver or evidence errors); the selection fails only if
+    every point does, with a message that names each point's error.
+    Monte-Carlo scoring draws from a per-point stream derived from
+    ``(seed, grid index, k)`` so results do not depend on evaluation order.
     """
 
-    grid = _ascending_grid(grid)
+    grid = _check_grid(grid)
     if method not in ("laplace", "mc"):
         raise ValueError(f"unknown evidence method {method!r}")
-    k = 1000.0 if k is None else k
+    k = DEFAULT_K if k is None else k
+    _check_mc(k, draws)
 
     estimates: list[EvidenceEstimate | None] = []
-    fits: list[ModeFit | None] = []
-    best_idx = None
+    best = None
     errors: list[str] = []
     for gi, eta in enumerate(grid):
         try:
             fit = fit_joint_mode(data, Hyper(eta), opts)
-            h_ev = Hyper(eta, mu=EVIDENCE_MU)
-            if method == "laplace":
-                est = laplace_log_evidence(fit, data, h_ev)
-            else:
-                est = mc_log_evidence(
-                    fit, data, h_ev, k=k, draws=draws,
-                    seed=[int(seed), gi, int(round(k))],
-                )
+            est = _score(fit, data, eta, method, k, draws,
+                         [int(seed), gi, int(round(k))])
         except AdaRidgeError as exc:
             errors.append(f"eta={eta:g}: {type(exc).__name__}: {exc}")
             estimates.append(None)
-            fits.append(None)
             continue
         estimates.append(est)
-        fits.append(fit)
-        if best_idx is None or est.log_value > estimates[best_idx].log_value + 1e-12:
-            best_idx = gi
-    if best_idx is None:
+        if best is None or est.log_value > estimates[best[0]].log_value + 1e-12:
+            best = gi, fit
+    if best is None:
         raise NonFiniteEvidence(
             "every grid point failed; " + "; ".join(errors))
     return EbSelection(
         grid=grid,
         estimates=tuple(estimates),
-        best_eta=grid[best_idx],
-        refit=fits[best_idx],
-        fits=tuple(fits),
+        best_eta=grid[best[0]],
+        refit=best[1],
     )

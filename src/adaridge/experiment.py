@@ -33,7 +33,8 @@ from .errors import AdaRidgeError
 from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K_SWEEP,
-    _ascending_grid,
+    _check_grid,
+    _check_mc,
     select_eta,
 )
 from .metrics import (
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 ESTIMATORS = ("aris-eb", "aris-eta0", "ols", "ridge-gcv", "em", "aris-path")
-EVIDENCE_METHODS = ("laplace", "mc", "eta0-only")
+EVIDENCE_METHODS = ("laplace", "mc")
 
 JOBS_ENV_VAR = "ADARIDGE_JOBS"
 
@@ -99,23 +100,18 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if "aris-eb" in self.estimators and self.evidence_method == "eta0-only":
-            raise ValueError("aris-eb needs evidence_method 'laplace' or 'mc'")
         if self.em_variant not in VARIANTS:
             raise ValueError(f"em_variant must be one of {tuple(VARIANTS)}")
         if "em" in self.estimators and not self.em_eta >= VARIANTS[self.em_variant]:
             raise ValueError(f"em_eta must be >= {VARIANTS[self.em_variant]} for {self.em_variant}")
-        grid = _ascending_grid(self.eta_grid)
-        if not all(-1 < g < np.inf for g in grid):
-            raise ValueError("eta_grid entries must be finite and exceed -1")
-        object.__setattr__(self, "eta_grid", grid)
+        object.__setattr__(self, "eta_grid", _check_grid(self.eta_grid, "eta_grid"))
         object.__setattr__(self, "k_sweep", tuple(float(k) for k in self.k_sweep))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if "aris-eb" in self.estimators and self.evidence_method == "mc":
-            if not (self.k_sweep and all(0 < k < np.inf for k in self.k_sweep)):
-                raise ValueError("k_sweep must be non-empty, with finite entries > 0")
-            if self.mc_draws < 1:
-                raise ValueError("mc_draws must be >= 1")
+        for k in self.k_sweep:
+            _check_mc(k, self.mc_draws, ("k_sweep", "mc_draws"))
+        if ("aris-eb" in self.estimators and self.evidence_method == "mc"
+                and not self.k_sweep):
+            raise ValueError("k_sweep must be non-empty when aris-eb runs with mc")
         rows = _row_order(self)
         if len(set(rows)) != len(rows):
             raise ValueError(f"report rows repeat: {rows}")
@@ -222,7 +218,6 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
 
     records: list[dict] = []
     all_true = np.ones(data.p, dtype=bool)
-    grid_fits = None
 
     for name in config.estimators:
         if name == "ols":
@@ -245,7 +240,6 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
         elif name == "aris-eb":
             if config.evidence_method == "laplace":
                 sel = select_eta(data, config.eta_grid, "laplace", opts)
-                grid_fits = sel.fits
                 records.append(_result_record(
                     rep, "aris-eb",
                     score(sel.refit.state.beta, sel.refit.state.active),
@@ -272,11 +266,12 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
                     rep, "aris-eb-best", res,
                     detail=f"k={kk:g};eta={sel.best_eta:g}"))
         elif name == "aris-path":
-            if grid_fits is None:
-                grid_fits = tuple(
-                    fit_joint_mode(data, Hyper(eta), opts)
-                    for eta in config.eta_grid)
-            masks = [f.state.active for f in grid_fits if f is not None]
+            masks = []  # memo hits where aris-eb ran; failed fits add no mask
+            for eta in config.eta_grid:
+                try:
+                    masks.append(fit_joint_mode(data, Hyper(eta), opts).state.active)
+                except AdaRidgeError:
+                    pass
             hit = path_contains_truth(masks, support)
             records.append(_result_record(
                 rep, "aris-path",

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from adaridge import Dataset, Hyper, PosteriorState, log_joint_posterior, standardize
+
+
+# Property tests draw the same examples on every run, keep no example
+# database, and have no per-example deadline on a loaded machine.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None, max_examples=100)
+settings.load_profile("deterministic")
 
 
 def toeplitz_design(n, beta, sigma, rng, rho=0.5):

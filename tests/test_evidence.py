@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -312,8 +313,14 @@ class TestMonteCarloEvidence:
     def test_bad_box_rejected(self):
         data, _ = single_predictor_instance(3)
         fit = fit_joint_mode(data, Hyper(0.5))
+        for k in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="k must be finite and > 0"):
+                mc_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU), k=k,
+                                draws=10, seed=0)
+        # no finite curvature, so no box, at the least-squares boundary
+        ols = fit_joint_mode(data, Hyper(-0.5))
         with pytest.raises(EmptyBox):
-            mc_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU), k=0.0,
+            mc_log_evidence(ols, data, Hyper(-0.5, mu=EVIDENCE_MU), k=10.0,
                             draws=10, seed=0)
 
 
@@ -379,6 +386,20 @@ class TestSelectEta:
         for eta in ("eta=0:", "eta=0.5:"):
             assert f"{eta} NonFiniteEvidence: synthetic failure" in message
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(method="mc", k=math.inf),
+        dict(method="mc", k=math.nan),
+        dict(method="mc", k=0.0),
+        dict(method="mc", draws=0),
+        dict(grid=(0.0, math.inf)),
+        dict(grid=(-1.2, 0.0)),
+    ], ids=["k-inf", "k-nan", "k-zero", "draws-zero", "grid-inf", "grid-below-minus-one"])
+    def test_bad_arguments_rejected_before_any_fit(self, kwargs):
+        data, _, _ = random_instance(6)
+        with pytest.raises(ValueError):
+            select_eta(data, **kwargs)
+        assert data._memo == {}
+
     def test_sparse_design_recovers_signal(self):
         hits = 0
         for rep in range(20):
@@ -419,9 +440,11 @@ class TestEvidenceMemo:
                 assert np.array_equal(getattr(sel.refit.state, name),
                                       getattr(alone.refit.state, name))
             assert sel.refit.state.sigma2 == alone.refit.state.sigma2
+            # the memo hands back the fits each earlier sweep made
+            fits = [fit_joint_mode(data, Hyper(eta)) for eta in sel.grid]
             if previous is not None:
-                assert all(a is b for a, b in zip(sel.fits, previous.fits))
-            previous = sel
+                assert all(a is b for a, b in zip(fits, previous))
+            previous = fits
 
     def test_k_sweep_polishes_each_point_once(self, monkeypatch):
         import adaridge.evidence as ev
@@ -729,10 +752,88 @@ class TestTraceOnDemand:
         assert len(calls) == len(trace)
 
 
+def box_log_integrand(red, h, v, prior_scale):
+    """``log p(y | v) + log prior kernel`` at each row of ``v``, by
+    ``slogdet`` and a general solve rather than by the code under test;
+    with ``prior_scale`` the prior's ``mu^(eta+1)`` factors are included."""
+
+    n, p = red.n, red.p
+    a = red.xtx + v[:, :, None] * np.eye(p)
+    sign, logdet = np.linalg.slogdet(a)
+    assert (sign > 0).all()
+    rhs = np.broadcast_to(red.xty, v.shape)[..., None]
+    s2 = float(red.y @ red.y) - np.einsum(
+        "j,mj->m", red.xty, np.linalg.solve(a, rhs)[..., 0])
+    out = (math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi)
+           - (n / 2.0) * np.log(s2) + 0.5 * np.log(v).sum(axis=1)
+           - 0.5 * logdet
+           + (h.eta * np.log(v) - h.mu * v).sum(axis=1)
+           - p * math.lgamma(h.eta + 1.0))
+    if prior_scale:
+        out += p * (h.eta + 1.0) * math.log(h.mu)
+    return out
+
+
+def box_log_integral(red, h, lo, hi, nodes, prior_scale=False):
+    """``log`` of the integral over the box ``[lo, hi]`` by a tensor
+    Gauss-Legendre rule with ``nodes`` nodes per axis."""
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = [a + (b - a) * (x + 1.0) / 2.0 for a, b in zip(lo, hi)]
+    tw = [w * (b - a) / 2.0 for a, b in zip(lo, hi)]
+    v = np.column_stack([g.ravel() for g in np.meshgrid(*t, indexing="ij")])
+    f = (box_log_integrand(red, h, v, prior_scale)
+         + np.log(functools.reduce(np.multiply.outer, tw)).ravel())
+    top = f.max()
+    return top + math.log(np.exp(f - top).sum())
+
+
+def check_mc_box(data, eta, k, seed, nodes, converged):
+    """The MC box average and box integral of the fit at ``eta`` agree with
+    the tensor rule within 3 standard errors; the rule at ``nodes[0]`` per
+    axis is within ``converged`` of the rule at ``nodes[1]``."""
+
+    fit = fit_joint_mode(data, Hyper(eta))
+    assert fit.state.active.all()
+    h = Hyper(eta, mu=EVIDENCE_MU)
+    _, _, center, _, _, red = _polished_mode(fit, data, h)
+    sig = center / math.sqrt(0.5 + eta)
+    lo, hi = np.maximum(0.0, center - k * sig), center + k * sig
+    integral = box_log_integral(red, h, lo, hi, nodes[0])
+    assert integral == pytest.approx(box_log_integral(red, h, lo, hi, nodes[1]),
+                                     abs=converged)
+    log_volume = float(np.sum(np.log(hi - lo)))
+
+    avg = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed)
+    assert abs(avg.log_value - (integral - log_volume)) <= 3.0 * avg.mc_se
+    assert avg.log_box_volume == pytest.approx(log_volume, rel=1e-12)
+    tot = avg.log_value + avg.log_box_volume
+    assert abs(tot - integral) <= 3.0 * avg.mc_se
+
+
+# The Laplace error is mostly that of the gamma-shaped precision
+# directions: about 0.11 per coordinate at eta 0.5 and 0.06 at eta 2
+# (-0.216 and -0.121 at p = 2, -0.34 and -0.20 at p = 3), so the bound is
+# 0.125 per coordinate.
+def check_laplace(data, eta, nodes):
+    """The Laplace evidence of the fit at ``eta`` is within 0.125 per
+    coordinate of the tensor rule at ``nodes`` per axis, over a box that
+    reaches from 0 to 40 standard deviations above the modal precisions."""
+
+    fit = fit_joint_mode(data, Hyper(eta))
+    assert fit.state.active.all()
+    h = Hyper(eta, mu=EVIDENCE_MU)
+    est = laplace_log_evidence(fit, data, h)
+    _, _, center, _, _, red = _polished_mode(fit, data, h)
+    hi = center + 40.0 * center / math.sqrt(0.5 + eta)
+    integral = box_log_integral(red, h, np.full(red.p, 1e-12), hi, nodes,
+                                prior_scale=True)
+    assert abs(est.log_value - integral) <= red.p * 0.125
+
+
 class TestEvidenceAtP2:
     """Both evidence methods against a tensor Gauss-Legendre integral over
-    the two precisions, with the integrand evaluated by ``slogdet`` and a
-    general solve rather than by the code under test."""
+    the two precisions."""
 
     @staticmethod
     def instance(seed, n):
@@ -743,75 +844,35 @@ class TestEvidenceAtP2:
         y = x @ np.array([3.0, 2.0]) + rng.standard_normal(n)
         return standardize(x, y)[0]
 
-    @staticmethod
-    def log_integrand(red, h, v, prior_scale):
-        """``log p(y | v) + log prior kernel`` at each row of ``v``; with
-        ``prior_scale`` the prior's ``mu^(eta+1)`` factors are included."""
-
-        n, p = red.n, red.p
-        a = red.xtx + v[:, :, None] * np.eye(p)
-        sign, logdet = np.linalg.slogdet(a)
-        assert (sign > 0).all()
-        rhs = np.broadcast_to(red.xty, v.shape)[..., None]
-        s2 = float(red.y @ red.y) - np.einsum(
-            "j,mj->m", red.xty, np.linalg.solve(a, rhs)[..., 0])
-        out = (math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi)
-               - (n / 2.0) * np.log(s2) + 0.5 * np.log(v).sum(axis=1)
-               - 0.5 * logdet
-               + (h.eta * np.log(v) - h.mu * v).sum(axis=1)
-               - p * math.lgamma(h.eta + 1.0))
-        if prior_scale:
-            out += p * (h.eta + 1.0) * math.log(h.mu)
-        return out
-
-    def log_integral(self, red, h, lo, hi, nodes, prior_scale=False):
-        """``log`` of the integral over the box ``[lo, hi]``."""
-
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        t = [a + (b - a) * (x + 1.0) / 2.0 for a, b in zip(lo, hi)]
-        tw = [w * (b - a) / 2.0 for a, b in zip(lo, hi)]
-        g0, g1 = np.meshgrid(t[0], t[1], indexing="ij")
-        v = np.column_stack([g0.ravel(), g1.ravel()])
-        f = (self.log_integrand(red, h, v, prior_scale)
-             + np.log(np.outer(tw[0], tw[1])).ravel())
-        top = f.max()
-        return top + math.log(np.exp(f - top).sum())
-
     @pytest.mark.parametrize("seed", range(10))
     def test_mc_box_average_and_integral(self, seed):
-        eta, k = (0.5, 2.0)[seed % 2], 10.0
-        data = self.instance(seed, n=60)
-        fit = fit_joint_mode(data, Hyper(eta))
-        assert fit.state.active.all()
-        h = Hyper(eta, mu=EVIDENCE_MU)
-        _, _, center, _, _, red = _polished_mode(fit, data, h)
-        sig = center / math.sqrt(0.5 + eta)
-        lo, hi = np.maximum(0.0, center - k * sig), center + k * sig
-        integral = self.log_integral(red, h, lo, hi, 128)
         # the rule has converged: doubling the nodes moves it by < 1e-10
-        assert integral == pytest.approx(self.log_integral(red, h, lo, hi, 256),
-                                         abs=1e-10)
-        log_volume = float(np.sum(np.log(hi - lo)))
+        check_mc_box(self.instance(seed, n=60), (0.5, 2.0)[seed % 2], 10.0,
+                     seed, (128, 256), 1e-10)
 
-        avg = mc_log_evidence(fit, data, h, k=k, draws=2000, seed=seed)
-        assert abs(avg.log_value - (integral - log_volume)) <= 3.0 * avg.mc_se
-        assert avg.log_box_volume == pytest.approx(log_volume, rel=1e-12)
-        tot = avg.log_value + avg.log_box_volume
-        assert abs(tot - integral) <= 3.0 * avg.mc_se
-
-    # The Laplace error is mostly that of the gamma-shaped precision
-    # directions: about 0.11 per coordinate at eta 0.5 and 0.06 at eta 2
-    # (-0.216 and -0.121 here at p = 2), so the bound is 0.125 per coordinate.
     @pytest.mark.parametrize("seed", range(10))
     def test_laplace_within_stated_bound(self, seed):
-        eta = (0.5, 2.0)[seed % 2]
-        data = self.instance(seed, n=400)
-        fit = fit_joint_mode(data, Hyper(eta))
-        assert fit.state.active.all()
-        h = Hyper(eta, mu=EVIDENCE_MU)
-        est = laplace_log_evidence(fit, data, h)
-        _, _, center, _, _, red = _polished_mode(fit, data, h)
-        hi = center + 40.0 * center / math.sqrt(0.5 + eta)
-        integral = self.log_integral(red, h, np.full(2, 1e-12), hi, 256,
-                                     prior_scale=True)
-        assert abs(est.log_value - integral) <= 2 * 0.125
+        check_laplace(self.instance(seed, n=400), (0.5, 2.0)[seed % 2], 256)
+
+
+class TestEvidenceAtP3:
+    """As :class:`TestEvidenceAtP2` over three precisions, with fewer nodes
+    per axis (the rule's cost is their cube)."""
+
+    @staticmethod
+    def instance(seed, n):
+        # three strong signals on Toeplitz (rho = 0.5) columns
+        rng = np.random.default_rng([730, seed])
+        x, y = toeplitz_design(n, [3.0, 2.0, 2.5], 1.0, rng)
+        return standardize(x, y)[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mc_box_average_and_integral(self, seed):
+        # 48 and 64 nodes agree to about 3e-9
+        check_mc_box(self.instance(seed, n=60), (0.5, 2.0)[seed % 2], 10.0,
+                     seed, (48, 64), 1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_laplace_within_stated_bound(self, seed):
+        # 64 nodes are within 1e-7 of 96
+        check_laplace(self.instance(seed, n=400), (0.5, 2.0)[seed % 2], 64)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
+from adaridge.errors import NonFiniteEvidence
 from adaridge.experiment import (
     ExperimentConfig,
     ExperimentFailure,
@@ -55,7 +56,7 @@ class TestParseConfig:
     def test_estimator_validation(self):
         with pytest.raises(ValueError, match="unknown estimators"):
             ExperimentConfig(1, 30, 3.0, 2, estimators=("lasso",))
-        with pytest.raises(ValueError, match="aris-eb needs"):
+        with pytest.raises(ValueError, match="evidence_method must be one of"):
             ExperimentConfig(1, 30, 3.0, 2, estimators=("aris-eb",),
                              evidence_method="eta0-only")
 
@@ -117,6 +118,39 @@ class TestRunReplication:
         assert names == ["aris-eb-k3", "aris-eb-k10", "aris-eb-best"]
         best = records[-1]
         assert best["detail"].startswith("k=")
+
+    @pytest.mark.parametrize("method", ["laplace", "mc"])
+    def test_path_record_independent_of_order_and_evidence(self, method,
+                                                           monkeypatch):
+        import adaridge.evidence as ev
+
+        base = dict(model_id=3, n=40, sigma=3.0, replications=1, test_size=200,
+                    evidence_method=method, k_sweep=(10.0,), mc_draws=200,
+                    master_seed=7)
+
+        def path_record(estimators):
+            records = run_replication(ExperimentConfig(**base, estimators=estimators), 0)
+            (rec,) = [r for r in records if r["estimator"] == "aris-path"]
+            assert rec["mse"] != rec["mse"]   # NaN: the path has no test error
+            return {key: v for key, v in rec.items() if key != "mse"}
+
+        alone = path_record(("aris-path",))
+        assert path_record(("aris-path", "aris-eb")) == alone
+        assert path_record(("aris-eb", "aris-path")) == alone
+
+        # evidence that fails on all but the last grid point leaves every
+        # fit on the path
+        name = "laplace_log_evidence" if method == "laplace" else "mc_log_evidence"
+        real = getattr(ev, name)
+        last = ExperimentConfig(**base).eta_grid[-1]
+
+        def last_point_only(fit, data, h, **kw):
+            if h.eta != last:
+                raise NonFiniteEvidence("synthetic failure")
+            return real(fit, data, h, **kw)
+
+        monkeypatch.setattr(ev, name, last_point_only)
+        assert path_record(("aris-eb", "aris-path")) == alone
 
 
 class TestRunExperiment:

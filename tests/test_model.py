@@ -9,12 +9,14 @@ from adaridge import (
     PosteriorState,
     Standardization,
     destandardize_beta,
+    fit_joint_mode,
     log_joint_posterior,
     standardize,
 )
 from adaridge.errors import (
     DimensionMismatch,
     InfinitePrecision,
+    NoInitializer,
     NonFiniteInput,
     NonPositiveSigma2,
     ZeroNormColumn,
@@ -197,3 +199,12 @@ class TestValidation:
             Dataset(np.ones((3, 2)), np.ones(4))
         with pytest.raises(NonFiniteInput):
             Dataset(np.array([[np.inf]]), np.array([1.0]))
+
+    def test_no_initializer_when_the_ridge_fallback_is_singular(self):
+        # p >= n sends the start to the ridged solve; at 1e150 the ridge of
+        # 1e-6 vanishes in X'X's rounding, leaving a rank-one matrix
+        data = Dataset(np.full((2, 3), 1e150), np.array([1.0, -1.0]))
+        with pytest.raises(NoInitializer, match="leading minor"):
+            data.initial_beta
+        with pytest.raises(NoInitializer, match="leading minor"):
+            fit_joint_mode(data, Hyper(0.0))
