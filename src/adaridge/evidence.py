@@ -37,6 +37,7 @@ Two conventions here are deliberate and documented:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -433,7 +434,7 @@ def mc_log_evidence(
 
     An empty reduced model has nothing to integrate: the exact closed
     form is returned with zero standard error.  A ``k`` not finite and
-    positive, or ``draws < 1``, raises ``ValueError``.
+    positive, or ``draws`` not an integer >= 1, raises ``ValueError``.
     """
 
     _check_mc(k, draws)
@@ -505,8 +506,8 @@ def _check_mc(k, draws, names: tuple[str, str] = ("k", "draws")) -> None:
 
     if not 0 < k < math.inf:
         raise ValueError(f"{names[0]} must be finite and > 0, got {k:g}")
-    if draws < 1:
-        raise ValueError(f"{names[1]} must be >= 1, got {draws}")
+    if not isinstance(draws, numbers.Integral) or draws < 1:
+        raise ValueError(f"{names[1]} must be an integer >= 1, got {draws}")
 
 
 def _score(fit, data, eta, method, k, draws, seed) -> EvidenceEstimate:

@@ -9,7 +9,9 @@ correct/incorrect selection counts, and the exact-recovery proportion.
 Replications execute independently (optionally across processes); every
 random stream is derived from ``(master_seed, replication index)`` so the
 outputs are byte-identical for any worker count.  Pool workers run their
-BLAS on one thread; the calling process keeps its own setting.
+BLAS on one thread: the caller pins its own OpenBLAS copies to one thread
+while it forks them, so no worker ever starts a BLAS thread pool, and
+restores its counts once the pool has closed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import ctypes
 import functools
 import importlib
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -331,18 +334,10 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: each worker runs its BLAS on one thread, so that
-    ``jobs`` workers do not oversubscribe the cores with BLAS threads on
-    the small matrices of a replication."""
-
-    for setter, _ in _openblas_thread_controls():
-        setter(1)
-
-
 def _blas_threads() -> int | None:
     """Largest thread count of the loaded OpenBLAS copies, or ``None``
-    where no thread control resolves."""
+    where no thread control resolves.  In a pool worker this is the count
+    it inherited from the caller's pin across the fork."""
 
     counts = [getter() for _, getter in _openblas_thread_controls()]
     return max(counts) if counts else None
@@ -365,6 +360,32 @@ def _worker(args) -> tuple[int, list[dict] | None, str, int | None]:
     except Exception as exc:  # recorded; aborts later unless allowed
         recs, err = None, f"{type(exc).__name__}: {exc}"
     return rep, recs, err, _blas_threads()
+
+
+def _run_pooled(tasks: list, jobs: int) -> list:
+    """``_worker`` over ``tasks`` in ``jobs`` forked processes, with the
+    caller's OpenBLAS copies pinned to one thread while the pool lives.
+
+    The workers inherit the one thread through fork, so OpenBLAS never
+    starts its thread pool in them; setting the count inside a forked
+    worker would start one, whose helpers busy-wait beside the workers.
+    Where fork is not available the workers keep their default count.
+    The caller's counts are restored when the pool closes, also when it
+    raises.
+    """
+
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    controls = _openblas_thread_controls()
+    before = [get() for _, get in controls]
+    try:
+        for set_threads, _ in controls:
+            set_threads(1)
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            return list(pool.map(_worker, tasks))
+    finally:
+        for (set_threads, _), count in zip(controls, before):
+            set_threads(count)
 
 
 def _row_order(config: ExperimentConfig) -> list[str]:
@@ -483,8 +504,10 @@ def run_experiment(
     Results are byte-identical for any ``jobs`` value.
 
     At most ``min(jobs, replications)`` worker processes start, each with
-    its BLAS on one thread; with one worker the replications run in the
-    calling process, whose BLAS threads are left as they are.
+    its BLAS on one thread: the caller's BLAS is pinned to one thread while
+    the workers fork and restored when the pool closes.  With one worker
+    the replications run in the calling process, whose BLAS threads are
+    left as they are.
     """
 
     out = Path(out_dir)
@@ -496,9 +519,7 @@ def run_experiment(
     if jobs == 1:
         outcomes = [_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_one_blas_thread) as pool:
-            outcomes = list(pool.map(_worker, tasks))
+        outcomes = _run_pooled(tasks, jobs)
     threads = [t for *_, t in outcomes if t is not None]
 
     records: list[dict] = []

@@ -20,6 +20,9 @@ GRIDS = st.one_of(
     st.lists(ETAS, max_size=3))
 KS = st.one_of(st.floats(0.0, 2000.0, exclude_min=True),
                st.sampled_from([0.0, -0.0, -3.0, math.nan, math.inf, -math.inf]))
+# draw counts: small integers, numpy's among them, and non-integers
+DRAWS = st.one_of(st.integers(0, 3),
+                  st.sampled_from([np.int64(2), 2.5, 1.0, math.nan, "2"]))
 # select_eta's names, then the config key and the fit flag for each
 NAMES = {"grid": ("eta_grid", "--grid"), "k": ("k_sweep", "--k"),
          "draws": ("mc_draws", "--draws")}
@@ -40,7 +43,7 @@ def rejection(call, error=ValueError) -> str | None:
 
 
 @given(grid=GRIDS, method=st.sampled_from(["laplace", "mc"]),
-       k=KS, draws=st.integers(0, 3))
+       k=KS, draws=DRAWS)
 def test_one_rule_for_every_entry_point(grid, method, k, draws):
     data = standardize(_X, _Y)[0]
     by_library = rejection(lambda: select_eta(data, grid, method, k=k, draws=draws))

@@ -1,17 +1,15 @@
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
 
 import numpy as np
 import pytest
 import scipy
 
+from adaridge import experiment
 from adaridge.errors import NonFiniteEvidence
 from adaridge.experiment import (
     ExperimentConfig,
     ExperimentFailure,
-    _blas_threads,
-    _one_blas_thread,
     _openblas_thread_controls,
     parse_config,
     run_experiment,
@@ -263,11 +261,47 @@ class TestBlasThreads:
             pytest.skip("no OpenBLAS thread control resolves")
         return controls
 
-    def test_forked_worker_reports_one_thread(self, controls):
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=ctx,
-                                 initializer=_one_blas_thread) as pool:
-            assert pool.submit(_blas_threads).result(timeout=60) == 1
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no per-process thread list to read")
+    def test_pool_workers_run_one_native_thread(self, monkeypatch, tmp_path):
+        # the forked workers inherit the patch, so provenance reports the
+        # most native threads any worker had after its replication: a BLAS
+        # thread pool started in a worker shows as more than one
+        monkeypatch.setattr(experiment, "_blas_threads",
+                            lambda: len(os.listdir("/proc/self/task")))
+        report = run_experiment(parse_config(CONFIG_TEXT), tmp_path, jobs=2)
+        assert report.provenance["environment"]["blas_threads"] == 1
+
+    def test_parent_threads_restored_when_the_pool_raises(
+            self, controls, monkeypatch, tmp_path):
+        pinned = []
+
+        class FailingPool:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                pinned.extend(get() for _, get in controls)
+                raise RuntimeError("pool broke")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", FailingPool)
+        before = [get() for _, get in controls]
+        try:
+            for set_threads, _ in controls:
+                set_threads(2)
+            with pytest.raises(RuntimeError, match="pool broke"):
+                run_experiment(parse_config(CONFIG_TEXT), tmp_path, jobs=2)
+            assert pinned == [1] * len(controls)
+            assert [get() for _, get in controls] == [2] * len(controls)
+        finally:
+            for (set_threads, _), count in zip(controls, before):
+                set_threads(count)
 
     def test_parent_threads_unchanged_by_pooled_run(self, controls, tmp_path):
         # two threads in the parent, so that a pin leaking into it shows
