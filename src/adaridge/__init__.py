@@ -20,11 +20,9 @@ from .evidence import (
     EVIDENCE_MU,
     EbSelection,
     EvidenceEstimate,
-    HessianBlocks,
     conditional_marginal,
     laplace_log_evidence,
     mc_log_evidence,
-    negative_hessian,
     select_eta,
 )
 from .experiment import (
@@ -85,10 +83,8 @@ __all__ = [
     "EVIDENCE_MU",
     "DEFAULT_ETA_GRID",
     "DEFAULT_K_SWEEP",
-    "HessianBlocks",
     "EvidenceEstimate",
     "EbSelection",
-    "negative_hessian",
     "laplace_log_evidence",
     "conditional_marginal",
     "mc_log_evidence",

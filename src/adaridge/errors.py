@@ -62,11 +62,6 @@ class EmptyBox(AdaRidgeError):
     """The sampling hypercube has no volume."""
 
 
-class AllZeroIntegrand(AdaRidgeError):
-    """Every Monte-Carlo draw underflowed to zero; the estimate is
-    meaningless."""
-
-
 class EmptyInput(AdaRidgeError):
     """An operation that needs at least one value received none."""
 

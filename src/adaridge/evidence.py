@@ -12,10 +12,11 @@ Two approximations are provided, both evaluated on the reduced model
   variance analytically.
 
 Both are centred on the fit's mode re-polished under the evidence
-hyper-parameters, by Newton steps on the exact Hessian of the log joint
-density (the precision block eliminated by a Schur complement), with the
-solver's conditional-update cycle as the fallback.  The last Newton
-step gives the Laplace log determinant and log joint density.
+hyper-parameters by ``solver._polish``: Newton steps on the exact Hessian
+of the log joint density (the precision block eliminated by a Schur
+complement), with the solver's conditional-update cycle as the fallback.
+The last Newton step gives the Laplace log determinant and log joint
+density.
 
 Two conventions here are deliberate and documented:
 
@@ -45,33 +46,27 @@ import numpy as np
 
 from .errors import (
     AdaRidgeError,
-    AllZeroIntegrand,
     EmptyBox,
     NonFiniteEvidence,
     NonInteriorMode,
     SingularSystem,
 )
 from .model import (
-    _POTRF,
-    _POTRS,
     Dataset,
     FitOptions,
     Hyper,
     ModeFit,
-    PosteriorState,
     _log_joint_density,
     _read_only,
 )
-from .solver import _cycle, fit_joint_mode
+from .solver import _polish, fit_joint_mode
 
 __all__ = [
     "EVIDENCE_MU",
     "DEFAULT_ETA_GRID",
     "DEFAULT_K_SWEEP",
-    "HessianBlocks",
     "EvidenceEstimate",
     "EbSelection",
-    "negative_hessian",
     "laplace_log_evidence",
     "conditional_marginal",
     "mc_log_evidence",
@@ -85,29 +80,6 @@ EVIDENCE_MU = 1e-6
 DEFAULT_ETA_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_K_SWEEP = (3.0, 10.0, 100.0, 1000.0)
 DEFAULT_K = 1000.0
-
-# Relative coefficient change at which a polish has converged, and the
-# iteration caps of its Newton steps and of the conditional-update cycle
-# it falls back to.
-POLISH_CONV_TOL = 1e-13
-POLISH_NEWTON_MAX_STEPS = 20
-POLISH_MAX_ITER = 200
-# Halvings of one Newton step before the polish gives up on Newton.
-POLISH_MAX_HALVINGS = 40
-
-
-@dataclass(frozen=True)
-class HessianBlocks:
-    """Blocks of the negative Hessian of the log joint density, in the
-    parameter order (coefficients, noise variance, precisions)."""
-
-    bb: np.ndarray   # (p, p)
-    ss: float        # scalar
-    vv: np.ndarray   # (p,) diagonal
-    bv: np.ndarray   # (p,) diagonal coupling
-    sb: np.ndarray   # (p,)
-    sv: np.ndarray   # (p,)
-
 
 @dataclass(frozen=True)
 class EvidenceEstimate:
@@ -146,140 +118,16 @@ class EbSelection:
     refit: ModeFit
 
 
-def negative_hessian(state: PosteriorState, data: Dataset, h: Hyper) -> HessianBlocks:
-    """Negative Hessian of the log joint density, block by block.
-
-    Requires an interior point: every precision finite and positive,
-    positive noise variance, and ``eta > -1/2`` so the precision block is
-    positive.  The precision block is stated in the precision
-    parameterization, ``v_j^2 (1/2 + eta)``.
-    """
-
-    if h.eta <= -0.5:
-        raise NonInteriorMode(f"eta={h.eta}: precision block is not positive")
-    v_inv = state.v_inv
-    if not (np.isfinite(v_inv).all() and (v_inv > 0).all()):
-        raise NonInteriorMode("precisions must be finite and positive")
-    return _derivatives(state.beta, state.sigma2, v_inv, data, h)[1]
-
-
-def _derivatives(beta, s2, v_inv, data: Dataset, h: Hyper):
-    """Gradient ``(g_beta, g_sigma2, g_v_inv)``, negative Hessian blocks
-    and quadratic term ``quad = ||y - X beta||^2 + beta' V^{-1} beta`` of
-    the log joint density at an interior point."""
-
-    n, p = data.n, data.p
-    r = data.y - data.x @ beta
-    vb = v_inv * beta
-    quad = float(r @ r + beta @ vb)
-    g_beta = (data.x.T @ r - vb) / s2
-    c = (n + p) / 2.0 + 1.0
-    v = 1.0 / v_inv
-    half_b2 = beta * beta / (2.0 * s2)
-    grad = (g_beta,
-            -c / s2 + quad / (2.0 * s2 * s2),
-            (h.eta + 0.5) * v - h.mu - half_b2)
-    bb = data.xtx + np.diag(v_inv)
-    bb /= s2
-    blocks = HessianBlocks(
-        bb=bb,
-        ss=-c / (s2 * s2) + quad / (s2 * s2 * s2),
-        vv=(0.5 + h.eta) * v * v,
-        bv=beta / s2,
-        sb=g_beta / s2,
-        sv=-half_b2 / s2,
-    )
-    return grad, blocks, quad
-
-
-def _newton_step(beta, s2, v_inv, data: Dataset, h: Hyper):
-    """Solve ``H d = g`` for the Newton step on the log joint density at
-    an interior point.
-
-    The diagonal precision block ``D = diag(vv)`` is eliminated, leaving
-    the ``(p+1)`` Schur complement ``S`` of the (coefficients, noise
-    variance) block, which one Cholesky factor solves.  Returns
-    ``(d_beta, d_sigma2, d_v_inv, logdet, quad)`` with ``logdet = log det
-    H = sum log vv + log det S`` and ``quad`` the quadratic term of
-    :func:`_derivatives` at the point, or ``None`` when ``S`` is not
-    positive definite.
-    """
-
-    (gb, gs, gv), blocks, quad = _derivatives(beta, s2, v_inv, data, h)
-    vv, bv, sv = blocks.vv, blocks.bv, blocks.sv
-    p = len(vv)
-    wb, ws = bv / vv, sv / vv
-    s = np.empty((p + 1, p + 1), order="F")
-    s[:p, :p] = blocks.bb
-    s.flat[: p * (p + 2) : p + 2] -= bv * wb
-    s[:p, p] = s[p, :p] = blocks.sb - bv * ws
-    s[p, p] = blocks.ss - sv @ ws
-    chol, info = _POTRF(s, lower=1, overwrite_a=1, clean=0)
-    if info:
-        return None
-    rhs = np.empty(p + 1)
-    rhs[:p] = gb - wb * gv
-    rhs[p] = gs - ws @ gv
-    d, _ = _POTRS(chol, rhs, lower=1)
-    db, ds = d[:p], d[p]
-    dv = (gv - bv * db - sv * ds) / vv
-    logdet = np.log(vv).sum() + 2.0 * np.log(chol.diagonal()).sum()
-    return db, ds, dv, float(logdet), quad
-
-
-def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
-    """Newton's method for the joint mode under ``h`` on all of
-    ``data``'s coordinates, from an interior start.
-
-    A step is halved until it lands inside ``sigma2 > 0``, ``v_inv > 0``
-    at a point where the Schur complement is positive definite.  The
-    polish has converged after a full step whose relative coefficient
-    change ``max |d beta| / (1 + |beta|)`` is below ``POLISH_CONV_TOL``,
-    and returns ``(beta, sigma2, v_inv, logdet, quad)`` with ``logdet``
-    the negative Hessian's log determinant and ``quad`` the log joint
-    density's quadratic term at that final point.  Returns
-    ``None`` when the Schur complement at the start is not positive
-    definite, a step cannot be damped, or no step converges within
-    ``POLISH_NEWTON_MAX_STEPS``.
-    """
-
-    step = _newton_step(beta, sigma2, v_inv, data, h)
-    if step is None:
-        return None
-    for _ in range(POLISH_NEWTON_MAX_STEPS):
-        db, ds, dv, _, _ = step
-        t = 1.0
-        for _ in range(POLISH_MAX_HALVINGS):
-            trial = beta + t * db, sigma2 + t * ds, v_inv + t * dv
-            if trial[1] > 0 and (trial[2] > 0).all():
-                step = _newton_step(*trial, data, h)
-                if step is not None:
-                    break
-            t *= 0.5
-        else:
-            return None
-        delta = float((abs(trial[0] - beta) / (1.0 + abs(beta))).max())
-        beta, sigma2, v_inv = trial
-        if t == 1.0 and delta < POLISH_CONV_TOL:
-            return (beta, sigma2, v_inv) + step[3:]
-    return None
-
-
 def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
     """The fit's surviving coordinates and their mode re-polished under
-    ``h``: ``(beta, sigma2, v_inv, logdet, quad, reduced)``, with ``logdet``
-    and ``quad`` those of :func:`_newton_step` there (both ``None`` when the
-    negative Hessian is not positive definite) and ``reduced`` the data
-    restricted to those coordinates.
+    ``h``: ``(beta, sigma2, v_inv, logdet, quad, reduced)``, with the first
+    five as :func:`adaridge.solver._polish` returns them and ``reduced`` the
+    data restricted to those coordinates.
 
-    The polish runs Newton steps on the exact Hessian (:func:`_newton_polish`)
-    from the fit's own ``(beta, sigma2, v_inv)``, so curvature is
-    evaluated at an interior mode under ``h.mu``.  The fit's mode differs
-    from the polished one only through ``mu``, so Newton typically
-    converges in two or three steps.  Where Newton fails, the polish is
-    the solver's conditional-update cycle run on ``reduced`` from the
-    fit's coefficients, without pruning; its ``sigma2`` is then the
-    noise-variance mode at the final coefficients.
+    The polish starts from the fit's own ``(beta, sigma2, v_inv)``, so
+    curvature is evaluated at an interior mode under ``h.mu``.  The fit's
+    mode differs from the polished one only through ``mu``, so Newton
+    typically converges in two or three steps.
     The polished values (arrays read-only) are memoized on ``data`` by fit
     and ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
     does, polishes it once.  ``reduced`` is rebuilt on each call rather
@@ -293,17 +141,8 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
     hit = data._memo.get(key)
     if hit is None:
         state = fit.state
-        polished = _newton_polish(reduced, h, state.beta[mask], state.sigma2,
-                                  state.v_inv[mask])
-        if polished is None:
-            # A prune tolerance of 0 turns pruning off, so the vectors keep
-            # the fit's active length.
-            _, beta, _, v_inv, sigma2, _, _ = _cycle(
-                reduced, h, state.beta[mask], POLISH_MAX_ITER, POLISH_CONV_TOL,
-                0.0)
-            step = _newton_step(beta, sigma2, v_inv, reduced, h)
-            polished = (beta, sigma2, v_inv) + (step[3:] if step else (None, None))
-        beta, sigma2, v_inv, logdet, quad = polished
+        beta, sigma2, v_inv, logdet, quad = _polish(
+            reduced, h, state.beta[mask], state.sigma2, state.v_inv[mask])
         # The entry keeps the fit alive, so its id cannot be reused while
         # the entry exists.
         hit = data._memo[key] = (fit, _read_only(beta), sigma2,
@@ -472,7 +311,7 @@ def mc_log_evidence(
 
     m = float(np.max(logs))
     if not math.isfinite(m):
-        raise AllZeroIntegrand("every draw underflowed to zero")
+        raise NonFiniteEvidence(f"mc log integrand max {m}")
     w = np.exp(logs - m)
     mean_w = float(np.mean(w))
     value = m + math.log(mean_w)

@@ -21,9 +21,10 @@ import functools
 import importlib
 import json
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,16 @@ class ExperimentConfig:
         rows = _row_order(self)
         if len(set(rows)) != len(rows):
             raise ValueError(f"report rows repeat: {rows}")
+        # Integer fields are stored as Python ints, so numpy integers reach
+        # provenance.json as plain numbers.
+        for f in fields(self):
+            if f.name in _INT_KEYS:
+                value = getattr(self, f.name)
+                try:
+                    object.__setattr__(self, f.name, operator.index(value))
+                except TypeError:
+                    what = "an integer >= 1" if f.name == "mc_draws" else "an integer"
+                    raise ValueError(f"{f.name} must be {what}, got {value}") from None
 
 
 _INT_KEYS = {"model_id", "n", "replications", "test_size", "mc_draws",

@@ -2,9 +2,11 @@
 
 Cycles the closed-form conditional maximizers of the hierarchical model
 (noise variance, prior precisions, coefficients), pruning coordinates
-whose prior variance collapses.  The same cycle, without pruning,
-re-polishes the reduced-model modes at which the evidence approximations
-are evaluated.
+whose prior variance collapses.
+
+:func:`_polish` re-polishes the reduced-model modes at which the evidence
+approximations are evaluated: Newton steps on the exact Hessian of the
+log joint density, with the same cycle, without pruning, as the fallback.
 
 On unit-norm columns the dynamics implement a soft |t|-threshold: a
 coordinate survives roughly when its t-statistic exceeds
@@ -17,6 +19,8 @@ import numpy as np
 
 from .errors import ExactFit
 from .model import (
+    _POTRF,
+    _POTRS,
     Dataset,
     FitOptions,
     Hyper,
@@ -26,6 +30,15 @@ from .model import (
 )
 
 __all__ = ["fit_joint_mode"]
+
+# Relative coefficient change at which a polish has converged, and the
+# iteration caps of its Newton steps and of the conditional-update cycle
+# it falls back to.
+POLISH_CONV_TOL = 1e-13
+POLISH_NEWTON_MAX_STEPS = 20
+POLISH_MAX_ITER = 200
+# Halvings of one Newton step before the polish gives up on Newton.
+POLISH_MAX_HALVINGS = 40
 
 
 def _ols_boundary_fit(data: Dataset) -> ModeFit:
@@ -191,3 +204,136 @@ def _cycle(data: Dataset, h: Hyper, beta: np.ndarray, max_iter: int,
         converged = delta < conv_tol
 
     return idx, beta, sigma2, v_inv, mode, it, converged
+
+
+def _derivatives(beta, s2, v_inv, data: Dataset, h: Hyper):
+    """Gradient ``(g_beta, g_sigma2, g_v_inv)``, negative Hessian blocks
+    and quadratic term ``quad = ||y - X beta||^2 + beta' V^{-1} beta`` of
+    the log joint density at an interior point.
+
+    The blocks are ``(bb, ss, vv, bv, sb, sv)`` in the parameter order
+    (coefficients, noise variance, precisions): the ``(p, p)`` coefficient
+    block, the scalar noise-variance block, the diagonals of the
+    precision block and of the coefficient-precision coupling, and the
+    noise-variance rows against coefficients and precisions.  The
+    precision block is stated in the precision parameterization,
+    ``v_j^2 (1/2 + eta)``.
+    """
+
+    n, p = data.n, data.p
+    r = data.y - data.x @ beta
+    vb = v_inv * beta
+    quad = float(r @ r + beta @ vb)
+    g_beta = (data.x.T @ r - vb) / s2
+    c = (n + p) / 2.0 + 1.0
+    v = 1.0 / v_inv
+    half_b2 = beta * beta / (2.0 * s2)
+    grad = (g_beta,
+            -c / s2 + quad / (2.0 * s2 * s2),
+            (h.eta + 0.5) * v - h.mu - half_b2)
+    bb = data.xtx.copy()
+    bb.flat[:: p + 1] += v_inv
+    bb /= s2
+    blocks = (bb,
+              -c / (s2 * s2) + quad / (s2 * s2 * s2),
+              (0.5 + h.eta) * v * v,
+              beta / s2,
+              g_beta / s2,
+              -half_b2 / s2)
+    return grad, blocks, quad
+
+
+def _newton_step(beta, s2, v_inv, data: Dataset, h: Hyper):
+    """Solve ``H d = g`` for the Newton step on the log joint density at
+    an interior point.
+
+    The diagonal precision block ``D = diag(vv)`` is eliminated, leaving
+    the ``(p+1)`` Schur complement ``S`` of the (coefficients, noise
+    variance) block, which one Cholesky factor solves.  Returns
+    ``(d_beta, d_sigma2, d_v_inv, logdet, quad)`` with ``logdet = log det
+    H = sum log vv + log det S`` and ``quad`` the quadratic term of
+    :func:`_derivatives` at the point, or ``None`` when ``S`` is not
+    positive definite.
+    """
+
+    (gb, gs, gv), (bb, ss, vv, bv, sb, sv), quad = _derivatives(
+        beta, s2, v_inv, data, h)
+    p = len(vv)
+    wb, ws = bv / vv, sv / vv
+    s = np.empty((p + 1, p + 1), order="F")
+    s[:p, :p] = bb
+    s.flat[: p * (p + 2) : p + 2] -= bv * wb
+    s[:p, p] = s[p, :p] = sb - bv * ws
+    s[p, p] = ss - sv @ ws
+    chol, info = _POTRF(s, lower=1, overwrite_a=1, clean=0)
+    if info:
+        return None
+    rhs = np.empty(p + 1)
+    rhs[:p] = gb - wb * gv
+    rhs[p] = gs - ws @ gv
+    d, _ = _POTRS(chol, rhs, lower=1)
+    db, ds = d[:p], d[p]
+    dv = (gv - bv * db - sv * ds) / vv
+    logdet = np.log(vv).sum() + 2.0 * np.log(chol.diagonal()).sum()
+    return db, ds, dv, float(logdet), quad
+
+
+def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
+    """Newton's method for the joint mode under ``h`` on all of
+    ``data``'s coordinates, from an interior start.
+
+    A step is halved until it lands inside ``sigma2 > 0``, ``v_inv > 0``
+    at a point where the Schur complement is positive definite.  The
+    polish has converged after a full step whose relative coefficient
+    change ``max |d beta| / (1 + |beta|)`` is below ``POLISH_CONV_TOL``,
+    and returns ``(beta, sigma2, v_inv, logdet, quad)`` with ``logdet``
+    the negative Hessian's log determinant and ``quad`` the log joint
+    density's quadratic term at that final point.  Returns
+    ``None`` when the Schur complement at the start is not positive
+    definite, a step cannot be damped, or no step converges within
+    ``POLISH_NEWTON_MAX_STEPS``.
+    """
+
+    step = _newton_step(beta, sigma2, v_inv, data, h)
+    if step is None:
+        return None
+    for _ in range(POLISH_NEWTON_MAX_STEPS):
+        db, ds, dv, _, _ = step
+        t = 1.0
+        for _ in range(POLISH_MAX_HALVINGS):
+            trial = beta + t * db, sigma2 + t * ds, v_inv + t * dv
+            if trial[1] > 0 and (trial[2] > 0).all():
+                step = _newton_step(*trial, data, h)
+                if step is not None:
+                    break
+            t *= 0.5
+        else:
+            return None
+        delta = float((abs(trial[0] - beta) / (1.0 + abs(beta))).max())
+        beta, sigma2, v_inv = trial
+        if t == 1.0 and delta < POLISH_CONV_TOL:
+            return (beta, sigma2, v_inv) + step[3:]
+    return None
+
+
+def _polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
+    """The joint mode under ``h`` on all of ``data``'s coordinates, from
+    the interior point ``(beta, sigma2, v_inv)``: ``(beta, sigma2, v_inv,
+    logdet, quad)`` as :func:`_newton_polish` returns them.
+
+    Where Newton fails, the polish is the conditional-update cycle run
+    from ``beta`` without pruning; its ``sigma2`` is then the
+    noise-variance mode at the final coefficients, and ``logdet`` and
+    ``quad`` are those of :func:`_newton_step` there (both ``None`` when
+    the negative Hessian is not positive definite).
+    """
+
+    polished = _newton_polish(data, h, beta, sigma2, v_inv)
+    if polished is not None:
+        return polished
+    # A prune tolerance of 0 turns pruning off, so the vectors keep their
+    # length.
+    _, beta, _, v_inv, sigma2, _, _ = _cycle(
+        data, h, beta, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+    step = _newton_step(beta, sigma2, v_inv, data, h)
+    return (beta, sigma2, v_inv) + (step[3:] if step else (None, None))

@@ -10,9 +10,9 @@ checks the solver's conditional-update cycle.
 the two :func:`adaridge.fit_em` variants, written out on their own:
 iterating them from the least-squares start reproduces the EM loop.
 
-:func:`assemble_hessian` lays the blocks of
-:func:`adaridge.negative_hessian` out as one dense matrix, for comparison
-with finite differences.
+:func:`assemble_hessian` lays the negative Hessian blocks that
+``adaridge.solver._derivatives`` returns, and the Newton step factors, out
+as one dense matrix, for comparison with finite differences.
 """
 
 from __future__ import annotations
@@ -29,23 +29,24 @@ from adaridge.model import (
     ModeFit,
     _ridge_solve,
 )
-from adaridge.evidence import HessianBlocks
 from adaridge.solver import _finish, _ols_boundary_fit
 
 
-def assemble_hessian(blocks: HessianBlocks) -> np.ndarray:
-    """The dense ``(2p+1, 2p+1)`` negative Hessian from its blocks, in
-    the parameter order (coefficients, noise variance, precisions)."""
+def assemble_hessian(blocks) -> np.ndarray:
+    """The dense ``(2p+1, 2p+1)`` negative Hessian from its blocks
+    ``(bb, ss, vv, bv, sb, sv)``, in the parameter order (coefficients,
+    noise variance, precisions)."""
 
-    p = len(blocks.vv)
+    bb, ss, vv, bv, sb, sv = blocks
+    p = len(vv)
     h = np.zeros((2 * p + 1, 2 * p + 1))
-    h[:p, :p] = blocks.bb
-    h[p, p] = blocks.ss
-    h[p + 1:, p + 1:] = np.diag(blocks.vv)
-    h[:p, p + 1:] = np.diag(blocks.bv)
-    h[p + 1:, :p] = np.diag(blocks.bv)
-    h[p, :p] = h[:p, p] = blocks.sb
-    h[p, p + 1:] = h[p + 1:, p] = blocks.sv
+    h[:p, :p] = bb
+    h[p, p] = ss
+    h[p + 1:, p + 1:] = np.diag(vv)
+    h[:p, p + 1:] = np.diag(bv)
+    h[p + 1:, :p] = np.diag(bv)
+    h[p, :p] = h[:p, p] = sb
+    h[p, p + 1:] = h[p + 1:, p] = sv
     return h
 
 

@@ -16,20 +16,22 @@ from adaridge import (
     laplace_log_evidence,
     log_joint_posterior,
     mc_log_evidence,
-    negative_hessian,
     select_eta,
     standardize,
 )
-from adaridge.errors import EmptyBox, NonFiniteEvidence, NonInteriorMode, SingularSystem
+from adaridge.errors import EmptyBox, NonFiniteEvidence, SingularSystem
 from adaridge.evidence import (
-    POLISH_CONV_TOL,
-    POLISH_MAX_ITER,
     EvidenceEstimate,
     _conditional_marginal_core,
-    _newton_polish,
     _polished_mode,
 )
-from adaridge.solver import _cycle
+from adaridge.solver import (
+    POLISH_CONV_TOL,
+    POLISH_MAX_ITER,
+    _cycle,
+    _derivatives,
+    _newton_polish,
+)
 from conftest import fd_hessian, log_joint_of_theta, random_instance, toeplitz_design
 from oracles import assemble_hessian
 
@@ -41,6 +43,12 @@ def interior_state(data, rng, eta=0.8):
     v_inv = rng.uniform(0.3, 3.0, p)
     return PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv,
                           active=np.ones(p, dtype=bool)), Hyper(eta, mu=0.01)
+
+
+def hessian_blocks(state, data, h):
+    """The negative Hessian blocks that the Newton step factors."""
+
+    return _derivatives(state.beta, state.sigma2, state.v_inv, data, h)[1]
 
 
 def single_predictor_instance(seed, n=60, signal=4.0, noise=1.0):
@@ -56,7 +64,7 @@ class TestNegativeHessian:
             data, _, _ = random_instance(seed, n_range=(30, 60), p_range=(2, 4))
             rng = np.random.default_rng(seed)
             state, h = interior_state(data, rng)
-            analytic = assemble_hessian(negative_hessian(state, data, h))
+            analytic = assemble_hessian(hessian_blocks(state, data, h))
             theta = np.concatenate([state.beta, [state.sigma2], state.v_inv])
             fd = -fd_hessian(log_joint_of_theta(data, h), theta)
             scale = np.max(np.abs(analytic))
@@ -67,9 +75,9 @@ class TestNegativeHessian:
         state = PosteriorState(beta=np.zeros(3), sigma2=1.2,
                                v_inv=np.array([0.5, 1.0, 2.0]),
                                active=np.ones(3, dtype=bool))
-        blocks = negative_hessian(state, data, Hyper(0.4))
-        np.testing.assert_array_equal(blocks.bv, 0.0)
-        np.testing.assert_array_equal(blocks.sv, 0.0)
+        _, _, _, bv, _, sv = hessian_blocks(state, data, Hyper(0.4))
+        np.testing.assert_array_equal(bv, 0.0)
+        np.testing.assert_array_equal(sv, 0.0)
 
     def test_orthonormal_single_predictor_beta_block(self, rng):
         x = rng.standard_normal(25)
@@ -78,20 +86,14 @@ class TestNegativeHessian:
         state = PosteriorState(beta=np.array([0.7]), sigma2=2.0,
                                v_inv=np.array([1.5]),
                                active=np.array([True]))
-        blocks = negative_hessian(state, data, Hyper(0.0))
-        assert blocks.bb[0, 0] == pytest.approx((1.0 + 1.5) / 2.0, rel=1e-12)
+        bb = hessian_blocks(state, data, Hyper(0.0))[0]
+        assert bb[0, 0] == pytest.approx((1.0 + 1.5) / 2.0, rel=1e-12)
 
     def test_assembled_matrix_symmetric(self, rng):
         data, _, _ = random_instance(8, p_range=(3, 5))
         state, h = interior_state(data, rng)
-        m = assemble_hessian(negative_hessian(state, data, h))
+        m = assemble_hessian(hessian_blocks(state, data, h))
         np.testing.assert_array_equal(m, m.T)
-
-    def test_boundary_eta_rejected(self, rng):
-        data, _, _ = random_instance(1, p_range=(2, 2))
-        state, _ = interior_state(data, rng)
-        with pytest.raises(NonInteriorMode):
-            negative_hessian(state, data, Hyper(-0.5))
 
 
 class TestLaplace:
@@ -323,6 +325,31 @@ class TestMonteCarloEvidence:
             mc_log_evidence(ols, data, Hyper(-0.5, mu=EVIDENCE_MU), k=10.0,
                             draws=10, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_non_finite_integrand_raises(self, monkeypatch, bad):
+        import adaridge.evidence as ev
+
+        data, _, _ = random_instance(2)
+        clean = select_eta(fresh_copy(data), method="mc", k=10.0, draws=50)
+        poisoned_calls = [math.inf]
+
+        def poisoned(xtx, xty, yty, n, v_batch):
+            if poisoned_calls[0] > 0:
+                poisoned_calls[0] -= 1
+                return np.full(len(v_batch), bad)
+            return _conditional_marginal_core(xtx, xty, yty, n, v_batch)
+
+        monkeypatch.setattr(ev, "_conditional_marginal_core", poisoned)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        with pytest.raises(NonFiniteEvidence, match="mc log integrand max"):
+            mc_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU), k=10.0,
+                            draws=50, seed=0)
+        # only the first grid point's draws are poisoned
+        poisoned_calls[0] = 1
+        sel = select_eta(fresh_copy(data), method="mc", k=10.0, draws=50)
+        assert sel.estimates[0] is None
+        assert sel.estimates[1:] == clean.estimates[1:]
+
 
 class TestEvidenceEstimateInvariants:
     def test_mc_fields_required_together(self):
@@ -449,15 +476,16 @@ class TestEvidenceMemo:
     def test_k_sweep_polishes_each_point_once(self, monkeypatch):
         import adaridge.evidence as ev
 
-        # every polish starts with Newton, whatever it falls back to
-        real = ev._newton_polish
+        # each polish, Newton or its fallback, is one call of the solver's
+        # _polish
+        real = ev._polish
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ev, "_newton_polish", counted)
+        monkeypatch.setattr(ev, "_polish", counted)
         data = self.small_study_data()
         ev.select_eta(data, method="mc", k=3.0, draws=50)
         first = len(calls)
@@ -667,7 +695,7 @@ class TestNewtonPolish:
             state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv,
                                    active=np.ones(len(beta), dtype=bool))
             sign, logdet = np.linalg.slogdet(
-                assemble_hessian(negative_hessian(state, reduced, h)))
+                assemble_hessian(hessian_blocks(state, reduced, h)))
             assert sign > 0
             dense = (log_joint_posterior(state, reduced, h)
                      + (2 * len(beta) + 1) / 2.0 * math.log(2.0 * math.pi)

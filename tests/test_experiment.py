@@ -1,9 +1,12 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaridge import experiment
 from adaridge.errors import NonFiniteEvidence
@@ -78,10 +81,19 @@ class TestParseConfig:
         (dict(estimators=("ols", "ols")), "repeat"),
         (dict(MC, k_sweep=(10.0, 10.0)), "repeat"),
         (dict(MC, k_sweep=(10.0, 10.000001)), "repeat"),
+        (dict(model_id=3.0), "^model_id must be an integer, got 3.0$"),
+        (dict(n=40.0), "^n must be an integer, got 40.0$"),
+        (dict(replications=2.5), "^replications must be an integer, got 2.5$"),
+        (dict(test_size=np.float64(100)), "^test_size must be an integer, got 100.0$"),
+        (dict(master_seed=1.0), "^master_seed must be an integer, got 1.0$"),
+        (dict(n_boot=500.0), "^n_boot must be an integer, got 500.0$"),
+        (dict(k_sweep=(), mc_draws=2.5), "^mc_draws must be an integer >= 1, got 2.5$"),
     ], ids=["grid-descending", "grid-nan", "model-id", "sigma", "sigma-infinite",
             "k-sweep-empty",
             "k-sweep-infinite", "k-sweep-zero", "mc-draws", "n-boot", "em-eta",
-            "estimator-repeated", "k-repeated", "k-label-repeated"])
+            "estimator-repeated", "k-repeated", "k-label-repeated",
+            "model-id-float", "n-float", "replications-float", "test-size-float",
+            "master-seed-float", "n-boot-float", "mc-draws-float-no-sweep"])
     def test_bad_config_rejected_before_any_replication(self, kwargs, message):
         fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | kwargs
         with pytest.raises(ValueError, match=message):
@@ -92,6 +104,33 @@ class TestParseConfig:
                          em_variant="explicit-sigma", em_eta=-0.5)
         ExperimentConfig(3, 40, 0.0, 2, k_sweep=(10.0, 10.0001), mc_draws=1,
                          **self.MC)
+
+
+def ints(lo, hi):
+    """Python, ``np.int64`` and ``np.int32`` integers in ``[lo, hi]``."""
+
+    return st.builds(lambda kind, value: kind(value),
+                     st.sampled_from([int, np.int64, np.int32]),
+                     st.integers(lo, hi))
+
+
+@settings(max_examples=12)
+@given(n=ints(20, 40), replications=ints(1, 1), mc_draws=ints(1, 30),
+       master_seed=ints(0, 2**31 - 1))
+def test_numpy_integers_reach_provenance_as_ints(n, replications, mc_draws,
+                                                 master_seed):
+    drawn = dict(n=n, replications=replications, mc_draws=mc_draws,
+                 master_seed=master_seed)
+    cfg = ExperimentConfig(model_id=3, sigma=3.0, test_size=50,
+                           eta_grid=(0.0, 1.0), evidence_method="mc",
+                           k_sweep=(10.0,), estimators=("aris-eb",), **drawn)
+    with tempfile.TemporaryDirectory() as out:
+        run_experiment(cfg, out, jobs=1)
+        with open(os.path.join(out, "provenance.json")) as fh:
+            config = json.loads(fh.read())["config"]
+    for name, value in drawn.items():
+        assert config[name] == int(value)
+        assert type(getattr(cfg, name)) is int
 
 
 class TestRunReplication:

@@ -14,9 +14,9 @@ from adaridge import (
 from adaridge.errors import ExactFit, SingularSystem
 from adaridge.model import MACHINE_EPS, PosteriorState, _ridge_solve
 from adaridge.simulate import DgpSpec, draw_dataset
-from adaridge.solver import _cycle
+from adaridge.solver import _cycle, _derivatives, _newton_step
 from conftest import fd_gradient, random_instance, toeplitz_design
-from oracles import fit_reweighted_ridge
+from oracles import assemble_hessian, fit_reweighted_ridge
 
 
 def orthonormal_data(rng, n=20, p=3):
@@ -140,6 +140,54 @@ class TestUpdateV:
         # would divide by a zero noise variance
         with pytest.raises(ExactFit):
             first_cycle([[1.0], [0.0]], [2.0, 0.0], [2.0], Hyper(0.0))
+
+
+class TestNewtonStep:
+    """The Schur-complement Newton step against the dense negative Hessian
+    assembled from the same blocks."""
+
+    @staticmethod
+    def dense(beta, sigma2, v_inv, data, h):
+        (gb, gs, gv), blocks, _ = _derivatives(beta, sigma2, v_inv, data, h)
+        return assemble_hessian(blocks), np.concatenate([gb, [gs], gv])
+
+    def test_matches_the_dense_solve(self):
+        rng = np.random.default_rng(11)
+        solved = 0
+        for point in range(60):
+            data, _, _ = random_instance(500 + point, n_range=(20, 60),
+                                         p_range=(1, 6))
+            p = data.p
+            beta = rng.standard_normal(p)
+            sigma2 = float(rng.uniform(0.5, 3.0))
+            v_inv = rng.uniform(0.2, 4.0, p)
+            h = Hyper((0.1, 0.5, 2.0)[point % 3], mu=0.01)
+            hess, grad = self.dense(beta, sigma2, v_inv, data, h)
+            step = _newton_step(beta, sigma2, v_inv, data, h)
+            positive = np.linalg.eigvalsh(hess)[0] > 0
+            assert (step is not None) == positive
+            if not positive:
+                continue
+            d = np.concatenate([step[0], [step[1]], step[2]])
+            want = np.linalg.solve(hess, grad)
+            assert np.max(np.abs(d - want)) <= 1e-10 * np.max(np.abs(want))
+            sign, logdet = np.linalg.slogdet(hess)
+            assert sign > 0
+            assert step[3] == pytest.approx(logdet, rel=1e-10, abs=0)
+            solved += 1
+        assert solved > 25
+
+    def test_indefinite_point_gives_no_step(self):
+        # a noise variance far above its conditional mode makes the
+        # noise-variance block of the negative Hessian negative
+        data, _, _ = random_instance(3, p_range=(4, 4))
+        beta = np.array([0.5, -1.0, 0.2, 1.5])
+        v_inv = np.array([0.5, 1.0, 2.0, 3.0])
+        sigma2 = 1e3 * float(data.y @ data.y)
+        h = Hyper(0.5, mu=0.01)
+        hess, _ = self.dense(beta, sigma2, v_inv, data, h)
+        assert np.linalg.eigvalsh(hess)[0] < 0
+        assert _newton_step(beta, sigma2, v_inv, data, h) is None
 
 
 class TestFitJointMode:
