@@ -25,7 +25,7 @@ from .evidence import (
     select_eta,
 )
 from .experiment import ExperimentFailure, default_jobs, parse_config, run_experiment
-from .model import FitOptions, Hyper, destandardize_beta, standardize
+from .model import FitOptions, Hyper, _check_seed, destandardize_beta, standardize
 from .simulate import DgpSpec, dataset_to_csv, draw_dataset, draw_test_set
 from .solver import fit_joint_mode
 
@@ -90,6 +90,7 @@ def _fit_settings(args):
             _check_grid([eta], "--eta")
         _check_grid(args.grid, "--grid")
         _check_mc(args.k, args.draws, ("--k", "--draws"))
+        _check_seed(args.seed, "--seed")
         opts = FitOptions(max_iter=args.max_iter, conv_tol=args.conv_tol,
                           prune_tol=args.prune_tol)
     except ValueError as exc:

@@ -4,7 +4,7 @@ Two variants mirror the two prior constructions: ``independent-prior``
 (coefficients a priori independent of the noise variance, variance
 profiled out through the residual sum) and ``explicit-sigma`` (the noise
 variance kept as an explicit iterate).  Both share the pruning and
-stopping rules of the joint-mode solver.
+stopping rules of the joint-mode solver, and its view ``model._live``.
 
 The independent-prior weights use the conditional-mode variance plug-in
 ``S^2 / (n + 2)`` rather than the raw ``S^2 / n`` moment: with it, the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactFit
-from .model import Dataset, FitOptions, Hyper, _ridge_solve
+from .model import Dataset, FitOptions, Hyper, _live, _ridge_solve
 
 __all__ = ["EmFit", "fit_em"]
 
@@ -81,6 +81,7 @@ def fit_em(
 
     n, p = data.n, data.p
     beta = data.initial_beta.copy()
+    # On a constant response the start is 0 and this is the only ExactFit check.
     s2 = _rss(data.y, data.x, beta)
 
     if h.eta == boundary:
@@ -94,16 +95,15 @@ def fit_em(
     a = 2.0 * h.eta + (3.0 if independent else 1.0)
     converged = False
 
-    # The data restricted to the live coordinates ``idx``, rebuilt only
-    # when pruning shrinks them, so its cached X'X and X'y carry over.
-    idx = np.where(active)[0]
-    sub = Dataset(data.x[:, idx], data.y) if idx.size else None
+    # The live coordinates ``idx``, re-sliced only when pruning shrinks them.
+    idx = np.flatnonzero(active)
+    x, xtx, xty = _live(data, idx)
     for it in range(1, opts.max_iter + 1):
         if idx.size == 0:
             converged = True
             break
         b = beta[idx]
-        s2 = _rss(data.y, sub.x, b)
+        s2 = _rss(data.y, x, b)
         trace.append(s2)
 
         # D = c / den, so den / c is the implied prior-variance scale
@@ -117,11 +117,11 @@ def fit_em(
             idx, b, den = idx[keep], b[keep], den[keep]
             if idx.size == 0:
                 continue
-            sub = Dataset(data.x[:, idx], data.y)
+            x, xtx, xty = _live(data, idx)
             if independent:
-                c = a * _rss(data.y, sub.x, b)
+                c = a * _rss(data.y, x, b)
 
-        beta_new = _ridge_solve(sub.xtx, c / den, sub.xty)
+        beta_new = _ridge_solve(xtx, c / den, xty)
         delta = (np.abs(beta_new - b) / (1.0 + np.abs(b))).max()
         beta[idx] = beta_new
         if delta < opts.conv_tol:

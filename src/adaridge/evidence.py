@@ -16,7 +16,7 @@ hyper-parameters by ``solver._polish``: Newton steps on the exact Hessian
 of the log joint density (the precision block eliminated by a Schur
 complement), with the solver's conditional-update cycle as the fallback.
 The last Newton step gives the Laplace log determinant and log joint
-density.
+density.  The reduced model is the fit's own view, ``model._live``.
 
 Two conventions here are deliberate and documented:
 
@@ -56,6 +56,8 @@ from .model import (
     FitOptions,
     Hyper,
     ModeFit,
+    _check_seed,
+    _live,
     _log_joint_density,
     _read_only,
 )
@@ -119,10 +121,9 @@ class EbSelection:
 
 
 def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
-    """The fit's surviving coordinates and their mode re-polished under
-    ``h``: ``(beta, sigma2, v_inv, logdet, quad, reduced)``, with the first
-    five as :func:`adaridge.solver._polish` returns them and ``reduced`` the
-    data restricted to those coordinates.
+    """The fit's mode on its surviving coordinates, re-polished under
+    ``h``: ``(beta, sigma2, v_inv, logdet, quad)`` as
+    :func:`adaridge.solver._polish` returns them.
 
     The polish starts from the fit's own ``(beta, sigma2, v_inv)``, so
     curvature is evaluated at an interior mode under ``h.mu``.  The fit's
@@ -130,24 +131,21 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
     typically converges in two or three steps.
     The polished values (arrays read-only) are memoized on ``data`` by fit
     and ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
-    does, polishes it once.  ``reduced`` is rebuilt on each call rather
-    than kept, since it holds a copy of the active columns.
+    does, polishes it once.
     """
 
-    # ``data`` itself when nothing was pruned: its cached products keep the bits
-    mask = fit.state.active
-    reduced = data if mask.all() else Dataset(data.x[:, mask], data.y)
     key = (id(fit), h)
     hit = data._memo.get(key)
     if hit is None:
         state = fit.state
+        idx = np.flatnonzero(state.active)
         beta, sigma2, v_inv, logdet, quad = _polish(
-            reduced, h, state.beta[mask], state.sigma2, state.v_inv[mask])
+            data, idx, h, state.beta[idx], state.sigma2, state.v_inv[idx])
         # The entry keeps the fit alive, so its id cannot be reused while
         # the entry exists.
         hit = data._memo[key] = (fit, _read_only(beta), sigma2,
                                  _read_only(v_inv), logdet, quad)
-    return hit[1:] + (reduced,)
+    return hit[1:]
 
 
 def _null_model_log_marginal(data: Dataset) -> float:
@@ -182,7 +180,7 @@ def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstim
         curv = -(n / 2.0 + 1.0) / s2**2 + yty / s2**3
         logdet = math.log(curv)
     else:
-        _, sigma2, v_inv, logdet, quad, _ = _polished_mode(fit, data, h)
+        _, sigma2, v_inv, logdet, quad = _polished_mode(fit, data, h)
         if logdet is None:
             raise NonInteriorMode("negative Hessian not positive definite")
         lj = _log_joint_density(quad, sigma2, v_inv, n, h)
@@ -289,7 +287,7 @@ def mc_log_evidence(
     if h.eta <= -0.5:
         raise EmptyBox("box width requires eta > -1/2 (finite curvature)")
 
-    _, _, v_inv, _, _, reduced = _polished_mode(fit, data, h)
+    _, _, v_inv, _, _ = _polished_mode(fit, data, h)
     sig = v_inv / math.sqrt(0.5 + h.eta)
     lo = np.maximum(0.0, v_inv - k * sig)
     hi = v_inv + k * sig
@@ -299,12 +297,13 @@ def mc_log_evidence(
 
     rng = np.random.default_rng(seed)
     u = rng.uniform(lo, hi, size=(draws, p_active))
-    yty = float(reduced.y @ reduced.y)
+    _, xtx, xty = _live(data, np.flatnonzero(state.active))
+    yty = float(data.y @ data.y)
 
     logs = np.full(draws, -np.inf)
     ok = (u > 0).all(axis=1)
     if ok.any():
-        vals = _conditional_marginal_core(reduced.xtx, reduced.xty, yty, n, u[ok])
+        vals = _conditional_marginal_core(xtx, xty, yty, n, u[ok])
         vals += np.sum(h.eta * np.log(u[ok]) - h.mu * u[ok], axis=1)
         vals -= p_active * math.lgamma(h.eta + 1.0)
         logs[ok] = vals
@@ -374,10 +373,10 @@ def select_eta(
     (``"laplace"`` or ``"mc"``) under ``Hyper(eta, mu=EVIDENCE_MU)``, and
     return the argmax (ties to the smaller value) and its fit.
 
-    A bad method, grid, ``k`` or ``draws`` raises ``ValueError`` before
-    any fit, for either method; ``k=None`` is ``DEFAULT_K``.  Grid points
-    may fail (solver or evidence errors); the selection fails only if
-    every point does, with a message that names each point's error.
+    A bad method, grid, ``k``, ``draws`` or ``seed`` raises ``ValueError``
+    before any fit, for either method; ``k=None`` is ``DEFAULT_K``.  Grid
+    points may fail (solver or evidence errors); the selection fails only
+    if every point does, with a message that names each point's error.
     Monte-Carlo scoring draws from a per-point stream derived from
     ``(seed, grid index, k)`` so results do not depend on evaluation order.
     """
@@ -387,6 +386,7 @@ def select_eta(
         raise ValueError(f"unknown evidence method {method!r}")
     k = DEFAULT_K if k is None else k
     _check_mc(k, draws)
+    _check_seed(seed)
 
     estimates: list[EvidenceEstimate | None] = []
     best = None

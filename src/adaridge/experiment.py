@@ -48,7 +48,7 @@ from .metrics import (
     support_metrics,
     test_mse,
 )
-from .model import FitOptions, Hyper, destandardize_beta, standardize
+from .model import FitOptions, Hyper, _check_seed, destandardize_beta, standardize
 from .simulate import DgpSpec, draw_dataset, draw_test_set
 from .solver import fit_joint_mode
 
@@ -129,6 +129,7 @@ class ExperimentConfig:
                 except TypeError:
                     what = "an integer >= 1" if f.name == "mc_draws" else "an integer"
                     raise ValueError(f"{f.name} must be {what}, got {value}") from None
+        _check_seed(self.master_seed, "master_seed")
 
 
 _INT_KEYS = {"model_id", "n", "replications", "test_size", "mc_draws",

@@ -12,6 +12,7 @@ have unit 2-norm and the response has zero mean.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,6 +71,15 @@ def _as_vector(y) -> np.ndarray:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """Check that a random seed is an integer >= 0; errors call it ``name``."""
+
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {seed}")
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
@@ -180,6 +190,13 @@ class Dataset:
         if not np.isfinite(beta).all():
             raise NoInitializer("ridge fallback produced non-finite coefficients")
         return _read_only(beta)
+
+
+def _live(data: Dataset, idx: np.ndarray):
+    """``X``, ``X'X`` and ``X'y`` restricted to the coordinates ``idx``, the
+    products sliced from the dataset's cache: the one such restriction."""
+
+    return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
 
 
 @dataclass(frozen=True)

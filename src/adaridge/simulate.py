@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _check_seed
 
 __all__ = [
     "DgpSpec",
@@ -57,6 +57,7 @@ class DgpSpec:
             raise ValueError("n must be >= 1")
         if not (0 <= self.sigma < np.inf):
             raise ValueError("sigma must be finite and non-negative")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

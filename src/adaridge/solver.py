@@ -4,9 +4,9 @@ Cycles the closed-form conditional maximizers of the hierarchical model
 (noise variance, prior precisions, coefficients), pruning coordinates
 whose prior variance collapses.
 
-:func:`_polish` re-polishes the reduced-model modes at which the evidence
-approximations are evaluated: Newton steps on the exact Hessian of the
-log joint density, with the same cycle, without pruning, as the fallback.
+:func:`_polish` re-polishes the modes at which evidence is evaluated, on
+the fit's live view (``model._live``): Newton steps on the exact Hessian
+of the log joint density, with the same cycle, without pruning, as fallback.
 
 On unit-norm columns the dynamics implement a soft |t|-threshold: a
 coordinate survives roughly when its t-statistic exceeds
@@ -26,6 +26,7 @@ from .model import (
     Hyper,
     ModeFit,
     PosteriorState,
+    _live,
     _ridge_solve,
 )
 
@@ -77,12 +78,6 @@ def _finish(data, h, idx, beta_live, sigma2, v_inv_live, iters, converged,
                    log_joint_terms=(data.n, h, trace))
 
 
-def _live(data: Dataset, idx: np.ndarray):
-    """``X``, ``X'X`` and ``X'y`` restricted to the coordinates ``idx``."""
-
-    return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
-
-
 def fit_joint_mode(data: Dataset, h: Hyper,
                    opts: FitOptions = FitOptions()) -> ModeFit:
     """Maximize the joint posterior by iterated conditional maximization.
@@ -132,17 +127,17 @@ def _fit_joint_mode(data: Dataset, h: Hyper, opts: FitOptions) -> ModeFit:
     trace: list[tuple] = []
     counts: list[int] = []
     idx, beta, sigma2, v_inv, _, iters, converged = _cycle(
-        data, h, data.initial_beta, opts.max_iter, opts.conv_tol,
-        opts.prune_tol, trace, counts)
+        data, h, np.arange(data.p), data.initial_beta, opts.max_iter,
+        opts.conv_tol, opts.prune_tol, trace, counts)
     return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, trace,
                    counts)
 
 
-def _cycle(data: Dataset, h: Hyper, beta: np.ndarray, max_iter: int,
-           conv_tol: float, prune_tol: float, trace: list | None = None,
-           counts: list | None = None):
-    """Iterated conditional maximization under ``h``, starting from
-    ``beta`` with zero precisions.
+def _cycle(data: Dataset, h: Hyper, idx: np.ndarray, beta: np.ndarray,
+           max_iter: int, conv_tol: float, prune_tol: float,
+           trace: list | None = None, counts: list | None = None):
+    """Iterated conditional maximization under ``h`` on the coordinates
+    ``idx``, from their coefficients ``beta`` with zero precisions.
 
     Each iteration updates the noise variance, then the precisions (using
     the previous coefficients), then the coefficients.  A coordinate whose
@@ -165,8 +160,7 @@ def _cycle(data: Dataset, h: Hyper, beta: np.ndarray, max_iter: int,
     a = 1.0 + 2.0 * h.eta
     # Live coordinates and their precisions; the data restricted to them
     # is re-sliced only when pruning shrinks the set.
-    idx = np.arange(data.p)
-    v_inv = np.zeros(data.p)
+    v_inv = np.zeros(idx.size)
     x_live, xtx_live, xty_live = _live(data, idx)
     converged = False
 
@@ -206,10 +200,10 @@ def _cycle(data: Dataset, h: Hyper, beta: np.ndarray, max_iter: int,
     return idx, beta, sigma2, v_inv, mode, it, converged
 
 
-def _derivatives(beta, s2, v_inv, data: Dataset, h: Hyper):
+def _derivatives(beta, s2, v_inv, x, y, xtx, h: Hyper):
     """Gradient ``(g_beta, g_sigma2, g_v_inv)``, negative Hessian blocks
     and quadratic term ``quad = ||y - X beta||^2 + beta' V^{-1} beta`` of
-    the log joint density at an interior point.
+    the log joint density at an interior point, on live columns ``x``.
 
     The blocks are ``(bb, ss, vv, bv, sb, sv)`` in the parameter order
     (coefficients, noise variance, precisions): the ``(p, p)`` coefficient
@@ -220,18 +214,18 @@ def _derivatives(beta, s2, v_inv, data: Dataset, h: Hyper):
     ``v_j^2 (1/2 + eta)``.
     """
 
-    n, p = data.n, data.p
-    r = data.y - data.x @ beta
+    n, p = x.shape
+    r = y - x @ beta
     vb = v_inv * beta
     quad = float(r @ r + beta @ vb)
-    g_beta = (data.x.T @ r - vb) / s2
+    g_beta = (x.T @ r - vb) / s2
     c = (n + p) / 2.0 + 1.0
     v = 1.0 / v_inv
     half_b2 = beta * beta / (2.0 * s2)
     grad = (g_beta,
             -c / s2 + quad / (2.0 * s2 * s2),
             (h.eta + 0.5) * v - h.mu - half_b2)
-    bb = data.xtx.copy()
+    bb = xtx.copy()
     bb.flat[:: p + 1] += v_inv
     bb /= s2
     blocks = (bb,
@@ -243,7 +237,7 @@ def _derivatives(beta, s2, v_inv, data: Dataset, h: Hyper):
     return grad, blocks, quad
 
 
-def _newton_step(beta, s2, v_inv, data: Dataset, h: Hyper):
+def _newton_step(beta, s2, v_inv, x, y, xtx, h: Hyper):
     """Solve ``H d = g`` for the Newton step on the log joint density at
     an interior point.
 
@@ -257,7 +251,7 @@ def _newton_step(beta, s2, v_inv, data: Dataset, h: Hyper):
     """
 
     (gb, gs, gv), (bb, ss, vv, bv, sb, sv), quad = _derivatives(
-        beta, s2, v_inv, data, h)
+        beta, s2, v_inv, x, y, xtx, h)
     p = len(vv)
     wb, ws = bv / vv, sv / vv
     s = np.empty((p + 1, p + 1), order="F")
@@ -278,9 +272,9 @@ def _newton_step(beta, s2, v_inv, data: Dataset, h: Hyper):
     return db, ds, dv, float(logdet), quad
 
 
-def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
-    """Newton's method for the joint mode under ``h`` on all of
-    ``data``'s coordinates, from an interior start.
+def _newton_polish(x, y, xtx, h: Hyper, beta, sigma2, v_inv):
+    """Newton's method for the joint mode under ``h`` on the live columns
+    ``x`` (with ``xtx = x'x``), from an interior start.
 
     A step is halved until it lands inside ``sigma2 > 0``, ``v_inv > 0``
     at a point where the Schur complement is positive definite.  The
@@ -294,7 +288,7 @@ def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
     ``POLISH_NEWTON_MAX_STEPS``.
     """
 
-    step = _newton_step(beta, sigma2, v_inv, data, h)
+    step = _newton_step(beta, sigma2, v_inv, x, y, xtx, h)
     if step is None:
         return None
     for _ in range(POLISH_NEWTON_MAX_STEPS):
@@ -303,7 +297,7 @@ def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
         for _ in range(POLISH_MAX_HALVINGS):
             trial = beta + t * db, sigma2 + t * ds, v_inv + t * dv
             if trial[1] > 0 and (trial[2] > 0).all():
-                step = _newton_step(*trial, data, h)
+                step = _newton_step(*trial, x, y, xtx, h)
                 if step is not None:
                     break
             t *= 0.5
@@ -316,10 +310,10 @@ def _newton_polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
     return None
 
 
-def _polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
-    """The joint mode under ``h`` on all of ``data``'s coordinates, from
-    the interior point ``(beta, sigma2, v_inv)``: ``(beta, sigma2, v_inv,
-    logdet, quad)`` as :func:`_newton_polish` returns them.
+def _polish(data: Dataset, idx: np.ndarray, h: Hyper, beta, sigma2, v_inv):
+    """The joint mode under ``h`` on the coordinates ``idx`` of ``data``,
+    from the interior point ``(beta, sigma2, v_inv)`` on them: ``(beta,
+    sigma2, v_inv, logdet, quad)`` as :func:`_newton_polish` returns them.
 
     Where Newton fails, the polish is the conditional-update cycle run
     from ``beta`` without pruning; its ``sigma2`` is then the
@@ -328,12 +322,13 @@ def _polish(data: Dataset, h: Hyper, beta, sigma2, v_inv):
     the negative Hessian is not positive definite).
     """
 
-    polished = _newton_polish(data, h, beta, sigma2, v_inv)
+    x, xtx, _ = _live(data, idx)
+    polished = _newton_polish(x, data.y, xtx, h, beta, sigma2, v_inv)
     if polished is not None:
         return polished
     # A prune tolerance of 0 turns pruning off, so the vectors keep their
     # length.
     _, beta, _, v_inv, sigma2, _, _ = _cycle(
-        data, h, beta, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
-    step = _newton_step(beta, sigma2, v_inv, data, h)
+        data, h, idx, beta, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+    step = _newton_step(beta, sigma2, v_inv, x, data.y, xtx, h)
     return (beta, sigma2, v_inv) + (step[3:] if step else (None, None))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from adaridge import Dataset, Hyper, PosteriorState, log_joint_posterior, standardize
+from adaridge.model import _live
 
 
 # Property tests draw the same examples on every run, keep no example
@@ -42,6 +45,16 @@ def random_instance(seed, n_range=(40, 150), p_range=(3, 8)):
     x, y = toeplitz_design(n, beta, sigma, rng)
     data, std = standardize(x, y)
     return data, std, beta
+
+
+def live_view(data: Dataset, idx):
+    """``data`` restricted to the coordinates ``idx`` by ``model._live``,
+    the view the solver, the polish, MC evidence and EM work on: the live
+    columns and the slices of the cached ``X'X`` and ``X'y``, with the
+    ``y``, ``n`` and ``p`` that the reference formulas read."""
+
+    x, xtx, xty = _live(data, np.asarray(idx))
+    return SimpleNamespace(x=x, y=data.y, xtx=xtx, xty=xty, n=data.n, p=x.shape[1])
 
 
 def fd_gradient(f, theta, h=1e-6):

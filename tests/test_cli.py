@@ -44,6 +44,14 @@ class TestSimulate:
         assert code == 0
         assert len(test.read_text().splitlines()) == 26
 
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code, stdout, err = run_cli(capsys, "simulate", "--model", "3", "--n", "40",
+                                    "--sigma", "3", "--seed", "-1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestFit:
     def make_single_signal_csv(self, path, rng, n=40):
@@ -147,8 +155,9 @@ class TestFit:
         ["--grid", "-2"],
         ["--evidence", "mc", "--draws", "0"],
         ["--evidence", "mc", "--k", "0"],
+        ["--evidence", "mc", "--seed", "-1"],
     ], ids=["eta-minus-one", "eta-text", "max-iter", "conv-tol", "grid-descending",
-            "grid-below-minus-one", "draws", "k"])
+            "grid-below-minus-one", "draws", "k", "seed"])
     def test_bad_option_value_is_an_input_error(self, tmp_path, capsys, rng, option):
         path = tmp_path / "d.csv"
         self.make_single_signal_csv(path, rng)
@@ -244,6 +253,16 @@ class TestExperimentCommand:
                                  str(tmp_path / "o"), "--jobs", "1")
         assert code == 2 and out == ""
         assert "aris-eb-k10" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_master_seed_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("model_id = 3\nn = 40\nsigma = 3\nreplications = 2\n"
+                       "master_seed = -4\n")
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out",
+                                 str(tmp_path / "o"), "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == "error: master_seed must be >= 0, got -4\n"
         assert not (tmp_path / "o").exists()
 
     def test_failure_exit_code(self, tmp_path, capsys):

@@ -8,9 +8,11 @@ from adaridge import (
     fit_em,
     fit_joint_mode,
     fit_ols,
+    select_eta,
     standardize,
 )
-from conftest import random_instance, toeplitz_design
+from adaridge.errors import ExactFit
+from conftest import live_view, random_instance, toeplitz_design
 from oracles import em_step, em_step_explicit_sigma
 
 
@@ -83,7 +85,7 @@ class TestEmStepExplicitSigma:
         emf = fit_em(data, Hyper(0.4), opts, variant="explicit-sigma")
         assert emf.converged
         idx = np.where(emf.active)[0]
-        sub = Dataset(data.x[:, idx], data.y)
+        sub = live_view(data, idx)
         beta = emf.beta[idx]
         r = data.y - sub.x @ beta
         sigma2 = float(r @ r) / (data.n + 2)
@@ -142,6 +144,18 @@ class TestFitEm:
         # ~0.72 exact-recovery rate of that solver
         assert hits >= 30
 
+    # the flat-prior boundary and an interior eta of each variant
+    @pytest.mark.parametrize("variant, eta", [
+        ("independent-prior", -1.5), ("independent-prior", -1.0),
+        ("explicit-sigma", -0.5), ("explicit-sigma", 0.5)])
+    def test_constant_response_is_an_exact_fit(self, rng, variant, eta):
+        # the centred response is 0, so the start is 0 and the loop never
+        # forms a residual: the start's residual sum is what raises
+        data, _ = standardize(rng.standard_normal((30, 3)), np.full(30, 2.5))
+        assert not data.y.any() and not data.initial_beta.any()
+        with pytest.raises(ExactFit):
+            fit_em(data, Hyper(eta), variant=variant)
+
     def test_s2_trace_positive_and_recorded(self):
         data, _, _ = random_instance(2)
         emf = fit_em(data, Hyper(-1.0))
@@ -155,9 +169,9 @@ class TestFitEm:
     def test_truncated_fit_iterates_the_oracle_step(self, variant, seed, eta):
         data, _, _ = random_instance(seed)
         h = Hyper(eta)
-        # fit_em steps on a copy of the live columns; the oracle steps on
-        # an equal copy, so both form X'X and X'y from the same layout
-        live = Dataset(data.x[:, np.arange(data.p)], data.y)
+        # nothing is pruned here, so the oracle steps on the same view of
+        # every coordinate as fit_em
+        live = live_view(data, np.arange(data.p))
         beta = data.initial_beta.copy()
         r = live.y - live.x @ beta
         sigma2 = float(r @ r) / (live.n + 2)
@@ -202,7 +216,7 @@ class TestFitEm:
             keep = idx[vtilde >= FitOptions().prune_tol]
             if keep.size < idx.size and keep.size:
                 prunes += 1
-                sub = Dataset(data.x[:, keep], data.y)
+                sub = live_view(data, keep)
                 if variant == "independent-prior":
                     want = em_step(sub, prev.beta[keep], h)
                 else:
@@ -220,3 +234,26 @@ class TestFitEm:
             fit_em(data, Hyper(0.0), variant="nope")
         with pytest.raises(ValueError):
             fit_em(data, Hyper(-1.0), variant="explicit-sigma")
+
+
+def test_no_module_copies_columns_into_a_second_dataset(monkeypatch):
+    # Every restriction to live coordinates is a view of the one dataset:
+    # neither EM nor evidence scoring builds a Dataset, on an instance where
+    # both EM variants and some grid fits prune.
+    built = []
+    real = Dataset.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted)
+    data, _, _ = random_instance(0)
+    assert len(built) == 1
+    for variant in ("independent-prior", "explicit-sigma"):
+        assert not fit_em(data, Hyper(0.0), variant=variant).active.all()
+    sel = select_eta(data, method="mc", k=10.0, draws=50)
+    select_eta(data, method="laplace")
+    counts = [fit_joint_mode(data, Hyper(eta)).state.active.sum() for eta in sel.grid]
+    assert any(0 < c < data.p for c in counts)
+    assert len(built) == 1

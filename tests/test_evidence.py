@@ -32,7 +32,13 @@ from adaridge.solver import (
     _derivatives,
     _newton_polish,
 )
-from conftest import fd_hessian, log_joint_of_theta, random_instance, toeplitz_design
+from conftest import (
+    fd_hessian,
+    live_view,
+    log_joint_of_theta,
+    random_instance,
+    toeplitz_design,
+)
 from oracles import assemble_hessian
 
 
@@ -48,7 +54,8 @@ def interior_state(data, rng, eta=0.8):
 def hessian_blocks(state, data, h):
     """The negative Hessian blocks that the Newton step factors."""
 
-    return _derivatives(state.beta, state.sigma2, state.v_inv, data, h)[1]
+    return _derivatives(state.beta, state.sigma2, state.v_inv, data.x, data.y,
+                        data.xtx, h)[1]
 
 
 def single_predictor_instance(seed, n=60, signal=4.0, noise=1.0):
@@ -274,12 +281,13 @@ class TestMonteCarloEvidence:
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = mc_log_evidence(fit, data, h, k=10.0, draws=2000, seed=seed)
 
-            _, _, v_inv, _, _, red = _polished_mode(fit, data, h)
+            assert fit.state.active.all()
+            _, _, v_inv, _, _ = _polished_mode(fit, data, h)
             sig = v_inv[0] / math.sqrt(0.5 + eta)
             lo, hi = max(0.0, v_inv[0] - 10 * sig), v_inv[0] + 10 * sig
 
             def ilog(t):
-                return (conditional_marginal(red, [t]) + eta * math.log(t)
+                return (conditional_marginal(data, [t]) + eta * math.log(t)
                         - h.mu * t - math.lgamma(eta + 1.0))
 
             shift = ilog(v_inv[0])
@@ -528,9 +536,9 @@ class TestPolish:
         data, _, _ = random_instance(4)
         fit = fit_joint_mode(data, Hyper(32.0), FitOptions(max_iter=1))
         count = int(fit.state.active.sum())
-        beta, sigma2, v_inv, _, _, reduced = _polished_mode(
+        beta, sigma2, v_inv, _, _ = _polished_mode(
             fit, data, Hyper(32.0, mu=1e-12))
-        assert len(beta) == len(v_inv) == reduced.p == count
+        assert len(beta) == len(v_inv) == count
         assert np.isfinite(v_inv).all() and sigma2 > 0
         assert (1.0 / v_inv < FitOptions().prune_tol).any()
 
@@ -568,9 +576,10 @@ class TestPolish:
                 continue
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = laplace_log_evidence(fit, data, h)
-            beta, sigma2, v_inv, logdet, _, reduced = _polished_mode(fit, data, h)
+            beta, sigma2, v_inv, logdet, _ = _polished_mode(fit, data, h)
             state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv,
                                    active=np.ones(len(beta), dtype=bool))
+            reduced = live_view(data, np.flatnonzero(fit.state.active))
             expected = (log_joint_posterior(state, reduced, h)
                         + (2 * len(beta) + 1) / 2.0 * math.log(2.0 * math.pi)
                         - 0.5 * logdet)
@@ -584,8 +593,9 @@ class TestPolish:
     def test_polished_sigma2_is_the_conditional_mode(self, seed, eta):
         data, _, _ = random_instance(seed)
         fit = fit_joint_mode(data, Hyper(eta))
-        beta, sigma2, v_inv, _, _, reduced = _polished_mode(
+        beta, sigma2, v_inv, _, _ = _polished_mode(
             fit, data, Hyper(eta, mu=EVIDENCE_MU))
+        reduced = live_view(data, np.flatnonzero(fit.state.active))
         r = reduced.y - reduced.x @ beta
         quad = float(r @ r + beta @ (v_inv * beta))
         assert sigma2 == pytest.approx(quad / (reduced.n + reduced.p + 2),
@@ -615,9 +625,13 @@ def wide_instance(input_id, n=800, p=200, nonzero=10):
 
 
 def polish_inputs(fit, data):
-    mask = fit.state.active
-    reduced = data if mask.all() else Dataset(data.x[:, mask], data.y)
-    return reduced, fit.state.beta[mask], fit.state.sigma2, fit.state.v_inv[mask]
+    """The fit's live coordinates, the view of ``data`` on them, and the
+    fit's point there: where :func:`_polished_mode` starts its polish."""
+
+    state = fit.state
+    idx = np.flatnonzero(state.active)
+    return (idx, live_view(data, idx), state.beta[idx], state.sigma2,
+            state.v_inv[idx])
 
 
 def relative_gradient(reduced, h, beta, sigma2, v_inv):
@@ -649,7 +663,8 @@ class TestNewtonPolish:
             if not fit.state.active.any():
                 continue
             h = Hyper(eta, mu=EVIDENCE_MU)
-            beta, sigma2, v_inv, _, _, reduced = _polished_mode(fit, data, h)
+            beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
+            reduced = polish_inputs(fit, data)[1]
             assert max(relative_gradient(reduced, h, beta, sigma2, v_inv)) < 1e-13
             checked += 1
         assert checked > 40
@@ -666,9 +681,10 @@ class TestNewtonPolish:
             if not fit.state.active.any():
                 continue
             h = Hyper(eta, mu=EVIDENCE_MU)
-            beta, sigma2, v_inv, _, _, reduced = _polished_mode(fit, data, h)
+            beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
+            idx, _, beta0, _, _ = polish_inputs(fit, data)
             _, c_beta, _, c_v_inv, c_sigma2, _, converged = _cycle(
-                reduced, h, polish_inputs(fit, data)[1], 10_000, 1e-13, 0.0)
+                data, h, idx, beta0, 10_000, 1e-13, 0.0)
             assert converged
             np.testing.assert_allclose(beta, c_beta, rtol=1e-12, atol=0)
             assert sigma2 == pytest.approx(c_sigma2, rel=1e-12, abs=0)
@@ -691,9 +707,10 @@ class TestNewtonPolish:
                 continue
             h = Hyper(eta, mu=EVIDENCE_MU)
             est = laplace_log_evidence(fit, data, h)
-            beta, sigma2, v_inv, _, _, reduced = _polished_mode(fit, data, h)
+            beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
             state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv,
                                    active=np.ones(len(beta), dtype=bool))
+            reduced = polish_inputs(fit, data)[1]
             sign, logdet = np.linalg.slogdet(
                 assemble_hessian(hessian_blocks(state, reduced, h)))
             assert sign > 0
@@ -712,11 +729,12 @@ class TestNewtonPolish:
         fit = fit_joint_mode(data, Hyper(16.0))
         assert not fit.converged
         h = Hyper(16.0, mu=EVIDENCE_MU)
-        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
-        assert _newton_polish(reduced, h, beta0, sigma20, v_inv0) is None
-        beta, sigma2, v_inv, _, _, _ = _polished_mode(fit, data, h)
+        idx, reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        assert _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
+                              sigma20, v_inv0) is None
+        beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
         _, c_beta, _, c_v_inv, c_sigma2, _, _ = _cycle(
-            reduced, h, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+            data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
         assert np.array_equal(beta, c_beta) and np.array_equal(v_inv, c_v_inv)
         assert sigma2 == c_sigma2
 
@@ -724,9 +742,11 @@ class TestNewtonPolish:
         data = study_replication(1, 3)
         fit = fit_joint_mode(data, Hyper(16.0))
         h = Hyper(16.0, mu=EVIDENCE_MU)
-        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
-        assert not _cycle(reduced, h, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)[6]
-        polished = _newton_polish(reduced, h, beta0, sigma20, v_inv0)
+        idx, reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        assert not _cycle(data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL,
+                          0.0)[6]
+        polished = _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
+                                  sigma20, v_inv0)
         assert polished is not None
         assert max(relative_gradient(reduced, h, *polished[:3])) < 1e-13
 
@@ -738,8 +758,9 @@ class TestNewtonPolish:
         fit = fit_joint_mode(data, Hyper(-0.45))
         assert not fit.converged and fit.state.active.sum() == 113
         h = Hyper(-0.45, mu=EVIDENCE_MU)
-        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
-        polished = _newton_polish(reduced, h, beta0, sigma20, v_inv0)
+        _, reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        polished = _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
+                                  sigma20, v_inv0)
         assert polished is not None
         assert max(relative_gradient(reduced, h, *polished[:3])) < 1e-12
 
@@ -751,9 +772,10 @@ class TestNewtonPolish:
         fit = fit_joint_mode(data, Hyper(-0.45))
         assert not fit.converged and fit.state.active.sum() == 129
         h = Hyper(-0.45, mu=EVIDENCE_MU)
-        reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
-        assert _newton_polish(reduced, h, beta0, sigma20, v_inv0) is None
-        assert _cycle(reduced, h, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)[6]
+        idx, reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
+        assert _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
+                              sigma20, v_inv0) is None
+        assert _cycle(data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)[6]
         est = laplace_log_evidence(fit, data, h)
         assert math.isfinite(est.log_value)
 
@@ -824,11 +846,11 @@ def check_mc_box(data, eta, k, seed, nodes, converged):
     fit = fit_joint_mode(data, Hyper(eta))
     assert fit.state.active.all()
     h = Hyper(eta, mu=EVIDENCE_MU)
-    _, _, center, _, _, red = _polished_mode(fit, data, h)
+    _, _, center, _, _ = _polished_mode(fit, data, h)
     sig = center / math.sqrt(0.5 + eta)
     lo, hi = np.maximum(0.0, center - k * sig), center + k * sig
-    integral = box_log_integral(red, h, lo, hi, nodes[0])
-    assert integral == pytest.approx(box_log_integral(red, h, lo, hi, nodes[1]),
+    integral = box_log_integral(data, h, lo, hi, nodes[0])
+    assert integral == pytest.approx(box_log_integral(data, h, lo, hi, nodes[1]),
                                      abs=converged)
     log_volume = float(np.sum(np.log(hi - lo)))
 
@@ -852,11 +874,11 @@ def check_laplace(data, eta, nodes):
     assert fit.state.active.all()
     h = Hyper(eta, mu=EVIDENCE_MU)
     est = laplace_log_evidence(fit, data, h)
-    _, _, center, _, _, red = _polished_mode(fit, data, h)
+    _, _, center, _, _ = _polished_mode(fit, data, h)
     hi = center + 40.0 * center / math.sqrt(0.5 + eta)
-    integral = box_log_integral(red, h, np.full(red.p, 1e-12), hi, nodes,
+    integral = box_log_integral(data, h, np.full(data.p, 1e-12), hi, nodes,
                                 prior_scale=True)
-    assert abs(est.log_value - integral) <= red.p * 0.125
+    assert abs(est.log_value - integral) <= data.p * 0.125
 
 
 class TestEvidenceAtP2:

@@ -86,6 +86,7 @@ class TestParseConfig:
         (dict(replications=2.5), "^replications must be an integer, got 2.5$"),
         (dict(test_size=np.float64(100)), "^test_size must be an integer, got 100.0$"),
         (dict(master_seed=1.0), "^master_seed must be an integer, got 1.0$"),
+        (dict(master_seed=-4), "^master_seed must be >= 0, got -4$"),
         (dict(n_boot=500.0), "^n_boot must be an integer, got 500.0$"),
         (dict(k_sweep=(), mc_draws=2.5), "^mc_draws must be an integer >= 1, got 2.5$"),
     ], ids=["grid-descending", "grid-nan", "model-id", "sigma", "sigma-infinite",
@@ -93,7 +94,8 @@ class TestParseConfig:
             "k-sweep-infinite", "k-sweep-zero", "mc-draws", "n-boot", "em-eta",
             "estimator-repeated", "k-repeated", "k-label-repeated",
             "model-id-float", "n-float", "replications-float", "test-size-float",
-            "master-seed-float", "n-boot-float", "mc-draws-float-no-sweep"])
+            "master-seed-float", "master-seed-negative", "n-boot-float",
+            "mc-draws-float-no-sweep"])
     def test_bad_config_rejected_before_any_replication(self, kwargs, message):
         fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | kwargs
         with pytest.raises(ValueError, match=message):

@@ -61,3 +61,13 @@ def test_every_public_default_is_passed_somewhere():
             if not (by_position or param.name in keywords.get(name, ())):
                 unused.append(f"{name}({param.name}=)")
     assert unused == []
+
+
+def test_sources_parse_as_python_3_10():
+    # The oldest interpreter the package supports; syntax newer than it
+    # fails here on any newer interpreter.
+    src = Path(adaridge.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -60,6 +60,15 @@ class TestDrawDataset:
         b, _ = draw_dataset(DgpSpec(2, 30, 3.0, seed=124))
         assert not np.array_equal(a.x, b.x)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "^seed must be >= 0, got -1$"),
+        (np.int64(-3), "^seed must be >= 0, got -3$"),
+        (2.0, "^seed must be an integer, got 2.0$"),
+    ])
+    def test_bad_seed_rejected_by_the_spec(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            DgpSpec(3, 40, 3.0, seed=seed)
+
 
 class TestDrawTestSet:
     def test_default_size(self):
