@@ -25,7 +25,14 @@ from .evidence import (
     select_eta,
 )
 from .experiment import ExperimentFailure, default_jobs, parse_config, run_experiment
-from .model import FitOptions, Hyper, _check_seed, destandardize_beta, standardize
+from .model import (
+    FitOptions,
+    Hyper,
+    _check_count,
+    _check_seed,
+    destandardize_beta,
+    standardize,
+)
 from .simulate import DgpSpec, dataset_to_csv, draw_dataset, draw_test_set
 from .solver import fit_joint_mode
 
@@ -176,6 +183,7 @@ def cmd_simulate(args) -> int:
     try:
         spec = DgpSpec(model_id=args.model, n=args.n, sigma=args.sigma,
                        seed=args.seed)
+        _check_count(args.test_size, "--test-size")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

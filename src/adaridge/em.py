@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExactFit
-from .model import Dataset, FitOptions, Hyper, _live, _ridge_solve
+from .model import Dataset, FitOptions, Hyper, _live, _one_blas_thread, _ridge_solve
 
 __all__ = ["EmFit", "fit_em"]
 
@@ -48,6 +48,7 @@ def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return s2
 
 
+@_one_blas_thread()
 def fit_em(
     data: Dataset,
     h: Hyper,
@@ -69,7 +70,8 @@ def fit_em(
     ``s2_trace`` holds each iteration's ``S^2`` before pruning; the
     independent-prior weights take it after pruning.  At the flat prior
     boundary (``eta = -3/2`` independent-prior, ``eta = -1/2``
-    explicit-sigma) the estimator is least squares in one step.
+    explicit-sigma) the estimator is least squares in one step.  The fit
+    runs its BLAS on one thread (see ``model._one_blas_thread``).
     """
 
     if variant not in VARIANTS:

@@ -38,7 +38,6 @@ Two conventions here are deliberate and documented:
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,9 +55,11 @@ from .model import (
     FitOptions,
     Hyper,
     ModeFit,
+    _check_count,
     _check_seed,
     _live,
     _log_joint_density,
+    _one_blas_thread,
     _read_only,
 )
 from .solver import _polish, fit_joint_mode
@@ -344,8 +345,7 @@ def _check_mc(k, draws, names: tuple[str, str] = ("k", "draws")) -> None:
 
     if not 0 < k < math.inf:
         raise ValueError(f"{names[0]} must be finite and > 0, got {k:g}")
-    if not isinstance(draws, numbers.Integral) or draws < 1:
-        raise ValueError(f"{names[1]} must be an integer >= 1, got {draws}")
+    _check_count(draws, names[1])
 
 
 def _score(fit, data, eta, method, k, draws, seed) -> EvidenceEstimate:
@@ -358,6 +358,7 @@ def _score(fit, data, eta, method, k, draws, seed) -> EvidenceEstimate:
     return mc_log_evidence(fit, data, h, k=k, draws=draws, seed=seed)
 
 
+@_one_blas_thread()
 def select_eta(
     data: Dataset,
     grid=DEFAULT_ETA_GRID,
@@ -379,6 +380,8 @@ def select_eta(
     if every point does, with a message that names each point's error.
     Monte-Carlo scoring draws from a per-point stream derived from
     ``(seed, grid index, k)`` so results do not depend on evaluation order.
+    The whole selection runs its BLAS on one thread (see
+    ``model._one_blas_thread``).
     """
 
     grid = _check_grid(grid)

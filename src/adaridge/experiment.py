@@ -8,17 +8,15 @@ correct/incorrect selection counts, and the exact-recovery proportion.
 
 Replications execute independently (optionally across processes); every
 random stream is derived from ``(master_seed, replication index)`` so the
-outputs are byte-identical for any worker count.  Pool workers run their
-BLAS on one thread: the caller pins its own OpenBLAS copies to one thread
-while it forks them, so no worker ever starts a BLAS thread pool, and
-restores its counts once the pool has closed.
+outputs are byte-identical for any worker count.  The replications run
+their BLAS on one thread: the caller pins its OpenBLAS copies to one
+thread (``model._one_blas_thread``) for the whole run, in process or
+while it forks the pool workers, so no worker ever starts a BLAS thread
+pool, and restores its counts once the replications have ended.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import importlib
 import json
 import multiprocessing
 import operator
@@ -48,7 +46,15 @@ from .metrics import (
     support_metrics,
     test_mse,
 )
-from .model import FitOptions, Hyper, _check_seed, destandardize_beta, standardize
+from .model import (
+    FitOptions,
+    Hyper,
+    _check_seed,
+    _one_blas_thread,
+    _openblas_thread_controls,
+    destandardize_beta,
+    standardize,
+)
 from .simulate import DgpSpec, draw_dataset, draw_test_set
 from .solver import fit_joint_mode
 
@@ -90,7 +96,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Every check runs here, so a bad config fails before any replication.
-        DgpSpec(self.model_id, self.n, self.sigma, 0)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.test_size < 1:
@@ -129,6 +134,7 @@ class ExperimentConfig:
                 except TypeError:
                     what = "an integer >= 1" if f.name == "mc_draws" else "an integer"
                     raise ValueError(f"{f.name} must be {what}, got {value}") from None
+        DgpSpec(self.model_id, self.n, self.sigma, 0)
         _check_seed(self.master_seed, "master_seed")
 
 
@@ -296,60 +302,10 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
     return records
 
 
-# Extension modules linked against numpy's and scipy's BLAS; a symbol
-# lookup through their handles searches the libraries they depend on.
-_BLAS_LINKED_MODULES = (
-    ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"),
-    ("scipy.linalg._fblas",),
-)
-# OpenBLAS thread-control symbols, ``{}`` being ``set`` or ``get``: the
-# prefixed names of the scipy-openblas wheels (ILP64 and LP64), then the
-# plain ones.
-_OPENBLAS_THREAD_SYMBOLS = (
-    "scipy_openblas_{}_num_threads64_",
-    "scipy_openblas_{}_num_threads",
-    "openblas_{}_num_threads",
-    "openblas_{}_num_threads64_",
-)
-
-
-def _blas_linked_libraries():
-    """ctypes handles of one extension module linked against numpy's BLAS
-    and one linked against scipy's."""
-
-    for candidates in _BLAS_LINKED_MODULES:
-        for name in candidates:
-            try:
-                lib = ctypes.CDLL(importlib.import_module(name).__file__)
-            except (ImportError, OSError):
-                continue
-            yield lib
-            break
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """``(set, get)`` thread-count functions of every OpenBLAS copy that
-    numpy and scipy have loaded (their wheels bundle one each); empty
-    where none resolves."""
-
-    controls = []
-    for lib in _blas_linked_libraries():
-        for symbol in _OPENBLAS_THREAD_SYMBOLS:
-            setter = getattr(lib, symbol.format("set"), None)
-            getter = getattr(lib, symbol.format("get"), None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return tuple(controls)
-
-
 def _blas_threads() -> int | None:
     """Largest thread count of the loaded OpenBLAS copies, or ``None``
-    where no thread control resolves.  In a pool worker this is the count
-    it inherited from the caller's pin across the fork."""
+    where no thread control resolves.  Under the run's pin this is 1; in a
+    pool worker it is the count inherited through the fork."""
 
     counts = [getter() for _, getter in _openblas_thread_controls()]
     return max(counts) if counts else None
@@ -375,29 +331,18 @@ def _worker(args) -> tuple[int, list[dict] | None, str, int | None]:
 
 
 def _run_pooled(tasks: list, jobs: int) -> list:
-    """``_worker`` over ``tasks`` in ``jobs`` forked processes, with the
-    caller's OpenBLAS copies pinned to one thread while the pool lives.
+    """``_worker`` over ``tasks`` in ``jobs`` forked processes.
 
-    The workers inherit the one thread through fork, so OpenBLAS never
-    starts its thread pool in them; setting the count inside a forked
-    worker would start one, whose helpers busy-wait beside the workers.
-    Where fork is not available the workers keep their default count.
-    The caller's counts are restored when the pool closes, also when it
-    raises.
+    The caller runs this under ``_one_blas_thread``, so the workers inherit
+    one BLAS thread through fork and OpenBLAS never starts its thread pool
+    in them.  Where fork is not available the workers start with their
+    default count and pin it themselves in each fit.
     """
 
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    controls = _openblas_thread_controls()
-    before = [get() for _, get in controls]
-    try:
-        for set_threads, _ in controls:
-            set_threads(1)
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            return list(pool.map(_worker, tasks))
-    finally:
-        for (set_threads, _), count in zip(controls, before):
-            set_threads(count)
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        return list(pool.map(_worker, tasks))
 
 
 def _row_order(config: ExperimentConfig) -> list[str]:
@@ -515,11 +460,11 @@ def run_experiment(
     in which case it is recorded and excluded from the aggregates.
     Results are byte-identical for any ``jobs`` value.
 
-    At most ``min(jobs, replications)`` worker processes start, each with
-    its BLAS on one thread: the caller's BLAS is pinned to one thread while
-    the workers fork and restored when the pool closes.  With one worker
-    the replications run in the calling process, whose BLAS threads are
-    left as they are.
+    The replications run with the caller's BLAS pinned to one thread
+    (``model._one_blas_thread``), restored when they end.  With one worker
+    they run in the calling process; otherwise at most
+    ``min(jobs, replications)`` worker processes fork under the pin and
+    inherit the one thread.
     """
 
     out = Path(out_dir)
@@ -528,10 +473,11 @@ def run_experiment(
     jobs = min(jobs, config.replications)
 
     tasks = [(config, rep) for rep in range(config.replications)]
-    if jobs == 1:
-        outcomes = [_worker(task) for task in tasks]
-    else:
-        outcomes = _run_pooled(tasks, jobs)
+    with _one_blas_thread():
+        if jobs == 1:
+            outcomes = [_worker(task) for task in tasks]
+        else:
+            outcomes = _run_pooled(tasks, jobs)
     threads = [t for *_, t in outcomes if t is not None]
 
     records: list[dict] = []

@@ -7,14 +7,22 @@ and independent gamma priors (shape ``eta + 1``, rate ``mu``) on the
 per-coefficient prior precisions.  Everything downstream (solvers,
 evidence, experiments) works on data standardized so predictor columns
 have unit 2-norm and the response has zero mean.
+
+``_one_blas_thread`` is the package's one pin of the BLAS thread count:
+``select_eta``, a joint-mode fit that misses the memo, ``fit_em`` and the
+replications of ``run_experiment`` run their BLAS on one OpenBLAS thread,
+and the caller's count comes back when they end.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import importlib
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -39,6 +47,22 @@ FALLBACK_RIDGE = 1e-6
 
 # The LAPACK routines behind scipy.linalg.cho_factor / cho_solve.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+# Extension modules linked against numpy's and scipy's BLAS; a symbol
+# lookup through their handles searches the libraries they depend on.
+_BLAS_LINKED_MODULES = (
+    ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"),
+    ("scipy.linalg._fblas",),
+)
+# OpenBLAS thread-control symbols, ``{}`` being ``set`` or ``get``: the
+# prefixed names of the scipy-openblas wheels (ILP64 and LP64), then the
+# plain ones.
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+)
 
 __all__ = [
     "MACHINE_EPS",
@@ -71,6 +95,76 @@ def _as_vector(y) -> np.ndarray:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _blas_linked_libraries():
+    """ctypes handles of one extension module linked against numpy's BLAS
+    and one linked against scipy's."""
+
+    for candidates in _BLAS_LINKED_MODULES:
+        for name in candidates:
+            try:
+                lib = ctypes.CDLL(importlib.import_module(name).__file__)
+            except (ImportError, OSError):
+                continue
+            yield lib
+            break
+
+
+@cache
+def _openblas_thread_controls() -> tuple:
+    """``(set, get)`` thread-count functions of every OpenBLAS copy that
+    numpy and scipy have loaded (their wheels bundle one each); empty
+    where none resolves."""
+
+    controls = []
+    for lib in _blas_linked_libraries():
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, symbol.format("set"), None)
+            getter = getattr(lib, symbol.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS copy on one thread.
+
+    On the fits' matrices a second BLAS thread costs more in
+    synchronisation than it saves (README, "BLAS threads").  Only the
+    copies whose count is not already 1 are set, and exactly those are
+    restored on exit, also when the body raises.  A copy that reads 1 is
+    never set, because a set call in a forked process starts an OpenBLAS
+    thread pool whose helpers busy-wait; so nested pins and pool workers,
+    which inherit the pin through fork, make no set call.  The count is
+    process-wide: Python threads that fit at the same time may see each
+    other's pin.  That changes their speed, and can change the rounding of
+    a BLAS sum that is split across threads.
+    """
+
+    changed = []
+    try:
+        for set_threads, get_threads in _openblas_thread_controls():
+            count = get_threads()
+            if count != 1:
+                set_threads(1)
+                changed.append((set_threads, count))
+        yield
+    finally:
+        for set_threads, count in changed:
+            set_threads(count)
+
+
+def _check_count(value, name: str) -> None:
+    """Check that a size or draw count is an integer >= 1; errors call it
+    ``name``."""
+
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 def _check_seed(seed, name: str = "seed") -> None:

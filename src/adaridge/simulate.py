@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset, _check_seed
+from .model import Dataset, _check_count, _check_seed
 
 __all__ = [
     "DgpSpec",
@@ -53,8 +53,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.model_id not in MODEL_BETAS:
             raise ValueError(f"model_id must be one of {sorted(MODEL_BETAS)}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_count(self.n, "n")
         if not (0 <= self.sigma < np.inf):
             raise ValueError("sigma must be finite and non-negative")
         _check_seed(self.seed)
@@ -110,8 +109,7 @@ def draw_dataset(spec: DgpSpec) -> tuple[Dataset, TruthRecord]:
 def draw_test_set(spec: DgpSpec, truth: TruthRecord, m: int = 10_000) -> Dataset:
     """Fresh rows from the same process on an independent seed stream."""
 
-    if m < 1:
-        raise ValueError("test size must be >= 1")
+    _check_count(m, "m")
     return _draw(spec, truth, m, _TEST_STREAM)
 
 

@@ -27,6 +27,7 @@ from .model import (
     ModeFit,
     PosteriorState,
     _live,
+    _one_blas_thread,
     _ridge_solve,
 )
 
@@ -102,7 +103,9 @@ def fit_joint_mode(data: Dataset, h: Hyper,
     submodel, with its quadratic term ``rss + beta' V^{-1} beta`` taken
     from the residual the next iteration computes anyway (one extra
     residual after the last iteration).  The loop keeps only those terms;
-    the trace is evaluated when it is first read.
+    the trace is evaluated when it is first read.  A fit that is not in
+    the memo runs its BLAS on one thread (see ``model._one_blas_thread``);
+    a memo hit leaves the thread counts alone.
 
     Parameters
     ----------
@@ -115,7 +118,8 @@ def fit_joint_mode(data: Dataset, h: Hyper,
     key = (h, opts)
     fit = data._memo.get(key)
     if fit is None:
-        fit = data._memo[key] = _fit_joint_mode(data, h, opts)
+        with _one_blas_thread():
+            fit = data._memo[key] = _fit_joint_mode(data, h, opts)
     return fit
 
 

@@ -52,6 +52,15 @@ class TestSimulate:
         assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_bad_test_size_is_an_input_error(self, tmp_path, capsys):
+        out, test = tmp_path / "d.csv", tmp_path / "t.csv"
+        code, stdout, err = run_cli(capsys, "simulate", "--model", "3", "--n", "40",
+                                    "--sigma", "3", "--seed", "1", "--out", str(out),
+                                    "--test-out", str(test), "--test-size", "0")
+        assert code == 2 and stdout == ""
+        assert err == "error: --test-size must be an integer >= 1, got 0\n"
+        assert not out.exists() and not test.exists()
+
 
 class TestFit:
     def make_single_signal_csv(self, path, rng, n=40):

@@ -8,7 +8,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaridge import experiment
+from adaridge import experiment, model
 from adaridge.errors import NonFiniteEvidence
 from adaridge.experiment import (
     ExperimentConfig,
@@ -293,7 +293,8 @@ class TestRunExperiment:
 
 
 class TestBlasThreads:
-    """Pool workers run one BLAS thread; the calling process keeps its own."""
+    """Replications run one BLAS thread, in process or in pool workers; the
+    caller gets its own count back when the run ends."""
 
     @pytest.fixture
     def controls(self):
@@ -355,4 +356,34 @@ class TestBlasThreads:
         finally:
             for (set_threads, _), count in zip(controls, before):
                 set_threads(count)
+        assert report.provenance["environment"]["blas_threads"] == 1
+
+    def test_in_process_run_reads_one_thread_and_restores(self, controls,
+                                                          tmp_path):
+        before = [get() for _, get in controls]
+        try:
+            for set_threads, _ in controls:
+                set_threads(2)
+            run_experiment(parse_config(CONFIG_TEXT), tmp_path, jobs=1)
+            assert [get() for _, get in controls] == [2] * len(controls)
+        finally:
+            for (set_threads, _), count in zip(controls, before):
+                set_threads(count)
+        provenance = json.loads((tmp_path / "provenance.json").read_text())
+        assert provenance["environment"]["blas_threads"] == 1
+
+    def test_in_process_run_sets_no_copy_already_on_one_thread(
+            self, monkeypatch, tmp_path):
+        # the forked-worker rule: a set call there starts a thread pool
+        calls = []
+
+        def get():
+            calls.append("get")
+            return 1
+
+        fake = ((calls.append, get),) * 2
+        monkeypatch.setattr(model, "_openblas_thread_controls", lambda: fake)
+        monkeypatch.setattr(experiment, "_openblas_thread_controls", lambda: fake)
+        report = run_experiment(parse_config(CONFIG_TEXT), tmp_path, jobs=1)
+        assert calls and set(calls) == {"get"}
         assert report.provenance["environment"]["blas_threads"] == 1

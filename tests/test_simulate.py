@@ -69,6 +69,22 @@ class TestDrawDataset:
         with pytest.raises(ValueError, match=message):
             DgpSpec(3, 40, 3.0, seed=seed)
 
+    @pytest.mark.parametrize("n, message", [
+        (40.5, "^n must be an integer >= 1, got 40.5$"),
+        (40.0, "^n must be an integer >= 1, got 40.0$"),
+        (0, "^n must be an integer >= 1, got 0$"),
+        (np.int64(-2), "^n must be an integer >= 1, got -2$"),
+    ])
+    def test_bad_size_rejected_by_the_spec(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            DgpSpec(3, n, 3.0, seed=0)
+
+    def test_numpy_integer_size_accepted(self):
+        a, _ = draw_dataset(DgpSpec(3, np.int64(12), 3.0, seed=4))
+        b, _ = draw_dataset(DgpSpec(3, 12, 3.0, seed=4))
+        assert a.n == 12
+        np.testing.assert_array_equal(a.x, b.x)
+
 
 class TestDrawTestSet:
     def test_default_size(self):
@@ -82,6 +98,22 @@ class TestDrawTestSet:
         train, truth = draw_dataset(spec)
         test = draw_test_set(spec, truth, m=50)
         assert not np.array_equal(train.x, test.x)
+
+    @pytest.mark.parametrize("m, message", [
+        (10.5, "^m must be an integer >= 1, got 10.5$"),
+        (0, "^m must be an integer >= 1, got 0$"),
+        (np.int32(-1), "^m must be an integer >= 1, got -1$"),
+    ])
+    def test_bad_size_rejected(self, m, message):
+        spec = DgpSpec(3, 20, 3.0, seed=1)
+        _, truth = draw_dataset(spec)
+        with pytest.raises(ValueError, match=message):
+            draw_test_set(spec, truth, m)
+
+    def test_numpy_integer_size_accepted(self):
+        spec = DgpSpec(3, 20, 3.0, seed=1)
+        _, truth = draw_dataset(spec)
+        assert draw_test_set(spec, truth, np.int64(7)).n == 7
 
     def test_true_coefficients_score_noise_variance(self):
         spec = DgpSpec(1, 30, 3.0, seed=6)

@@ -3,19 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adaridge.em as em_module
+import adaridge.evidence as evidence_module
+import adaridge.model as model_module
+import adaridge.solver as solver_module
 from adaridge import (
     Dataset,
     FitOptions,
     Hyper,
+    fit_em,
     fit_joint_mode,
     fit_ols,
     log_joint_posterior,
     select_eta,
     standardize,
 )
-from adaridge.errors import ExactFit, SingularSystem
+from adaridge.errors import ExactFit, NonFiniteEvidence, SingularSystem
 from adaridge.evidence import DEFAULT_ETA_GRID
-from adaridge.model import MACHINE_EPS, PosteriorState, _ridge_solve
+from adaridge.model import (
+    MACHINE_EPS,
+    PosteriorState,
+    _one_blas_thread,
+    _openblas_thread_controls,
+    _ridge_solve,
+)
 from adaridge.simulate import DgpSpec, draw_dataset
 from adaridge.solver import _cycle, _derivatives, _newton_step
 from conftest import fd_gradient, random_instance, toeplitz_design
@@ -430,6 +441,106 @@ class TestFitMemo:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert data._memo == {}
+
+
+# Each in-process fit entry point, a function inside its pin to probe, and
+# the error the entry point raises on a constant response.
+PINNED_ENTRIES = {
+    "select_eta": (evidence_module, "_score",
+                   lambda d: select_eta(d, (0.0, 1.0)), NonFiniteEvidence),
+    "fit_joint_mode": (solver_module, "_fit_joint_mode",
+                       lambda d: fit_joint_mode(d, Hyper(0.5)), ExactFit),
+    "fit_em": (em_module, "_ridge_solve",
+               lambda d: fit_em(d, Hyper(-1.0)), ExactFit),
+}
+
+
+class FakeBlasCopy:
+    """A stand-in ``(set, get)`` thread control that records its calls."""
+
+    def __init__(self, count):
+        self.count, self.sets, self.gets = count, [], 0
+
+    def set(self, count):
+        self.sets.append(count)
+        self.count = count
+
+    def get(self):
+        self.gets += 1
+        return self.count
+
+
+class TestOneBlasThread:
+    """In-process fits run their BLAS on one thread and give the caller's
+    count back afterwards, also when they raise."""
+
+    @pytest.fixture
+    def two_threads(self):
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control resolves")
+        before = [get() for _, get in controls]
+        for set_threads, _ in controls:
+            set_threads(2)
+        yield lambda: [get() for _, get in controls]
+        for (set_threads, _), count in zip(controls, before):
+            set_threads(count)
+
+    def fake_copies(self, monkeypatch, *counts):
+        copies = [FakeBlasCopy(c) for c in counts]
+        controls = tuple((c.set, c.get) for c in copies)
+        monkeypatch.setattr(model_module, "_openblas_thread_controls",
+                            lambda: controls)
+        return copies
+
+    @pytest.mark.parametrize("entry", PINNED_ENTRIES)
+    def test_one_thread_inside_and_restored_after(self, monkeypatch, two_threads,
+                                                  entry):
+        module, inner, call, _ = PINNED_ENTRIES[entry]
+        seen = []
+        real = getattr(module, inner)
+
+        def probe(*args, **kwargs):
+            seen.append(two_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, inner, probe)
+        data, _, _ = random_instance(3)   # a fresh dataset: every fit misses
+        call(data)
+        ones = [1] * len(two_threads())
+        assert seen and all(counts == ones for counts in seen)
+        assert two_threads() == [2] * len(ones)
+
+    @pytest.mark.parametrize("entry", PINNED_ENTRIES)
+    def test_restored_when_the_fit_raises(self, rng, two_threads, entry):
+        _, _, call, error = PINNED_ENTRIES[entry]
+        data, _ = standardize(rng.standard_normal((30, 3)), np.full(30, 2.5))
+        with pytest.raises(error):
+            call(data)
+        assert two_threads() == [2] * len(two_threads())
+
+    @pytest.mark.parametrize("entry", PINNED_ENTRIES)
+    def test_copies_on_one_thread_are_never_set(self, monkeypatch, entry):
+        # a forked pool worker inherits the count 1, and a set call there
+        # would start an OpenBLAS thread pool
+        copies = self.fake_copies(monkeypatch, 1, 1)
+        data, _, _ = random_instance(3)
+        PINNED_ENTRIES[entry][2](data)
+        assert all(c.gets and not c.sets for c in copies)
+
+    def test_only_the_copies_it_set_are_restored(self, monkeypatch):
+        pinned, free = self.fake_copies(monkeypatch, 1, 3)
+        with _one_blas_thread():
+            with _one_blas_thread():
+                assert (pinned.count, free.count) == (1, 1)
+        assert pinned.sets == [] and free.sets == [1, 3]
+
+    def test_a_memo_hit_reads_no_count(self, monkeypatch):
+        data, _, _ = random_instance(3)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        copies = self.fake_copies(monkeypatch, 2)
+        assert fit_joint_mode(data, Hyper(0.5)) is fit
+        assert copies[0].gets == 0 and copies[0].sets == []
 
 
 class TestReweightedRidge:
