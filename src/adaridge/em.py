@@ -119,6 +119,8 @@ def fit_em(
             idx, b, den = idx[keep], b[keep], den[keep]
             if idx.size == 0:
                 continue
+            # Release the old live arrays first, so no two copies coexist.
+            del x, xtx, xty
             x, xtx, xty = _live(data, idx)
             if independent:
                 c = a * _rss(data.y, x, b)

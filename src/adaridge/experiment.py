@@ -96,12 +96,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Every check runs here, so a bad config fails before any replication.
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.test_size < 1:
-            raise ValueError("test_size must be >= 1")
-        if self.n_boot < 2:
-            raise ValueError("n_boot must be >= 2")
         if self.evidence_method not in EVIDENCE_METHODS:
             raise ValueError(f"evidence_method must be one of {EVIDENCE_METHODS}")
         if not self.estimators:
@@ -125,7 +119,8 @@ class ExperimentConfig:
         if len(set(rows)) != len(rows):
             raise ValueError(f"report rows repeat: {rows}")
         # Integer fields are stored as Python ints, so numpy integers reach
-        # provenance.json as plain numbers.
+        # provenance.json as plain numbers; the sizes are compared only
+        # once they are ints.
         for f in fields(self):
             if f.name in _INT_KEYS:
                 value = getattr(self, f.name)
@@ -134,6 +129,12 @@ class ExperimentConfig:
                 except TypeError:
                     what = "an integer >= 1" if f.name == "mc_draws" else "an integer"
                     raise ValueError(f"{f.name} must be {what}, got {value}") from None
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
+        if self.test_size < 1:
+            raise ValueError("test_size must be >= 1")
+        if self.n_boot < 2:
+            raise ValueError("n_boot must be >= 2")
         DgpSpec(self.model_id, self.n, self.sigma, 0)
         _check_seed(self.master_seed, "master_seed")
 

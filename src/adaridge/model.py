@@ -239,10 +239,16 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    # The products and the memo below are computed on first use and kept
-    # for the life of the dataset, so every fit on it shares them.  They
-    # are read-only; ``x`` and ``y`` must not be modified once they have
-    # been computed.
+    # The products, the transposed copy ``_xt`` and the memo below are
+    # computed on first use and kept for the life of the dataset, so every
+    # fit on it shares them.  They are read-only; ``x`` and ``y`` must not
+    # be modified once any of them exists.
+
+    @cached_property
+    def _xt(self) -> np.ndarray:
+        """``X'`` as a C-contiguous (p, n) copy, whose rows ``_live``
+        copies as contiguous blocks."""
+        return _read_only(np.ascontiguousarray(self.x.T))
 
     @cached_property
     def xtx(self) -> np.ndarray:
@@ -288,9 +294,20 @@ class Dataset:
 
 def _live(data: Dataset, idx: np.ndarray):
     """``X``, ``X'X`` and ``X'y`` restricted to the coordinates ``idx``, the
-    products sliced from the dataset's cache: the one such restriction."""
+    one such restriction.
 
-    return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
+    ``idx`` must be ascending and free of duplicates.  The columns are
+    copied from contiguous rows of the cached ``X'`` into an F-ordered
+    ``(n, idx.size)`` array, the layout numpy gives a column gather of
+    ``x``, so BLAS products on it round as they would on that gather; the
+    products are sliced from the cached ``X'X`` and ``X'y``.  When ``idx``
+    is every coordinate, the three arrays are read-only views of the
+    cache, not copies.
+    """
+
+    if idx.size == data.p:
+        return data._xt.T, data.xtx, data.xty
+    return data._xt.take(idx, 0).T, data.xtx.take(idx, 0).take(idx, 1), data.xty[idx]
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,8 @@ def _cycle(data: Dataset, h: Hyper, idx: np.ndarray, beta: np.ndarray,
             if idx.size == 0:
                 null_sigma2 = float(data.y @ data.y) / (n + 2)
                 return idx, beta, null_sigma2, vtilde, null_sigma2, it + 1, True
+            # Release the old live arrays first, so no two copies coexist.
+            del x_live, xtx_live, xty_live
             x_live, xtx_live, xty_live = _live(data, idx)
         v_inv = 1.0 / vtilde
 

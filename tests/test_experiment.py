@@ -89,13 +89,17 @@ class TestParseConfig:
         (dict(master_seed=-4), "^master_seed must be >= 0, got -4$"),
         (dict(n_boot=500.0), "^n_boot must be an integer, got 500.0$"),
         (dict(k_sweep=(), mc_draws=2.5), "^mc_draws must be an integer >= 1, got 2.5$"),
+        (dict(replications="2"), "^replications must be an integer, got 2$"),
+        (dict(test_size=None), "^test_size must be an integer, got None$"),
+        (dict(n_boot="500"), "^n_boot must be an integer, got 500$"),
     ], ids=["grid-descending", "grid-nan", "model-id", "sigma", "sigma-infinite",
             "k-sweep-empty",
             "k-sweep-infinite", "k-sweep-zero", "mc-draws", "n-boot", "em-eta",
             "estimator-repeated", "k-repeated", "k-label-repeated",
             "model-id-float", "n-float", "replications-float", "test-size-float",
             "master-seed-float", "master-seed-negative", "n-boot-float",
-            "mc-draws-float-no-sweep"])
+            "mc-draws-float-no-sweep", "replications-str", "test-size-none",
+            "n-boot-str"])
     def test_bad_config_rejected_before_any_replication(self, kwargs, message):
         fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | kwargs
         with pytest.raises(ValueError, match=message):
@@ -106,6 +110,17 @@ class TestParseConfig:
                          em_variant="explicit-sigma", em_eta=-0.5)
         ExperimentConfig(3, 40, 0.0, 2, k_sweep=(10.0, 10.0001), mc_draws=1,
                          **self.MC)
+
+
+@given(name=st.sampled_from(["replications", "test_size", "n_boot"]),
+       value=st.one_of(st.none(), st.floats(), st.integers(-3, 600).map(str),
+                       st.lists(st.integers(0, 9), max_size=2)))
+def test_range_checked_fields_are_integers_first(name, value):
+    # the range checks compare only after the integer coercion, so a
+    # string, None or float gets the field-named error, not a TypeError
+    fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | {name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        ExperimentConfig(**fields)
 
 
 def ints(lo, hi):

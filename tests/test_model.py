@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adaridge import (
     Dataset,
@@ -9,10 +11,13 @@ from adaridge import (
     PosteriorState,
     Standardization,
     destandardize_beta,
+    fit_em,
     fit_joint_mode,
     log_joint_posterior,
+    select_eta,
     standardize,
 )
+from adaridge import em, evidence, solver
 from adaridge.errors import (
     DimensionMismatch,
     InfinitePrecision,
@@ -21,6 +26,7 @@ from adaridge.errors import (
     NonPositiveSigma2,
     ZeroNormColumn,
 )
+from adaridge.model import _live
 from conftest import toeplitz_design
 
 
@@ -208,3 +214,72 @@ class TestValidation:
             data.initial_beta
         with pytest.raises(NoInitializer, match="leading minor"):
             fit_joint_mode(data, Hyper(0.0))
+
+
+def column_gather(data: Dataset, idx):
+    """The restriction ``_live`` replaced: a numpy column gather of ``x``
+    and an ``np.ix_`` slice of ``X'X``."""
+
+    return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLive:
+    @given(n=st.integers(1, 300), mask=st.lists(st.booleans(), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=50, mask=[False] * 7, seed=0)
+    @example(n=50, mask=[True] * 7, seed=0)
+    def test_bitwise_the_column_gather(self, n, mask, seed):
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.standard_normal((n, len(mask))), rng.standard_normal(n))
+        idx = np.flatnonzero(mask)
+        x, xtx, xty = _live(data, idx)
+        old_x, old_xtx, old_xty = column_gather(data, idx)
+        assert same_bits(x, old_x)
+        assert same_bits(xtx, old_xtx)
+        assert same_bits(xty, old_xty)
+        assert x.flags.f_contiguous
+        # the same layout, so BLAS rounds the products the same way
+        b = rng.standard_normal(idx.size)
+        r = rng.standard_normal(n)
+        assert same_bits(x @ b, old_x @ b)
+        assert same_bits(x.T @ r, old_x.T @ r)
+
+    def test_full_set_is_a_read_only_view_of_the_cache(self, rng):
+        data = Dataset(rng.standard_normal((30, 6)), rng.standard_normal(30))
+        x, xtx, xty = _live(data, np.arange(data.p))
+        assert np.shares_memory(x, data._xt)
+        assert np.shares_memory(xtx, data.xtx)
+        assert np.shares_memory(xty, data.xty)
+        assert not (x.flags.writeable or xtx.flags.writeable or xty.flags.writeable)
+        assert same_bits(x, data.x)
+
+    def test_results_bitwise_those_of_the_column_gather(self, monkeypatch):
+        # One pruning instance through every caller of ``_live``: Laplace
+        # and MC selection (the solver's cycle and polish, MC's X'X slice)
+        # and EM, each on a fresh dataset, so no memo carries over.
+        rng = np.random.default_rng(14)
+        beta = np.zeros(80)
+        beta[rng.choice(80, 6, replace=False)] = rng.uniform(1.0, 3.0, 6)
+        x, y = toeplitz_design(300, beta, 1.0, rng)
+
+        def run():
+            out = []
+            for method, kw in (("laplace", {}), ("mc", {"draws": 200})):
+                sel = select_eta(standardize(x, y)[0], method=method, **kw)
+                assert not sel.refit.state.active.all()
+                # a float's repr round-trips, so equal reprs are equal bits
+                out += [float(sel.best_eta).hex(), sel.refit.state.beta.tobytes(),
+                        repr(sel.estimates)]
+            fit = fit_em(standardize(x, y)[0], Hyper(-1.0))
+            assert not fit.active.all()
+            out += [fit.beta.tobytes(), fit.s2_trace.tobytes()]
+            return out
+
+        new = run()
+        for module in (solver, evidence, em):
+            monkeypatch.setattr(module, "_live", column_gather)
+        assert run() == new
