@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExactFit
-from .model import Dataset, FitOptions, Hyper, _live, _one_blas_thread, _ridge_solve
+from .baselines import fit_ols
+from .model import Dataset, FitOptions, Hyper, _live, _one_blas_thread, _ridge_solve, _rss
 
 __all__ = ["EmFit", "fit_em"]
 
@@ -38,14 +38,6 @@ class EmFit:
     converged: bool
     variant: str
     active: np.ndarray
-
-
-def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    r = y - x @ b
-    s2 = float(r @ r)
-    if s2 == 0.0:
-        raise ExactFit("zero residual: the iterate interpolates y exactly")
-    return s2
 
 
 @_one_blas_thread()
@@ -70,8 +62,10 @@ def fit_em(
     ``s2_trace`` holds each iteration's ``S^2`` before pruning; the
     independent-prior weights take it after pruning.  At the flat prior
     boundary (``eta = -3/2`` independent-prior, ``eta = -1/2``
-    explicit-sigma) the estimator is least squares in one step.  The fit
-    runs its BLAS on one thread (see ``model._one_blas_thread``).
+    explicit-sigma) the estimator is least squares (:func:`fit_ols`) in
+    one step, so a design without full column rank raises
+    ``RankDeficient`` there.  The fit runs its BLAS on one thread (see
+    ``model._one_blas_thread``).
     """
 
     if variant not in VARIANTS:
@@ -82,14 +76,15 @@ def fit_em(
         raise ValueError(f"{variant} needs eta >= {boundary}, got {h.eta}")
 
     n, p = data.n, data.p
+    if h.eta == boundary:
+        beta = fit_ols(data)
+        return EmFit(beta=beta, s2_trace=np.array([_rss(data.y, data.x, beta)]),
+                     iterations=1, converged=True, variant=variant,
+                     active=np.ones(p, dtype=bool))
+
     beta = data.initial_beta.copy()
     # On a constant response the start is 0 and this is the only ExactFit check.
-    s2 = _rss(data.y, data.x, beta)
-
-    if h.eta == boundary:
-        return EmFit(beta=beta, s2_trace=np.array([s2]), iterations=1,
-                     converged=True, variant=variant,
-                     active=np.ones(p, dtype=bool))
+    _rss(data.y, data.x, beta)
 
     active = beta != 0.0
     beta[~active] = 0.0

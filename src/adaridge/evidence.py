@@ -12,11 +12,13 @@ Two approximations are provided, both evaluated on the reduced model
   variance analytically.
 
 Both are centred on the fit's mode re-polished under the evidence
-hyper-parameters by ``solver._polish``: Newton steps on the exact Hessian
-of the log joint density (the precision block eliminated by a Schur
-complement), with the solver's conditional-update cycle as the fallback.
-The last Newton step gives the Laplace log determinant and log joint
-density.  The reduced model is the fit's own view, ``model._live``.
+hyper-parameters by ``solver._polished_mode``: Newton steps on the exact
+Hessian of the log joint density (the precision block eliminated by a
+Schur complement), with the solver's conditional-update cycle as the
+fallback.  The last Newton step gives the Laplace log determinant and log
+joint density.  The reduced model is the fit's own view, ``model._live``,
+and the solver memoizes each polished mode on the dataset, so this module
+keeps no state of its own.
 
 Two conventions here are deliberate and documented:
 
@@ -60,9 +62,8 @@ from .model import (
     _live,
     _log_joint_density,
     _one_blas_thread,
-    _read_only,
 )
-from .solver import _polish, fit_joint_mode
+from .solver import _polished_mode, fit_joint_mode
 
 __all__ = [
     "EVIDENCE_MU",
@@ -119,34 +120,6 @@ class EbSelection:
     estimates: tuple[EvidenceEstimate | None, ...]
     best_eta: float
     refit: ModeFit
-
-
-def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
-    """The fit's mode on its surviving coordinates, re-polished under
-    ``h``: ``(beta, sigma2, v_inv, logdet, quad)`` as
-    :func:`adaridge.solver._polish` returns them.
-
-    The polish starts from the fit's own ``(beta, sigma2, v_inv)``, so
-    curvature is evaluated at an interior mode under ``h.mu``.  The fit's
-    mode differs from the polished one only through ``mu``, so Newton
-    typically converges in two or three steps.
-    The polished values (arrays read-only) are memoized on ``data`` by fit
-    and ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
-    does, polishes it once.
-    """
-
-    key = (id(fit), h)
-    hit = data._memo.get(key)
-    if hit is None:
-        state = fit.state
-        idx = np.flatnonzero(state.active)
-        beta, sigma2, v_inv, logdet, quad = _polish(
-            data, idx, h, state.beta[idx], state.sigma2, state.v_inv[idx])
-        # The entry keeps the fit alive, so its id cannot be reused while
-        # the entry exists.
-        hit = data._memo[key] = (fit, _read_only(beta), sigma2,
-                                 _read_only(v_inv), logdet, quad)
-    return hit[1:]
 
 
 def _null_model_log_marginal(data: Dataset) -> float:

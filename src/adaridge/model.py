@@ -29,6 +29,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
+    ExactFit,
     InfinitePrecision,
     NoInitializer,
     NonFiniteInput,
@@ -176,6 +177,16 @@ def _check_seed(seed, name: str = "seed") -> None:
         raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
+def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """Residual sum of squares ``||y - X b||^2``; zero raises ``ExactFit``."""
+
+    r = y - x @ b
+    s2 = float(r @ r)
+    if s2 == 0.0:
+        raise ExactFit("zero residual: the coefficients interpolate y exactly")
+    return s2
+
+
 def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(gram + diag(d)) x = rhs`` by Cholesky factorization.
 
@@ -263,8 +274,9 @@ class Dataset:
     @cached_property
     def _memo(self) -> dict:
         """Fits and polished evidence modes on this dataset, keyed by
-        what determines them (see :func:`~adaridge.solver.fit_joint_mode`
-        and ``evidence._polished_mode``)."""
+        what determines them; ``solver.py`` alone reads and writes it (see
+        :func:`~adaridge.solver.fit_joint_mode` and
+        ``solver._polished_mode``)."""
         return {}
 
     @cached_property

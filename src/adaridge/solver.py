@@ -4,9 +4,13 @@ Cycles the closed-form conditional maximizers of the hierarchical model
 (noise variance, prior precisions, coefficients), pruning coordinates
 whose prior variance collapses.
 
-:func:`_polish` re-polishes the modes at which evidence is evaluated, on
-the fit's live view (``model._live``): Newton steps on the exact Hessian
-of the log joint density, with the same cycle, without pruning, as fallback.
+Every :class:`ModeFit` is assembled by ``_finish`` from the live
+coordinates and the per-iteration trace.  This module alone reads and
+writes ``Dataset._memo``, which holds the fits of :func:`fit_joint_mode`
+and the modes that ``_polished_mode`` re-polishes for evidence.  The
+polish runs on the fit's live view (``model._live``): Newton steps on the
+exact Hessian of the log joint density, with the same cycle, without
+pruning, as fallback.
 
 On unit-norm columns the dynamics implement a soft |t|-threshold: a
 coordinate survives roughly when its t-statistic exceeds
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .baselines import fit_ols
 from .errors import ExactFit
 from .model import (
     _POTRF,
@@ -28,7 +33,9 @@ from .model import (
     PosteriorState,
     _live,
     _one_blas_thread,
+    _read_only,
     _ridge_solve,
+    _rss,
 )
 
 __all__ = ["fit_joint_mode"]
@@ -43,29 +50,23 @@ POLISH_MAX_ITER = 200
 POLISH_MAX_HALVINGS = 40
 
 
-def _ols_boundary_fit(data: Dataset) -> ModeFit:
+def _ols_boundary_fit(data: Dataset, h: Hyper) -> ModeFit:
     # For eta <= -1/2 the precision conditional peaks at zero precision,
-    # so the mode is plain least squares with a flat trace.
-    beta = data.initial_beta.copy()
-    r = data.y - data.x @ beta
-    rss = float(r @ r)
-    if rss == 0.0:
-        raise ExactFit("least squares interpolates y exactly")
-    state = PosteriorState(
-        beta=beta,
-        sigma2=rss / (data.n + data.p + 2),
-        v_inv=np.zeros(data.p),
-        active=np.ones(data.p, dtype=bool),
-    )
-    return ModeFit(state, iterations=0, converged=True,
-                   active_count_trace=np.empty(0, dtype=int))
+    # so the mode is plain least squares with an empty trace; without full
+    # column rank ``fit_ols`` raises RankDeficient.
+    n, p = data.n, data.p
+    beta = fit_ols(data)
+    rss = _rss(data.y, data.x, beta)
+    return _finish(data, h, np.arange(p), beta, rss / (n + p + 2), np.zeros(p),
+                   0, True, [])
 
 
 def _finish(data, h, idx, beta_live, sigma2, v_inv_live, iters, converged,
-            trace, counts):
+            trace):
     # Scatter the live coordinates ``idx`` back into length-p arrays;
     # pruned coordinates get beta 0 and infinite precision.  ``trace``
-    # holds the per-iteration terms of ``ModeFit.log_joint_trace``.
+    # holds the per-iteration terms of ``ModeFit.log_joint_trace``, whose
+    # precision vectors give each iteration's live count.
     p = data.p
     beta = np.zeros(p)
     beta[idx] = beta_live
@@ -75,7 +76,8 @@ def _finish(data, h, idx, beta_live, sigma2, v_inv_live, iters, converged,
     active[idx] = True
     state = PosteriorState(beta=beta, sigma2=sigma2, v_inv=v_inv, active=active)
     return ModeFit(state, iterations=iters, converged=converged,
-                   active_count_trace=np.asarray(counts, dtype=int),
+                   active_count_trace=np.array([len(v) for _, _, v in trace],
+                                               dtype=int),
                    log_joint_terms=(data.n, h, trace))
 
 
@@ -91,7 +93,8 @@ def fit_joint_mode(data: Dataset, h: Hyper,
     ``opts.max_iter`` cycles.
 
     For ``eta <= -1/2`` the precision conditional peaks at zero precision
-    and the procedure is exactly least squares, returned directly.
+    and the procedure is exactly least squares, returned directly; a
+    design without full column rank raises ``RankDeficient`` there.
     Pruning every variable is not an error; the result is the empty model.
 
     ``X'X``, ``X'y`` and the least-squares start are computed once per
@@ -127,19 +130,17 @@ def _fit_joint_mode(data: Dataset, h: Hyper, opts: FitOptions) -> ModeFit:
     if h.eta <= -1:
         raise ValueError(f"joint-mode fitting needs eta > -1, got {h.eta}")
     if h.eta <= -0.5:
-        return _ols_boundary_fit(data)
+        return _ols_boundary_fit(data, h)
     trace: list[tuple] = []
-    counts: list[int] = []
     idx, beta, sigma2, v_inv, _, iters, converged = _cycle(
         data, h, np.arange(data.p), data.initial_beta, opts.max_iter,
-        opts.conv_tol, opts.prune_tol, trace, counts)
-    return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, trace,
-                   counts)
+        opts.conv_tol, opts.prune_tol, trace)
+    return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, trace)
 
 
 def _cycle(data: Dataset, h: Hyper, idx: np.ndarray, beta: np.ndarray,
            max_iter: int, conv_tol: float, prune_tol: float,
-           trace: list | None = None, counts: list | None = None):
+           trace: list | None = None):
     """Iterated conditional maximization under ``h`` on the coordinates
     ``idx``, from their coefficients ``beta`` with zero precisions.
 
@@ -148,9 +149,9 @@ def _cycle(data: Dataset, h: Hyper, idx: np.ndarray, beta: np.ndarray,
     prior-variance mode falls below ``prune_tol`` is dropped for good, so
     ``prune_tol = 0`` never prunes.  Stops once the relative coefficient
     change ``max |d beta| / (1 + |beta|)`` is below ``conv_tol``, or after
-    ``max_iter`` iterations.  When ``trace`` and ``counts`` are lists,
-    each iteration appends the terms ``(quad, sigma2, v_inv)`` of its log
-    joint density and its live count (see :class:`ModeFit`).
+    ``max_iter`` iterations.  When ``trace`` is a list, each iteration
+    appends the terms ``(quad, sigma2, v_inv)`` of its log joint density
+    (see :class:`ModeFit`).
 
     Returns ``(idx, beta, sigma2, v_inv, exit_sigma2, iterations,
     converged)``: the live coordinates with their coefficients and
@@ -199,8 +200,6 @@ def _cycle(data: Dataset, h: Hyper, idx: np.ndarray, beta: np.ndarray,
         beta_new = _ridge_solve(xtx_live, v_inv, xty_live)
         delta = float((abs(beta_new - beta) / (1.0 + abs(beta))).max())
         beta = beta_new
-        if counts is not None:
-            counts.append(idx.size)
         converged = delta < conv_tol
 
     return idx, beta, sigma2, v_inv, mode, it, converged
@@ -316,25 +315,44 @@ def _newton_polish(x, y, xtx, h: Hyper, beta, sigma2, v_inv):
     return None
 
 
-def _polish(data: Dataset, idx: np.ndarray, h: Hyper, beta, sigma2, v_inv):
-    """The joint mode under ``h`` on the coordinates ``idx`` of ``data``,
-    from the interior point ``(beta, sigma2, v_inv)`` on them: ``(beta,
-    sigma2, v_inv, logdet, quad)`` as :func:`_newton_polish` returns them.
+def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
+    """The joint mode under ``h`` on the surviving coordinates of ``fit``,
+    polished from the fit's own ``(beta, sigma2, v_inv)`` on them:
+    ``(beta, sigma2, v_inv, logdet, quad)`` as :func:`_newton_polish`
+    returns them.
 
-    Where Newton fails, the polish is the conditional-update cycle run
-    from ``beta`` without pruning; its ``sigma2`` is then the
-    noise-variance mode at the final coefficients, and ``logdet`` and
-    ``quad`` are those of :func:`_newton_step` there (both ``None`` when
-    the negative Hessian is not positive definite).
+    The start is an interior mode under the fit's ``mu``, which differs
+    from ``h`` only through ``mu``, so Newton typically converges in two
+    or three steps.  Where Newton fails, the polish is the
+    conditional-update cycle run from the fit's ``beta`` without pruning;
+    its ``sigma2`` is then the noise-variance mode at the final
+    coefficients, and ``logdet`` and ``quad`` are those of
+    :func:`_newton_step` there (both ``None`` when the negative Hessian is
+    not positive definite).
+
+    The polished values (arrays read-only) are memoized on ``data`` by fit
+    and ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
+    does, polishes it once.
     """
 
-    x, xtx, _ = _live(data, idx)
-    polished = _newton_polish(x, data.y, xtx, h, beta, sigma2, v_inv)
-    if polished is not None:
-        return polished
-    # A prune tolerance of 0 turns pruning off, so the vectors keep their
-    # length.
-    _, beta, _, v_inv, sigma2, _, _ = _cycle(
-        data, h, idx, beta, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
-    step = _newton_step(beta, sigma2, v_inv, x, data.y, xtx, h)
-    return (beta, sigma2, v_inv) + (step[3:] if step else (None, None))
+    key = (id(fit), h)
+    hit = data._memo.get(key)
+    if hit is None:
+        state = fit.state
+        idx = np.flatnonzero(state.active)
+        beta, sigma2, v_inv = state.beta[idx], state.sigma2, state.v_inv[idx]
+        x, xtx, _ = _live(data, idx)
+        polished = _newton_polish(x, data.y, xtx, h, beta, sigma2, v_inv)
+        if polished is None:
+            # A prune tolerance of 0 turns pruning off, so the vectors keep
+            # their length.
+            _, beta, _, v_inv, sigma2, _, _ = _cycle(
+                data, h, idx, beta, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+            step = _newton_step(beta, sigma2, v_inv, x, data.y, xtx, h)
+            polished = (beta, sigma2, v_inv) + (step[3:] if step else (None, None))
+        beta, sigma2, v_inv, logdet, quad = polished
+        # The entry keeps the fit alive, so its id cannot be reused while
+        # the entry exists.
+        hit = data._memo[key] = (fit, _read_only(beta), sigma2,
+                                 _read_only(v_inv), logdet, quad)
+    return hit[1:]

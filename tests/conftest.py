@@ -47,6 +47,17 @@ def random_instance(seed, n_range=(40, 150), p_range=(3, 8)):
     return data, std, beta
 
 
+def wide_design(seed=3, n=50, p=200):
+    """A raw p > n design: rows iid N(0, I), the first five coefficients 2,
+    the rest 0, unit noise."""
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:5] = 2.0
+    return x, x @ beta + rng.standard_normal(n)
+
+
 def live_view(data: Dataset, idx):
     """``data`` restricted to the coordinates ``idx`` by ``model._live``,
     the view the solver, the polish, MC evidence and EM work on: the live

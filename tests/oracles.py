@@ -131,7 +131,7 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
     if h.eta < -0.5:
         raise ValueError(f"reweighted ridge needs eta >= -1/2, got {h.eta}")
     if h.eta == -0.5:
-        return _ols_boundary_fit(data)
+        return _ols_boundary_fit(data, h)
 
     n, p = data.n, data.p
     a = 1.0 + 2.0 * h.eta
@@ -143,7 +143,6 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
     beta_star = beta.copy()
     pen = 0.0
     trace: list[tuple] = []
-    counts: list[int] = []
 
     for it in range(1, opts.max_iter + 1):
         idx = np.where(active)[0]
@@ -168,7 +167,7 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
         if idx.size == 0:
             null_sigma2 = float(data.y @ data.y) / (n + 2)
             return _finish(data, h, idx, beta[idx], null_sigma2, np.empty(0),
-                           it, True, trace, counts)
+                           it, True, trace)
 
         xstar[:, idx] = xstar[:, idx] * omega
         bs = _ridge_solve(xstar[:, idx].T @ xstar[:, idx], a,
@@ -184,14 +183,13 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
         r = data.y - data.x[:, idx] @ beta[idx]
         quad = float(r @ r + beta[idx] @ (v_inv_idx * beta[idx]))
         trace.append((quad, sigma2, v_inv_idx))
-        counts.append(idx.size)
 
         if delta < opts.conv_tol:
             weights = RidgeWeights(omega=cum[idx], eta=h.eta)
             return _finish(data, h, idx, beta[idx], sigma2, a / weights.omega**2,
-                           it, True, trace, counts)
+                           it, True, trace)
 
     idx = np.where(active)[0]
     weights = RidgeWeights(omega=cum[idx], eta=h.eta)
     return _finish(data, h, idx, beta[idx], sigma2, a / weights.omega**2,
-                   opts.max_iter, False, trace, counts)
+                   opts.max_iter, False, trace)

@@ -33,10 +33,10 @@ from adaridge import (
     support_metrics,
 )
 from adaridge import test_mse as prediction_mse
-from adaridge.evidence import EVIDENCE_MU, _polished_mode
+from adaridge.evidence import EVIDENCE_MU
 from adaridge.experiment import ExperimentConfig, _derive_seed, run_experiment
 from adaridge.model import PosteriorState
-from adaridge.solver import _derivatives
+from adaridge.solver import _derivatives, _polished_mode
 from conftest import fd_hessian, log_joint_of_theta, random_instance
 from oracles import assemble_hessian, fit_reweighted_ridge
 

@@ -12,6 +12,7 @@ from adaridge import (
     standardize,
 )
 from adaridge.cli import main
+from conftest import wide_design
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +219,16 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", str(path), "--eta", "0")
         assert code == 3
         assert "ExactFit" in err
+
+    def test_least_squares_boundary_on_p_above_n_exit_code(self, tmp_path, capsys):
+        x, y = wide_design()
+        path = tmp_path / "wide.csv"
+        header = ",".join([f"x{j + 1}" for j in range(x.shape[1])] + ["y"])
+        np.savetxt(path, np.column_stack([x, y]), delimiter=",", header=header,
+                   comments="")
+        code, out, err = run_cli(capsys, "fit", str(path), "--eta", "-0.75")
+        assert code == 3 and out == ""
+        assert "RankDeficient" in err
 
 
 class TestExperimentCommand:

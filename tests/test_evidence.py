@@ -23,7 +23,6 @@ from adaridge.errors import EmptyBox, NonFiniteEvidence, SingularSystem
 from adaridge.evidence import (
     EvidenceEstimate,
     _conditional_marginal_core,
-    _polished_mode,
 )
 from adaridge.solver import (
     POLISH_CONV_TOL,
@@ -31,6 +30,7 @@ from adaridge.solver import (
     _cycle,
     _derivatives,
     _newton_polish,
+    _polished_mode,
 )
 from conftest import (
     fd_hessian,
@@ -483,17 +483,18 @@ class TestEvidenceMemo:
 
     def test_k_sweep_polishes_each_point_once(self, monkeypatch):
         import adaridge.evidence as ev
+        import adaridge.solver as solver
 
-        # each polish, Newton or its fallback, is one call of the solver's
-        # _polish
-        real = ev._polish
+        # each polish, Newton or its fallback, starts with one call of the
+        # solver's _newton_polish
+        real = solver._newton_polish
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ev, "_polish", counted)
+        monkeypatch.setattr(solver, "_newton_polish", counted)
         data = self.small_study_data()
         ev.select_eta(data, method="mc", k=3.0, draws=50)
         first = len(calls)

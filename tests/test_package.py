@@ -71,3 +71,38 @@ def test_sources_parse_as_python_3_10():
     assert paths
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _calls_by_function(node, where=None):
+    """``(enclosing function name, call)`` for every call under ``node``."""
+
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield where, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _calls_by_function(child, inner)
+
+
+def test_only_the_solver_touches_the_fit_memo():
+    # model.py defines Dataset._memo; solver.py is its one reader and writer.
+    src = Path(adaridge.__file__).parent
+    users = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "_memo"
+                    or isinstance(node, ast.FunctionDef) and node.name == "_memo"):
+                users.add(path.name)
+    assert users == {"model.py", "solver.py"}
+
+
+def test_fit_results_are_built_only_in_finish():
+    src = Path(adaridge.__file__).parent
+    builders = set()
+    for path in src.glob("*.py"):
+        for where, call in _calls_by_function(ast.parse(path.read_text())):
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("ModeFit", "PosteriorState"):
+                builders.add((path.name, where, name))
+    assert builders == {("solver.py", "_finish", "ModeFit"),
+                        ("solver.py", "_finish", "PosteriorState")}

@@ -11,6 +11,7 @@ from adaridge import (
     Dataset,
     FitOptions,
     Hyper,
+    destandardize_beta,
     fit_em,
     fit_joint_mode,
     fit_ols,
@@ -18,7 +19,7 @@ from adaridge import (
     select_eta,
     standardize,
 )
-from adaridge.errors import ExactFit, NonFiniteEvidence, SingularSystem
+from adaridge.errors import ExactFit, NonFiniteEvidence, RankDeficient, SingularSystem
 from adaridge.evidence import DEFAULT_ETA_GRID
 from adaridge.model import (
     MACHINE_EPS,
@@ -29,7 +30,7 @@ from adaridge.model import (
 )
 from adaridge.simulate import DgpSpec, draw_dataset
 from adaridge.solver import _cycle, _derivatives, _newton_step
-from conftest import fd_gradient, random_instance, toeplitz_design
+from conftest import fd_gradient, random_instance, toeplitz_design, wide_design
 from oracles import assemble_hessian, fit_reweighted_ridge
 
 
@@ -363,6 +364,7 @@ class TestLeanKernel:
                                   full.active_count_trace[:m])
             mask = fit.state.active
             if mask.any():
+                assert fit.active_count_trace[-1] == mask.sum()
                 state = PosteriorState(beta=fit.state.beta[mask],
                                        sigma2=fit.state.sigma2,
                                        v_inv=fit.state.v_inv[mask],
@@ -593,6 +595,34 @@ class TestReweightedRidge:
             fit_reweighted_ridge(data, Hyper(-0.75))
 
 
+# The three least-squares boundaries: the joint mode at eta <= -1/2 and
+# each EM variant at its flat-prior eta.
+LEAST_SQUARES_BOUNDARIES = {
+    "joint-mode": lambda d: fit_joint_mode(d, Hyper(-0.75)).state.beta,
+    "independent-prior": lambda d: fit_em(d, Hyper(-1.5), variant="independent-prior").beta,
+    "explicit-sigma": lambda d: fit_em(d, Hyper(-0.5), variant="explicit-sigma").beta,
+}
+
+
+@pytest.mark.parametrize("boundary", LEAST_SQUARES_BOUNDARIES)
+class TestLeastSquaresBoundaries:
+    def test_full_rank_gives_the_least_squares_coefficients(self, rng, boundary):
+        x, y = toeplitz_design(40, [1.0, 0.0, 2.0], 1.0, rng)
+        data, _ = standardize(x, y)
+        assert np.array_equal(LEAST_SQUARES_BOUNDARIES[boundary](data), fit_ols(data))
+
+    def test_p_above_n_raises_rank_deficient(self, boundary):
+        data, _ = standardize(*wide_design())
+        with pytest.raises(RankDeficient, match="rank 50 < p = 200"):
+            LEAST_SQUARES_BOUNDARIES[boundary](data)
+
+    def test_duplicated_column_raises_rank_deficient(self, rng, boundary):
+        x, y = toeplitz_design(40, [1.0, 0.0, 2.0], 1.0, rng)
+        data, _ = standardize(np.column_stack([x, x[:, 2]]), y)
+        with pytest.raises(RankDeficient, match="rank 3 < p = 4"):
+            LEAST_SQUARES_BOUNDARIES[boundary](data)
+
+
 # Monte-Carlo selection is left out: it assigns its uniform draws to the
 # coordinates in column order, so permuting the columns changes which
 # precision each draw lands on, and with a few hundred draws the selected
@@ -612,4 +642,31 @@ def test_permuting_columns_permutes_the_fit(seed, choose):
         assert np.array_equal(b.active, a.active[perm])
         np.testing.assert_allclose(b.beta, a.beta[perm], rtol=1e-10, atol=0)
     assert (select_eta(permuted, method="laplace").best_eta
+            == select_eta(plain, method="laplace").best_eta)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(15, 120), p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       choose=st.data())
+def test_rescaling_raw_columns_leaves_the_fit_unchanged(n, p, seed, choose):
+    """Raw columns times positive factors ``exp(U(-5, 5))`` give every grid
+    fit the same active set and the same destandardized predictions, and
+    Laplace selection picks the same eta."""
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    beta = np.where(rng.random(p) < 0.5, rng.uniform(1.0, 3.0, p), 0.0)
+    y = x @ beta + rng.standard_normal(n)
+    logs = choose.draw(st.lists(st.floats(-5, 5), min_size=p, max_size=p))
+    scaled = x * np.exp(logs)
+    plain, plain_std = standardize(x, y)
+    other, other_std = standardize(scaled, y)
+    for eta in DEFAULT_ETA_GRID:
+        a = fit_joint_mode(plain, Hyper(eta)).state
+        b = fit_joint_mode(other, Hyper(eta)).state
+        assert np.array_equal(b.active, a.active)
+        pa = x @ destandardize_beta(a.beta, plain_std)
+        pb = scaled @ destandardize_beta(b.beta, other_std)
+        assert np.linalg.norm(pb - pa) <= 1e-10 * np.linalg.norm(pa)
+    assert (select_eta(other, method="laplace").best_eta
             == select_eta(plain, method="laplace").best_eta)
