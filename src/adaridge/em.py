@@ -3,8 +3,8 @@
 Two variants mirror the two prior constructions: ``independent-prior``
 (coefficients a priori independent of the noise variance, variance
 profiled out through the residual sum) and ``explicit-sigma`` (the noise
-variance kept as an explicit iterate).  Both share the pruning and
-stopping rules of the joint-mode solver, and its view ``model._live``.
+variance kept as an explicit iterate).  Both run through the joint-mode
+solver's loop, ``solver._cycle``, with a step of their own.
 
 The independent-prior weights use the conditional-mode variance plug-in
 ``S^2 / (n + 2)`` rather than the raw ``S^2 / n`` moment: with it, the
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import fit_ols
-from .model import Dataset, FitOptions, Hyper, _live, _one_blas_thread, _ridge_solve, _rss
+from .model import Dataset, FitOptions, Hyper, _one_blas_thread, _rss
+from .solver import _cycle
 
 __all__ = ["EmFit", "fit_em"]
 
@@ -57,10 +58,11 @@ def fit_em(
     ``(2 eta + 1) / t_j^2`` for the t-statistic ``beta_j / sigma``).
 
     A coordinate whose implied prior-variance scale ``1 / D_j`` falls
-    below ``opts.prune_tol`` is pruned permanently, and coordinates that
-    are exactly zero in the initializer stay zero (zero-absorption).
-    ``s2_trace`` holds each iteration's ``S^2`` before pruning; the
-    independent-prior weights take it after pruning.  At the flat prior
+    below ``opts.prune_tol`` is pruned permanently, so a coordinate that
+    is exactly zero in the initializer goes in iteration 1.  ``s2_trace``
+    holds each iteration's ``S^2`` before pruning; the independent-prior
+    weights take it after pruning.  Pruning every coordinate in iteration
+    ``k`` converges after ``k`` iterations.  At the flat prior
     boundary (``eta = -3/2`` independent-prior, ``eta = -1/2``
     explicit-sigma) the estimator is least squares (:func:`fit_ols`) in
     one step, so a design without full column rank raises
@@ -70,62 +72,49 @@ def fit_em(
 
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
-    independent = variant == "independent-prior"
     boundary = VARIANTS[variant]
     if h.eta < boundary:
         raise ValueError(f"{variant} needs eta >= {boundary}, got {h.eta}")
 
-    n, p = data.n, data.p
+    p = data.p
     if h.eta == boundary:
         beta = fit_ols(data)
         return EmFit(beta=beta, s2_trace=np.array([_rss(data.y, data.x, beta)]),
                      iterations=1, converged=True, variant=variant,
                      active=np.ones(p, dtype=bool))
 
-    beta = data.initial_beta.copy()
-    # On a constant response the start is 0 and this is the only ExactFit check.
-    _rss(data.y, data.x, beta)
-
-    active = beta != 0.0
-    beta[~active] = 0.0
     trace: list[float] = []
+    idx, beta_live, _, iterations, converged = _cycle(
+        data, np.arange(p), data.initial_beta, _em_step(data, h, variant, trace),
+        opts.max_iter, opts.conv_tol, opts.prune_tol)
+    beta = np.zeros(p)
+    beta[idx] = beta_live
+    return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=iterations,
+                 converged=converged, variant=variant,
+                 active=np.isin(np.arange(p), idx))
+
+
+def _em_step(data: Dataset, h: Hyper, variant: str, trace: list):
+    """EM's step for ``solver._cycle``: append ``S^2`` to ``trace`` and
+    return the prior-variance scales ``1 / D_j``, where the weights of
+    :func:`fit_em` are ``D_j = c / (g beta_j^2)``."""
+
+    n, y = data.n, data.y
+    independent = variant == "independent-prior"
     a = 2.0 * h.eta + (3.0 if independent else 1.0)
-    converged = False
+    g = n + 2.0 if independent else 1.0
 
-    # The live coordinates ``idx``, re-sliced only when pruning shrinks them.
-    idx = np.flatnonzero(active)
-    x, xtx, xty = _live(data, idx)
-    for it in range(1, opts.max_iter + 1):
-        if idx.size == 0:
-            converged = True
-            break
-        b = beta[idx]
-        s2 = _rss(data.y, x, b)
+    def step(x, beta, w, last):
+        if last:
+            return None
+        s2 = _rss(y, x, beta)
         trace.append(s2)
-
-        # D = c / den, so den / c is the implied prior-variance scale
         c = a * s2 if independent else a * (s2 / (n + 2.0))
-        den = (n + 2.0) * b**2 if independent else b**2
-        dead = den / c < opts.prune_tol
-        if dead.any():
-            active[idx[dead]] = False
-            beta[idx[dead]] = 0.0
-            keep = ~dead
-            idx, b, den = idx[keep], b[keep], den[keep]
-            if idx.size == 0:
-                continue
-            # Release the old live arrays first, so no two copies coexist.
-            del x, xtx, xty
-            x, xtx, xty = _live(data, idx)
-            if independent:
-                c = a * _rss(data.y, x, b)
 
-        beta_new = _ridge_solve(xtx, c / den, xty)
-        delta = (np.abs(beta_new - b) / (1.0 + np.abs(b))).max()
-        beta[idx] = beta_new
-        if delta < opts.conv_tol:
-            converged = True
-            break
+        def weights(vtilde, x_live, b):
+            pruned = independent and b.size < beta.size
+            return (a * _rss(y, x_live, b) if pruned else c) / (g * b**2)
 
-    return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=it,
-                 converged=converged, variant=variant, active=active)
+        return g * beta**2 / c, weights
+
+    return step

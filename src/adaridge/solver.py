@@ -2,7 +2,8 @@
 
 Cycles the closed-form conditional maximizers of the hierarchical model
 (noise variance, prior precisions, coefficients), pruning coordinates
-whose prior variance collapses.
+whose prior variance collapses, in ``_cycle``: the one reweighted-ridge
+loop, which ``em.fit_em`` runs with a step of its own.
 
 Every :class:`ModeFit` is assembled by ``_finish`` from the live
 coordinates and the per-iteration trace.  This module alone reads and
@@ -132,77 +133,83 @@ def _fit_joint_mode(data: Dataset, h: Hyper, opts: FitOptions) -> ModeFit:
     if h.eta <= -0.5:
         return _ols_boundary_fit(data, h)
     trace: list[tuple] = []
-    idx, beta, sigma2, v_inv, _, iters, converged = _cycle(
-        data, h, np.arange(data.p), data.initial_beta, opts.max_iter,
-        opts.conv_tol, opts.prune_tol, trace)
+    idx, beta, v_inv, iters, converged = _cycle(
+        data, np.arange(data.p), data.initial_beta, _joint_step(data, h, trace),
+        opts.max_iter, opts.conv_tol, opts.prune_tol)
+    # The empty model's noise variance is y'y / (n + 2).
+    sigma2 = trace[-1][1] if idx.size else float(data.y @ data.y) / (data.n + 2)
     return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, trace)
 
 
-def _cycle(data: Dataset, h: Hyper, idx: np.ndarray, beta: np.ndarray,
-           max_iter: int, conv_tol: float, prune_tol: float,
-           trace: list | None = None):
-    """Iterated conditional maximization under ``h`` on the coordinates
-    ``idx``, from their coefficients ``beta`` with zero precisions.
+def _joint_step(data: Dataset, h: Hyper, trace: list):
+    """The joint step for :func:`_cycle` under ``h``: append the last
+    iteration's ``(quad, sigma2, v_inv)`` to ``trace`` (see :class:`ModeFit`);
+    unless ``last``, set ``sigma2 = quad / (n + p_live + 2)``, return ``vtilde``."""
 
-    Each iteration updates the noise variance, then the precisions (using
-    the previous coefficients), then the coefficients.  A coordinate whose
-    prior-variance mode falls below ``prune_tol`` is dropped for good, so
-    ``prune_tol = 0`` never prunes.  Stops once the relative coefficient
-    change ``max |d beta| / (1 + |beta|)`` is below ``conv_tol``, or after
-    ``max_iter`` iterations.  When ``trace`` is a list, each iteration
-    appends the terms ``(quad, sigma2, v_inv)`` of its log joint density
-    (see :class:`ModeFit`).
-
-    Returns ``(idx, beta, sigma2, v_inv, exit_sigma2, iterations,
-    converged)``: the live coordinates with their coefficients and
-    precisions, the noise variance of the last iteration, and the
-    conditional mode of the noise variance at the final coefficients.
-    Pruning every coordinate ends the cycle in the empty model, whose noise
-    variance is ``y'y / (n + 2)``.
-    """
-
-    n = data.n
+    n, y, mu = data.n, data.y, h.mu
     a = 1.0 + 2.0 * h.eta
-    # Live coordinates and their precisions; the data restricted to them
-    # is re-sliced only when pruning shrinks the set.
-    v_inv = np.zeros(idx.size)
-    x_live, xtx_live, xty_live = _live(data, idx)
-    converged = False
+    sigma2 = None
 
-    # Pass ``it`` first closes iteration ``it``: its residual gives that
-    # iteration's trace entry and the noise-variance mode at its
-    # coefficients.  Unless the cycle has stopped, it then runs iteration
-    # ``it + 1``.
-    for it in range(max_iter + 1):
-        r = data.y - x_live @ beta
+    def weights(vtilde, x, beta):
+        return 1.0 / vtilde
+
+    def step(x, beta, v_inv, last):
+        nonlocal sigma2
+        r = y - x @ beta
         quad = float(r @ r + beta @ (v_inv * beta))
-        if trace is not None and it:
+        if sigma2 is not None:
             trace.append((quad, sigma2, v_inv))
-        mode = quad / (n + idx.size + 2)
-        if converged or it == max_iter:
-            break
+        if last:
+            return None
         if quad == 0.0:
             raise ExactFit("zero residual encountered during fitting")
-        sigma2 = mode
+        sigma2 = quad / (n + beta.size + 2)
+        return (beta**2 + 2.0 * sigma2 * mu) / (a * sigma2), weights
 
-        vtilde = (beta**2 + 2.0 * sigma2 * h.mu) / (a * sigma2)
+    return step
+
+
+def _cycle(data: Dataset, idx: np.ndarray, beta: np.ndarray, step,
+           max_iter: int, conv_tol: float, prune_tol: float):
+    """The reweighted-ridge loop of both solvers on the coordinates
+    ``idx``, from their coefficients ``beta`` and zero weights ``w``.
+
+    Each iteration calls ``step(x, beta, w, False)`` on the live columns,
+    which returns each coordinate's prior variance and a function
+    ``weights(vtilde, x, beta)``.  A coordinate whose prior variance is
+    below ``prune_tol`` is dropped for good (``prune_tol = 0`` never
+    prunes); the survivors' ``w`` are their weights, and their next
+    coefficients solve ``(X'X + diag(w)) beta = X'y``.  The loop stops
+    once ``max |d beta| / (1 + |beta|) < conv_tol`` or after ``max_iter``
+    iterations, and calls ``step(x, beta, w, True)``; pruning every
+    coordinate in iteration ``k`` stops at once, as converged after ``k``.
+    Returns ``(idx, beta, w, iterations, converged)``.
+    """
+
+    # The data restricted to the live coordinates is re-sliced only when
+    # pruning shrinks them.
+    x, xtx, xty = _live(data, idx)
+    w = np.zeros(idx.size)
+    converged = False
+    for it in range(1, max_iter + 1):
+        vtilde, weights = step(x, beta, w, False)
         if prune_tol and (dead := vtilde < prune_tol).any():
             keep = ~dead
             idx, beta, vtilde = idx[keep], beta[keep], vtilde[keep]
             if idx.size == 0:
-                null_sigma2 = float(data.y @ data.y) / (n + 2)
-                return idx, beta, null_sigma2, vtilde, null_sigma2, it + 1, True
+                return idx, beta, vtilde, it, True
             # Release the old live arrays first, so no two copies coexist.
-            del x_live, xtx_live, xty_live
-            x_live, xtx_live, xty_live = _live(data, idx)
-        v_inv = 1.0 / vtilde
-
-        beta_new = _ridge_solve(xtx_live, v_inv, xty_live)
+            del x, xtx, xty
+            x, xtx, xty = _live(data, idx)
+        w = weights(vtilde, x, beta)
+        beta_new = _ridge_solve(xtx, w, xty)
         delta = float((abs(beta_new - beta) / (1.0 + abs(beta))).max())
         beta = beta_new
         converged = delta < conv_tol
-
-    return idx, beta, sigma2, v_inv, mode, it, converged
+        if converged:
+            break
+    step(x, beta, w, True)
+    return idx, beta, w, it, converged
 
 
 def _derivatives(beta, s2, v_inv, x, y, xtx, h: Hyper):
@@ -346,8 +353,10 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
         if polished is None:
             # A prune tolerance of 0 turns pruning off, so the vectors keep
             # their length.
-            _, beta, _, v_inv, sigma2, _, _ = _cycle(
-                data, h, idx, beta, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+            trace = []
+            _, beta, v_inv, _, _ = _cycle(data, idx, beta, _joint_step(data, h, trace),
+                                          POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+            sigma2 = trace[-1][0] / (data.n + idx.size + 2)
             step = _newton_step(beta, sigma2, v_inv, x, data.y, xtx, h)
             polished = (beta, sigma2, v_inv) + (step[3:] if step else (None, None))
         beta, sigma2, v_inv, logdet, quad = polished

@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from adaridge import Dataset, Hyper, PosteriorState, log_joint_posterior, standardize
 from adaridge.model import _live
+from adaridge.solver import _cycle, _joint_step
 
 
 # Property tests draw the same examples on every run, keep no example
@@ -66,6 +67,21 @@ def live_view(data: Dataset, idx):
 
     x, xtx, xty = _live(data, np.asarray(idx))
     return SimpleNamespace(x=x, y=data.y, xtx=xtx, xty=xty, n=data.n, p=x.shape[1])
+
+
+def joint_cycle(data: Dataset, h: Hyper, idx, beta, max_iter, conv_tol, prune_tol):
+    """``solver._cycle`` with the joint solver's step under ``h``:
+    ``(idx, beta, sigma2, v_inv, exit_sigma2, iterations, converged)``,
+    where ``sigma2`` is the noise variance of the last iteration and
+    ``exit_sigma2`` the noise variance's conditional mode at the final
+    coefficients, as the polish fallback takes it."""
+
+    trace = []
+    idx, beta, v_inv, iters, converged = _cycle(
+        data, np.asarray(idx), np.asarray(beta, dtype=float),
+        _joint_step(data, h, trace), max_iter, conv_tol, prune_tol)
+    exit_sigma2 = trace[-1][0] / (data.n + idx.size + 2)
+    return idx, beta, trace[-1][1], v_inv, exit_sigma2, iters, converged
 
 
 def fd_gradient(f, theta, h=1e-6):

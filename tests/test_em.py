@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adaridge import (
     Dataset,
+    DgpSpec,
     FitOptions,
     Hyper,
+    draw_dataset,
     fit_em,
     fit_joint_mode,
     fit_ols,
     select_eta,
     standardize,
 )
+from adaridge.em import VARIANTS
 from adaridge.errors import ExactFit
 from conftest import live_view, random_instance, toeplitz_design
 from oracles import em_step, em_step_explicit_sigma
@@ -149,18 +154,37 @@ class TestFitEm:
         ("independent-prior", -1.5), ("independent-prior", -1.0),
         ("explicit-sigma", -0.5), ("explicit-sigma", 0.5)])
     def test_constant_response_is_an_exact_fit(self, rng, variant, eta):
-        # the centred response is 0, so the start is 0 and the loop never
-        # forms a residual: the start's residual sum is what raises
+        # the centred response is 0, so the start is 0 and the residual sum
+        # of the first iteration is what raises
         data, _ = standardize(rng.standard_normal((30, 3)), np.full(30, 2.5))
         assert not data.y.any() and not data.initial_beta.any()
         with pytest.raises(ExactFit):
             fit_em(data, Hyper(eta), variant=variant)
 
     def test_s2_trace_positive_and_recorded(self):
-        data, _, _ = random_instance(2)
-        emf = fit_em(data, Hyper(-1.0))
-        assert len(emf.s2_trace) == emf.iterations
-        assert (emf.s2_trace > 0).all()
+        # A fit that prunes every coordinate in iteration k has run k
+        # iterations and converged, as a joint fit does, also at the cap
+        # max_iter = k; an all-zero start empties the model in iteration 1.
+        raw, _ = draw_dataset(DgpSpec(0, 20, 3.0, 0))
+        study, _ = standardize(raw.x, raw.y)
+        zero_start = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+                             np.array([0.0, 0.0, 1.0, -1.0]))
+        assert not zero_start.initial_beta.any()
+        # (data, variant, eta, max_iter, the iteration that empties the model)
+        cases = [(random_instance(2)[0], "independent-prior", -1.0, 500, None),
+                 (study, "independent-prior", 2.0, 500, 8),
+                 (study, "independent-prior", 2.0, 8, 8),
+                 (study, "explicit-sigma", 4.0, 500, 7),
+                 (study, "explicit-sigma", 4.0, 7, 7),
+                 (zero_start, "independent-prior", -1.0, 500, 1),
+                 (zero_start, "explicit-sigma", 0.0, 500, 1)]
+        for data, variant, eta, max_iter, emptied in cases:
+            emf = fit_em(data, Hyper(eta), FitOptions(max_iter=max_iter), variant)
+            assert len(emf.s2_trace) == emf.iterations
+            assert (emf.s2_trace > 0).all()
+            if emptied:
+                assert not emf.active.any() and emf.converged
+                assert emf.iterations == emptied
 
     # (variant, random_instance seed, eta): nothing prunes in 4 iterations
     @pytest.mark.parametrize("variant, seed, eta", [
@@ -257,3 +281,42 @@ def test_no_module_copies_columns_into_a_second_dataset(monkeypatch):
     counts = [fit_joint_mode(data, Hyper(eta)).state.active.sum() for eta in sel.grid]
     assert any(0 < c < data.p for c in counts)
     assert len(built) == 1
+
+
+def scaled_design(n, p, seed):
+    """A raw design with columns scaled by ``exp(U(-3, 3))``, about half its
+    coefficients in ``[1, 3]`` on the unscaled columns and the rest 0, and
+    unit noise."""
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    beta = np.where(rng.random(p) < 0.5, rng.uniform(1.0, 3.0, p), 0.0)
+    y = x @ beta + rng.standard_normal(n)
+    return Dataset(x * np.exp(rng.uniform(-3.0, 3.0, p)), y)
+
+
+@given(n=st.integers(15, 120), p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_em_matches_the_joint_mode_on_generated_inputs(n, p, seed):
+    """EM independent-prior at eta -1 and explicit-sigma at eta 0 share the
+    joint mode's fixed point at eta 0 (C5)."""
+
+    data = scaled_design(n, p, seed)
+    opts = FitOptions(conv_tol=1e-12)
+    joint = fit_joint_mode(data, Hyper(0.0), opts).state
+    for variant, eta in (("independent-prior", -1.0), ("explicit-sigma", 0.0)):
+        emf = fit_em(data, Hyper(eta), opts, variant)
+        assert np.array_equal(emf.active, joint.active)
+        assert (abs(emf.beta - joint.beta) <= 1e-9 * (1.0 + abs(joint.beta))).all()
+
+
+@given(n=st.integers(15, 120), p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_least_squares_boundaries_on_generated_inputs(n, p, seed):
+    """At and below the joint mode's boundary eta = -1/2, and at each EM
+    variant's flat-prior boundary, the fit is least squares, bit for bit."""
+
+    data = scaled_design(n, p, seed)
+    ols = fit_ols(data)
+    for eta in (-0.75, -0.5):
+        assert np.array_equal(fit_joint_mode(data, Hyper(eta)).state.beta, ols)
+    for variant, eta in VARIANTS.items():
+        assert np.array_equal(fit_em(data, Hyper(eta), variant=variant).beta, ols)

@@ -27,13 +27,13 @@ from adaridge.evidence import (
 from adaridge.solver import (
     POLISH_CONV_TOL,
     POLISH_MAX_ITER,
-    _cycle,
     _derivatives,
     _newton_polish,
     _polished_mode,
 )
 from conftest import (
     fd_hessian,
+    joint_cycle,
     live_view,
     log_joint_of_theta,
     random_instance,
@@ -684,7 +684,7 @@ class TestNewtonPolish:
             h = Hyper(eta, mu=EVIDENCE_MU)
             beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
             idx, _, beta0, _, _ = polish_inputs(fit, data)
-            _, c_beta, _, c_v_inv, c_sigma2, _, converged = _cycle(
+            _, c_beta, _, c_v_inv, c_sigma2, _, converged = joint_cycle(
                 data, h, idx, beta0, 10_000, 1e-13, 0.0)
             assert converged
             np.testing.assert_allclose(beta, c_beta, rtol=1e-12, atol=0)
@@ -734,7 +734,7 @@ class TestNewtonPolish:
         assert _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
                               sigma20, v_inv0) is None
         beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
-        _, c_beta, _, c_v_inv, c_sigma2, _, _ = _cycle(
+        _, c_beta, _, c_v_inv, c_sigma2, _, _ = joint_cycle(
             data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
         assert np.array_equal(beta, c_beta) and np.array_equal(v_inv, c_v_inv)
         assert sigma2 == c_sigma2
@@ -744,8 +744,8 @@ class TestNewtonPolish:
         fit = fit_joint_mode(data, Hyper(16.0))
         h = Hyper(16.0, mu=EVIDENCE_MU)
         idx, reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
-        assert not _cycle(data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL,
-                          0.0)[6]
+        assert not joint_cycle(data, h, idx, beta0, POLISH_MAX_ITER,
+                               POLISH_CONV_TOL, 0.0)[6]
         polished = _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
                                   sigma20, v_inv0)
         assert polished is not None
@@ -776,7 +776,8 @@ class TestNewtonPolish:
         idx, reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
         assert _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
                               sigma20, v_inv0) is None
-        assert _cycle(data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)[6]
+        assert joint_cycle(data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL,
+                           0.0)[6]
         est = laplace_log_evidence(fit, data, h)
         assert math.isfinite(est.log_value)
 

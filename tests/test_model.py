@@ -17,7 +17,7 @@ from adaridge import (
     select_eta,
     standardize,
 )
-from adaridge import em, evidence, solver
+from adaridge import evidence, solver
 from adaridge.errors import (
     DimensionMismatch,
     InfinitePrecision,
@@ -260,7 +260,8 @@ class TestLive:
     def test_results_bitwise_those_of_the_column_gather(self, monkeypatch):
         # One pruning instance through every caller of ``_live``: Laplace
         # and MC selection (the solver's cycle and polish, MC's X'X slice)
-        # and EM, each on a fresh dataset, so no memo carries over.
+        # and EM (through the solver's cycle), each on a fresh dataset, so
+        # no memo carries over.
         rng = np.random.default_rng(14)
         beta = np.zeros(80)
         beta[rng.choice(80, 6, replace=False)] = rng.uniform(1.0, 3.0, 6)
@@ -280,6 +281,6 @@ class TestLive:
             return out
 
         new = run()
-        for module in (solver, evidence, em):
+        for module in (solver, evidence):
             monkeypatch.setattr(module, "_live", column_gather)
         assert run() == new

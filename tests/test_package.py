@@ -74,11 +74,14 @@ def test_sources_parse_as_python_3_10():
 
 
 def _calls_by_function(node, where=None):
-    """``(enclosing function name, call)`` for every call under ``node``."""
+    """``(enclosing function name, called name)`` for every call under
+    ``node``, ``called`` being the attribute or the bare name called."""
 
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
-            yield where, child
+            func = child.func
+            yield where, (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
         inner = child.name if isinstance(child, ast.FunctionDef) else where
         yield from _calls_by_function(child, inner)
 
@@ -99,10 +102,28 @@ def test_fit_results_are_built_only_in_finish():
     src = Path(adaridge.__file__).parent
     builders = set()
     for path in src.glob("*.py"):
-        for where, call in _calls_by_function(ast.parse(path.read_text())):
-            func = call.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        for where, name in _calls_by_function(ast.parse(path.read_text())):
             if name in ("ModeFit", "PosteriorState"):
                 builders.add((path.name, where, name))
     assert builders == {("solver.py", "_finish", "ModeFit"),
                         ("solver.py", "_finish", "PosteriorState")}
+
+
+
+def test_ridge_solves_only_in_the_cycle_and_the_start():
+    # The joint solver, its polish fallback and EM all iterate through
+    # solver._cycle; the only other ridge solve is the ridged start.
+    src = Path(adaridge.__file__).parent
+    solves = set()
+    for path in src.glob("*.py"):
+        for where, name in _calls_by_function(ast.parse(path.read_text())):
+            if name == "_ridge_solve":
+                solves.add((path.name, where))
+    assert solves == {("solver.py", "_cycle"), ("model.py", "initial_beta")}
+
+
+def test_em_runs_no_loop_of_its_own():
+    src = Path(adaridge.__file__).parent
+    loops = [node for node in ast.walk(ast.parse((src / "em.py").read_text()))
+             if isinstance(node, (ast.For, ast.While))]
+    assert loops == []

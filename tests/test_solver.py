@@ -29,8 +29,9 @@ from adaridge.model import (
     _ridge_solve,
 )
 from adaridge.simulate import DgpSpec, draw_dataset
-from adaridge.solver import _cycle, _derivatives, _newton_step
-from conftest import fd_gradient, random_instance, toeplitz_design, wide_design
+from adaridge.solver import _derivatives, _newton_step
+from conftest import (fd_gradient, joint_cycle, random_instance, toeplitz_design,
+                      wide_design)
 from oracles import assemble_hessian, fit_reweighted_ridge
 
 
@@ -49,8 +50,8 @@ def first_cycle(x, y, beta0, h):
     without pruning: ``(sigma2_1, v_inv_1, beta_1)``."""
 
     data = Dataset(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    _, beta, sigma2, v_inv, _, _, _ = _cycle(
-        data, h, np.arange(data.p), np.asarray(beta0, dtype=float), 1, 1e-8, 0.0)
+    _, beta, sigma2, v_inv, _, _, _ = joint_cycle(
+        data, h, np.arange(data.p), beta0, 1, 1e-8, 0.0)
     return sigma2, v_inv, beta
 
 
@@ -452,7 +453,7 @@ PINNED_ENTRIES = {
                    lambda d: select_eta(d, (0.0, 1.0)), NonFiniteEvidence),
     "fit_joint_mode": (solver_module, "_fit_joint_mode",
                        lambda d: fit_joint_mode(d, Hyper(0.5)), ExactFit),
-    "fit_em": (em_module, "_ridge_solve",
+    "fit_em": (em_module, "_cycle",
                lambda d: fit_em(d, Hyper(-1.0)), ExactFit),
 }
 
