@@ -32,7 +32,6 @@ from .experiment import (
     run_experiment,
 )
 from .metrics import (
-    ReplicationResult,
     median_and_bootstrap_se,
     path_contains_truth,
     support_metrics,
@@ -96,7 +95,6 @@ __all__ = [
     "draw_dataset",
     "draw_test_set",
     "dataset_to_csv",
-    "ReplicationResult",
     "test_mse",
     "support_metrics",
     "path_contains_truth",

@@ -217,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--grid", type=float, nargs="+",
                        default=list(DEFAULT_ETA_GRID))
-    p_fit.add_argument("--max-iter", type=int, default=500)
-    p_fit.add_argument("--conv-tol", type=float, default=1e-8)
-    p_fit.add_argument("--prune-tol", type=float, default=1e-8)
+    defaults = FitOptions()
+    p_fit.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p_fit.add_argument("--conv-tol", type=float, default=defaults.conv_tol)
+    p_fit.add_argument("--prune-tol", type=float, default=defaults.prune_tol)
     p_fit.set_defaults(func=cmd_fit)
 
     p_exp = sub.add_parser("experiment", help="run a replicated experiment")

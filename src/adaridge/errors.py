@@ -50,8 +50,8 @@ class NoInitializer(AdaRidgeError):
 
 
 class NonInteriorMode(AdaRidgeError):
-    """The curvature matrix at the reported mode is not positive definite;
-    the mode is not interior."""
+    """No interior mode to report: the curvature matrix there is not
+    positive definite, or Newton's method cannot reach the mode."""
 
 
 class NonFiniteEvidence(AdaRidgeError):

@@ -14,11 +14,12 @@ Two approximations are provided, both evaluated on the reduced model
 Both are centred on the fit's mode re-polished under the evidence
 hyper-parameters by ``solver._polished_mode``: Newton steps on the exact
 Hessian of the log joint density (the precision block eliminated by a
-Schur complement), with the solver's conditional-update cycle as the
-fallback.  The last Newton step gives the Laplace log determinant and log
-joint density.  The reduced model is the fit's own view, ``model._live``,
-and the solver memoizes each polished mode on the dataset, so this module
-keeps no state of its own.
+Schur complement), which the solver's conditional-update cycle only warms
+up.  A mode Newton cannot reach raises ``NonInteriorMode``, so both
+methods fail on the same fits.  The last Newton step gives the Laplace log
+determinant and log joint density.  The reduced model is the fit's own
+view, ``model._live``, and the solver memoizes each polished mode on the
+dataset, so this module keeps no state of its own.
 
 Two conventions here are deliberate and documented:
 
@@ -137,7 +138,8 @@ def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstim
     the dimension of the integrated space, and subtracts half the log
     determinant of the negative Hessian.  An empty model reduces to the
     one-dimensional noise-variance integral, at its mode
-    ``y'y / (n + 2)``.
+    ``y'y / (n + 2)``.  A mode the polish cannot reach raises
+    ``NonInteriorMode``, as it does for :func:`mc_log_evidence`.
     """
 
     p_active = int(fit.state.active.sum())
@@ -155,8 +157,6 @@ def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstim
         logdet = math.log(curv)
     else:
         _, sigma2, v_inv, logdet, quad = _polished_mode(fit, data, h)
-        if logdet is None:
-            raise NonInteriorMode("negative Hessian not positive definite")
         lj = _log_joint_density(quad, sigma2, v_inv, n, h)
     value = lj + ((2 * p_active + 1) / 2.0) * math.log(2.0 * math.pi) - 0.5 * logdet
     if not math.isfinite(value):

@@ -40,7 +40,6 @@ from .evidence import (
     select_eta,
 )
 from .metrics import (
-    ReplicationResult,
     median_and_bootstrap_se,
     path_contains_truth,
     support_metrics,
@@ -204,17 +203,11 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _result_record(rep: int, name: str, res: ReplicationResult | None,
-                   detail: str = "") -> dict:
-    return {
-        "replication": rep,
-        "estimator": name,
-        "mse": None if res is None else res.mse,
-        "c_count": None if res is None else res.c_count,
-        "i_count": None if res is None else res.i_count,
-        "correct_model": None if res is None else res.correct_model,
-        "detail": detail,
-    }
+def _record(rep: int, name: str, detail: str, mse=None, c_count=None,
+            i_count=None, correct_model=None) -> dict:
+    return {"replication": rep, "estimator": name, "mse": mse,
+            "c_count": c_count, "i_count": i_count,
+            "correct_model": correct_model, "detail": detail}
 
 
 def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
@@ -232,40 +225,33 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
     support = truth.support_true
     opts = FitOptions()
 
-    def score(beta_std, active) -> ReplicationResult:
-        beta_raw = destandardize_beta(beta_std, std)
-        mse = test_mse(beta_raw, std.y_mean, test)
-        c, i, cm = support_metrics(active, support)
-        return ReplicationResult(mse=mse, c_count=c, i_count=i, correct_model=cm)
+    def scored(name, beta_std, active, detail="") -> dict:
+        mse = test_mse(destandardize_beta(beta_std, std), std.y_mean, test)
+        return _record(rep, name, detail, mse, *support_metrics(active, support))
 
     records: list[dict] = []
     all_true = np.ones(data.p, dtype=bool)
 
     for name in config.estimators:
         if name == "ols":
-            beta = fit_ols(data)
-            records.append(_result_record(rep, "ols", score(beta, all_true)))
+            records.append(scored("ols", fit_ols(data), all_true))
         elif name == "ridge-gcv":
             rf = fit_ridge_gcv(data)
-            records.append(_result_record(
-                rep, "ridge-gcv", score(rf.beta, all_true),
-                detail=f"lambda={rf.lam:g}"))
+            records.append(scored("ridge-gcv", rf.beta, all_true,
+                                  f"lambda={rf.lam:g}"))
         elif name == "aris-eta0":
             fit = fit_joint_mode(data, Hyper(0.0), opts)
-            records.append(_result_record(
-                rep, "aris-eta0", score(fit.state.beta, fit.state.active)))
+            records.append(scored("aris-eta0", fit.state.beta, fit.state.active))
         elif name == "em":
             emf = fit_em(data, Hyper(config.em_eta), opts, config.em_variant)
-            records.append(_result_record(
-                rep, "em", score(emf.beta, emf.active),
-                detail=f"eta={config.em_eta:g};{config.em_variant}"))
+            records.append(scored("em", emf.beta, emf.active,
+                                  f"eta={config.em_eta:g};{config.em_variant}"))
         elif name == "aris-eb":
             if config.evidence_method == "laplace":
                 sel = select_eta(data, config.eta_grid, "laplace", opts)
-                records.append(_result_record(
-                    rep, "aris-eb",
-                    score(sel.refit.state.beta, sel.refit.state.active),
-                    detail=f"eta={sel.best_eta:g}"))
+                records.append(scored("aris-eb", sel.refit.state.beta,
+                                      sel.refit.state.active,
+                                      f"eta={sel.best_eta:g}"))
             else:
                 best = None
                 for kk in config.k_sweep:
@@ -274,19 +260,17 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
                         draws=config.mc_draws,
                         seed=_derive_seed(config.master_seed, rep, 2),
                     )
-                    res = score(sel.refit.state.beta, sel.refit.state.active)
-                    records.append(_result_record(
-                        rep, f"aris-eb-k{kk:g}", res,
-                        detail=f"eta={sel.best_eta:g}"))
+                    rec = scored(f"aris-eb-k{kk:g}", sel.refit.state.beta,
+                                 sel.refit.state.active, f"eta={sel.best_eta:g}")
+                    records.append(rec)
                     idx = sel.grid.index(sel.best_eta)
                     est = sel.estimates[idx]
                     total = est.log_value + est.log_box_volume
                     if best is None or total > best[0] + 1e-12:
-                        best = (total, kk, sel, res)
-                _, kk, sel, res = best
-                records.append(_result_record(
-                    rep, "aris-eb-best", res,
-                    detail=f"k={kk:g};eta={sel.best_eta:g}"))
+                        best = (total, kk, sel, rec)
+                _, kk, sel, rec = best
+                records.append({**rec, "estimator": "aris-eb-best",
+                                "detail": f"k={kk:g};eta={sel.best_eta:g}"})
         elif name == "aris-path":
             masks = []  # memo hits where aris-eb ran; failed fits add no mask
             for eta in config.eta_grid:
@@ -294,12 +278,9 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
                     masks.append(fit_joint_mode(data, Hyper(eta), opts).state.active)
                 except AdaRidgeError:
                     pass
-            hit = path_contains_truth(masks, support)
-            records.append(_result_record(
-                rep, "aris-path",
-                ReplicationResult(mse=float("nan"), c_count=0, i_count=0,
-                                  correct_model=hit),
-                detail="path"))
+            # The path has no test error; its only score is exact recovery.
+            records.append(_record(rep, "aris-path", "path", None, 0, 0,
+                                   path_contains_truth(masks, support)))
     return records
 
 
@@ -386,11 +367,7 @@ def aggregate(config: ExperimentConfig, per_replication: list[dict]) -> tuple[Re
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return ""
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_report_csv(path: Path, rows: tuple[ReportRow, ...]) -> None:
@@ -486,7 +463,7 @@ def run_experiment(
     for rep, recs, err, _ in outcomes:
         if recs is None:
             failures.append((rep, err))
-            records.append(_result_record(rep, "__error__", None, detail=err))
+            records.append(_record(rep, "__error__", err))
         else:
             records.extend(recs)
     if failures and not allow_failures:

@@ -4,30 +4,17 @@ standard error of a median."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
 from .model import Dataset
 
 __all__ = [
-    "ReplicationResult",
     "test_mse",
     "support_metrics",
     "path_contains_truth",
     "median_and_bootstrap_se",
 ]
-
-
-@dataclass(frozen=True)
-class ReplicationResult:
-    """Per-replication scores for one estimator."""
-
-    mse: float
-    c_count: int
-    i_count: int
-    correct_model: bool
 
 
 def test_mse(beta_hat_raw, intercept: float, test: Dataset) -> float:

@@ -328,7 +328,8 @@ class Standardization:
 
     ``column_norms[j]`` is the original 2-norm of predictor ``j`` and
     ``y_mean`` the original response mean; together they map fitted
-    coefficients back to the raw scale.
+    coefficients back to the raw scale.  The first norm that is not finite
+    raises ``NonFiniteInput``, else the first zero one ``ZeroNormColumn``.
     """
 
     column_norms: np.ndarray
@@ -336,8 +337,11 @@ class Standardization:
 
     def __post_init__(self):
         norms = _as_vector(self.column_norms)
-        if (norms <= 0).any() or not np.isfinite(norms).all():
-            raise ZeroNormColumn(int(np.argmin(norms)))
+        if not np.isfinite(norms).all():
+            j = int(np.argmin(np.isfinite(norms)))
+            raise NonFiniteInput(f"predictor column {j} has norm {norms[j]}")
+        if (norms <= 0).any():
+            raise ZeroNormColumn(int(np.argmax(norms <= 0)))
         object.__setattr__(self, "column_norms", norms)
         object.__setattr__(self, "y_mean", float(self.y_mean))
 
@@ -378,8 +382,7 @@ class FitOptions:
     prune_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_count(self.max_iter, "max_iter")
         if not (self.conv_tol > 0 and self.prune_tol > 0):
             raise ValueError("tolerances must be strictly positive")
 
@@ -471,25 +474,15 @@ def standardize(raw_x, raw_y) -> tuple[Dataset, Standardization]:
     ------
     ZeroNormColumn
         If some column of ``raw_x`` has zero norm.
-    DimensionMismatch, NonFiniteInput
+    NonFiniteInput
+        On a non-finite entry, or a column whose norm overflows.
+    DimensionMismatch
         On malformed input.
     """
 
-    x = _as_matrix(raw_x)
-    y = _as_vector(raw_y)
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"x has {x.shape[0]} rows but y has {y.shape[0]} entries"
-        )
-    if not np.isfinite(x).all() or not np.isfinite(y).all():
-        raise NonFiniteInput("raw data contains non-finite entries")
-    norms = np.linalg.norm(x, axis=0)
-    zero = np.where(norms == 0)[0]
-    if zero.size:
-        raise ZeroNormColumn(int(zero[0]))
-    y_mean = float(y.mean())
-    data = Dataset(x / norms, y - y_mean)
-    return data, Standardization(norms, y_mean)
+    raw = Dataset(raw_x, raw_y)
+    std = Standardization(np.linalg.norm(raw.x, axis=0), raw.y.mean())
+    return Dataset(raw.x / std.column_norms, raw.y - std.y_mean), std
 
 
 def destandardize_beta(beta_std, s: Standardization) -> np.ndarray:

@@ -10,8 +10,8 @@ coordinates and the per-iteration trace.  This module alone reads and
 writes ``Dataset._memo``, which holds the fits of :func:`fit_joint_mode`
 and the modes that ``_polished_mode`` re-polishes for evidence.  The
 polish runs on the fit's live view (``model._live``): Newton steps on the
-exact Hessian of the log joint density, with the same cycle, without
-pruning, as fallback.
+exact Hessian of the log joint density.  The same cycle, without pruning,
+only warms Newton up; no Newton mode means ``NonInteriorMode``.
 
 On unit-norm columns the dynamics implement a soft |t|-threshold: a
 coordinate survives roughly when its t-statistic exceeds
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import fit_ols
-from .errors import ExactFit
+from .errors import ExactFit, NonInteriorMode
 from .model import (
     _POTRF,
     _POTRS,
@@ -43,7 +43,7 @@ __all__ = ["fit_joint_mode"]
 
 # Relative coefficient change at which a polish has converged, and the
 # iteration caps of its Newton steps and of the conditional-update cycle
-# it falls back to.
+# that warms Newton up.
 POLISH_CONV_TOL = 1e-13
 POLISH_NEWTON_MAX_STEPS = 20
 POLISH_MAX_ITER = 200
@@ -330,12 +330,12 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
 
     The start is an interior mode under the fit's ``mu``, which differs
     from ``h`` only through ``mu``, so Newton typically converges in two
-    or three steps.  Where Newton fails, the polish is the
-    conditional-update cycle run from the fit's ``beta`` without pruning;
-    its ``sigma2`` is then the noise-variance mode at the final
-    coefficients, and ``logdet`` and ``quad`` are those of
-    :func:`_newton_step` there (both ``None`` when the negative Hessian is
-    not positive definite).
+    or three steps.  Where Newton fails, the conditional-update cycle runs
+    from the fit's ``beta`` without pruning (at most ``POLISH_MAX_ITER``
+    iterations) as a warm start, and Newton tries once more from its end
+    point, with the cycle's last noise variance as a fit takes it.  If
+    that fails too, the polish raises ``NonInteriorMode``: every value it
+    returns is a converged Newton point.
 
     The polished values (arrays read-only) are memoized on ``data`` by fit
     and ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
@@ -356,9 +356,10 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
             trace = []
             _, beta, v_inv, _, _ = _cycle(data, idx, beta, _joint_step(data, h, trace),
                                           POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
-            sigma2 = trace[-1][0] / (data.n + idx.size + 2)
-            step = _newton_step(beta, sigma2, v_inv, x, data.y, xtx, h)
-            polished = (beta, sigma2, v_inv) + (step[3:] if step else (None, None))
+            polished = _newton_polish(x, data.y, xtx, h, beta, trace[-1][1], v_inv)
+            if polished is None:
+                raise NonInteriorMode(
+                    "Newton finds no joint mode from the fit or from the cycle")
         beta, sigma2, v_inv, logdet, quad = polished
         # The entry keeps the fit alive, so its id cannot be reused while
         # the entry exists.

@@ -72,9 +72,9 @@ def live_view(data: Dataset, idx):
 def joint_cycle(data: Dataset, h: Hyper, idx, beta, max_iter, conv_tol, prune_tol):
     """``solver._cycle`` with the joint solver's step under ``h``:
     ``(idx, beta, sigma2, v_inv, exit_sigma2, iterations, converged)``,
-    where ``sigma2`` is the noise variance of the last iteration and
-    ``exit_sigma2`` the noise variance's conditional mode at the final
-    coefficients, as the polish fallback takes it."""
+    where ``sigma2`` is the noise variance of the last iteration, as a fit
+    and the polish's warm start take it, and ``exit_sigma2`` the noise
+    variance's conditional mode at the final coefficients."""
 
     trace = []
     idx, beta, v_inv, iters, converged = _cycle(

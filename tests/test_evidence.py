@@ -19,7 +19,12 @@ from adaridge import (
     select_eta,
     standardize,
 )
-from adaridge.errors import EmptyBox, NonFiniteEvidence, SingularSystem
+from adaridge.errors import (
+    EmptyBox,
+    NonFiniteEvidence,
+    NonInteriorMode,
+    SingularSystem,
+)
 from adaridge.evidence import (
     EvidenceEstimate,
     _conditional_marginal_core,
@@ -485,8 +490,7 @@ class TestEvidenceMemo:
         import adaridge.evidence as ev
         import adaridge.solver as solver
 
-        # each polish, Newton or its fallback, starts with one call of the
-        # solver's _newton_polish
+        # each polish starts with a call of the solver's _newton_polish
         real = solver._newton_polish
         calls = []
 
@@ -565,8 +569,8 @@ class TestPolish:
     def test_laplace_log_joint_is_the_density_at_the_polished_mode(self):
         # Laplace takes ``quad`` from the polish's last derivative
         # evaluation: it must be that of the point the polish returns, so
-        # the value equals the reference density there to the bit.  The
-        # last case falls back to the cycle.
+        # the value equals the reference density there to the bit.  In the
+        # last case Newton starts from the end of the cycle's warm start.
         cases = [(random_instance(seed)[0], eta)
                  for seed in range(6) for eta in (0.0, 0.5, 2.0)]
         cases.append((wide_instance(24), -0.45))
@@ -652,7 +656,7 @@ def relative_gradient(reduced, h, beta, sigma2, v_inv):
 
 class TestNewtonPolish:
     """The evidence mode is found by Newton steps on the exact Hessian;
-    the conditional-update cycle is the fallback."""
+    the conditional-update cycle only warms Newton up."""
 
     CASES = [(seed, eta) for seed in range(12) for eta in (-0.25, 0.0, 0.5, 2.0, 8.0)]
 
@@ -722,22 +726,31 @@ class TestNewtonPolish:
             checked += 1
         assert checked > 40
 
-    # Design 3, n=100: the fit itself stopped unconverged, and Newton
-    # fails from its point.
+    # Design 3, n=100: the fit itself stopped unconverged with one live
+    # coordinate.  Newton fails from its point, the cycle stops at its cap,
+    # and Newton fails again from there, so the mode is never reached.
     @pytest.mark.parametrize("master_seed, rep", [(83, 6), (95, 5)])
-    def test_fallback_reproduces_the_cycle(self, master_seed, rep):
+    def test_unreachable_mode_fails_its_grid_point(self, master_seed, rep):
         data = study_replication(master_seed, rep)
         fit = fit_joint_mode(data, Hyper(16.0))
-        assert not fit.converged
+        assert not fit.converged and fit.state.active.sum() == 1
         h = Hyper(16.0, mu=EVIDENCE_MU)
         idx, reduced, beta0, sigma20, v_inv0 = polish_inputs(fit, data)
         assert _newton_polish(reduced.x, reduced.y, reduced.xtx, h, beta0,
                               sigma20, v_inv0) is None
-        beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
-        _, c_beta, _, c_v_inv, c_sigma2, _, _ = joint_cycle(
-            data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
-        assert np.array_equal(beta, c_beta) and np.array_equal(v_inv, c_v_inv)
-        assert sigma2 == c_sigma2
+        assert not joint_cycle(data, h, idx, beta0, POLISH_MAX_ITER,
+                               POLISH_CONV_TOL, 0.0)[6]
+        with pytest.raises(NonInteriorMode):
+            _polished_mode(fit, data, h)
+        with pytest.raises(NonInteriorMode):
+            laplace_log_evidence(fit, data, h)
+        with pytest.raises(NonInteriorMode):
+            mc_log_evidence(fit, data, h, k=1000.0, draws=50)
+        # The failed point is recorded as such, and the selection is the
+        # one it was when this point was scored off the mode.
+        sel = select_eta(data)
+        assert sel.estimates[sel.grid.index(16.0)] is None
+        assert sel.best_eta == -0.25
 
     def test_converges_where_the_cycle_is_capped(self):
         data = study_replication(1, 3)
@@ -768,7 +781,8 @@ class TestNewtonPolish:
     def test_indefinite_start_falls_back(self):
         # 129 live coordinates after 500 iterations, some still on their
         # way to pruning: the negative Hessian at the fit's point is
-        # indefinite, so Newton cannot start, and the cycle converges
+        # indefinite, so Newton cannot start; the cycle converges, and
+        # Newton from its end point reaches the mode
         data = wide_instance(24)
         fit = fit_joint_mode(data, Hyper(-0.45))
         assert not fit.converged and fit.state.active.sum() == 129
@@ -778,6 +792,8 @@ class TestNewtonPolish:
                               sigma20, v_inv0) is None
         assert joint_cycle(data, h, idx, beta0, POLISH_MAX_ITER, POLISH_CONV_TOL,
                            0.0)[6]
+        beta, sigma2, v_inv, _, _ = _polished_mode(fit, data, h)
+        assert max(relative_gradient(reduced, h, beta, sigma2, v_inv)) < 1e-13
         est = laplace_log_evidence(fit, data, h)
         assert math.isfinite(est.log_value)
 

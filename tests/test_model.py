@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from adaridge import (
     Dataset,
+    FitOptions,
     Hyper,
     PosteriorState,
     Standardization,
@@ -27,7 +28,7 @@ from adaridge.errors import (
     ZeroNormColumn,
 )
 from adaridge.model import _live
-from conftest import toeplitz_design
+from conftest import random_instance, toeplitz_design
 
 
 class TestStandardize:
@@ -68,6 +69,25 @@ class TestStandardize:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             standardize([[1.0], [np.nan]], [1.0, 2.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_names_its_column(self, rng):
+        # the entries are finite, but column 1's squares overflow
+        x = rng.standard_normal((30, 3))
+        x[:, 1] *= 1e200
+        with pytest.raises(NonFiniteInput, match="column 1 "):
+            standardize(x, rng.standard_normal(30))
+
+    def test_bad_norms_name_the_first_bad_column(self):
+        with pytest.raises(NonFiniteInput, match="column 1 "):
+            Standardization(np.array([1.0, np.inf, 0.0]), 0.0)
+        with pytest.raises(ZeroNormColumn) as err:
+            Standardization(np.array([1.0, 2.0, 0.0, 0.0]), 0.0)
+        assert err.value.column == 2
+
+    def test_no_rows_is_a_dimension_error(self):
+        with pytest.raises(DimensionMismatch):
+            standardize(np.empty((0, 2)), np.empty(0))
 
 
 class TestDestandardize:
@@ -199,6 +219,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             PosteriorState(beta=np.array([1.0]), sigma2=1.0,
                            v_inv=np.array([np.inf]), active=np.array([False]))
+
+    @pytest.mark.parametrize("max_iter", [2.5, np.float64(3), 0, "3"])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            FitOptions(max_iter=max_iter)
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        data, _, _ = random_instance(0)
+        assert fit_joint_mode(data, Hyper(0.0),
+                              FitOptions(max_iter=np.int64(3))).iterations <= 3
 
     def test_dataset_validation(self):
         with pytest.raises(DimensionMismatch):

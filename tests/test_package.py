@@ -111,7 +111,7 @@ def test_fit_results_are_built_only_in_finish():
 
 
 def test_ridge_solves_only_in_the_cycle_and_the_start():
-    # The joint solver, its polish fallback and EM all iterate through
+    # The joint solver, the polish's warm start and EM all iterate through
     # solver._cycle; the only other ridge solve is the ridged start.
     src = Path(adaridge.__file__).parent
     solves = set()
@@ -127,3 +127,15 @@ def test_em_runs_no_loop_of_its_own():
     loops = [node for node in ast.walk(ast.parse((src / "em.py").read_text()))
              if isinstance(node, (ast.For, ast.While))]
     assert loops == []
+
+
+def test_newton_steps_only_in_the_newton_polish():
+    # Every mode the evidence polish returns is a converged Newton point:
+    # no other code takes a Newton step or its log determinant.
+    src = Path(adaridge.__file__).parent
+    steps = set()
+    for path in src.glob("*.py"):
+        for where, name in _calls_by_function(ast.parse(path.read_text())):
+            if name == "_newton_step":
+                steps.add((path.name, where))
+    assert steps == {("solver.py", "_newton_polish")}
