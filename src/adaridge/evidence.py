@@ -9,7 +9,10 @@ Two approximations are provided, both evaluated on the reduced model
 * :func:`mc_log_evidence` - uniform Monte-Carlo sampling of the
   precisions over a hypercube around their modal values, scoring the
   closed-form marginal obtained by integrating coefficients and noise
-  variance analytically.
+  variance analytically.  One pass scores every draw: the kernel
+  ``_conditional_marginal_core`` eliminates the bordered matrix of
+  ``X'X + V^{-1}`` and ``X'y`` column by column with the draws on its
+  last axis, for any number of coordinates.
 
 Both are centred on the fit's mode re-polished under the evidence
 hyper-parameters by ``solver._polished_mode``: Newton steps on the exact
@@ -183,28 +186,32 @@ def _conditional_marginal_core(xtx, xty, yty, n, v_batch) -> np.ndarray:
     """Batched evaluation of the conditional log marginal; ``v_batch`` has
     one precision vector per row.
 
-    One Cholesky factor of the bordered matrix
-    ``[[X'X + V^{-1}, X'y], [X'y', 2 y'y]]`` gives both terms: its first
-    ``p`` pivots are those of ``X'X + V^{-1}``, and its last pivot squared
-    is ``2 y'y - y'X (X'X + V^{-1})^{-1} X'y = y'y + S^2``.  The ``2 y'y``
-    corner keeps that pivot at least ``y'y``, so the bordered matrix is
-    positive definite exactly when ``X'X + V^{-1}`` is (for ``y'y > 0``).
+    The bordered matrix ``[[X'X + V^{-1}, X'y], [X'y', y'y]]`` is reduced
+    by symmetric elimination, one column at a time, with the draws on its
+    last axis, so every numpy operation covers all of them.  The ``p``
+    pivots multiply to ``|X'X + V^{-1}|``, and the corner left at the end
+    is ``S^2 = y'y - y'X (X'X + V^{-1})^{-1} X'y``.  A pivot ``<= 0`` (no
+    positive definite ``X'X + V^{-1}``) raises ``SingularSystem``; an
+    ``S^2`` at or below ``1e-12 y'y`` is clamped there with a
+    ``RuntimeWarning``.
     """
 
     m, p = v_batch.shape
-    a = np.empty((m, p + 1, p + 1))
-    a[:, :p, :p] = xtx
+    a = np.empty((p + 1, p + 1, m))
+    a[:p, :p] = xtx[:, :, None]
+    a[:p, p] = a[p, :p] = xty[:, None]
+    a[p, p] = yty
     ii = np.arange(p)
-    a[:, ii, ii] += v_batch
-    a[:, :p, p] = xty
-    a[:, p, :p] = xty
-    a[:, p, p] = 2.0 * yty
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    pivots = np.diagonal(chol, axis1=1, axis2=2)
-    s2 = pivots[:, p] ** 2 - yty
+    a[ii, ii] += v_batch.T
+    pivots = np.empty((p, m))
+    for j in range(p):
+        d = pivots[j] = a[j, j]
+        if not (d > 0).all():
+            raise SingularSystem(
+                f"{j + 1}-th leading minor is not positive definite")
+        col = a[j + 1:, j]
+        a[j + 1:, j + 1:] -= col[:, None] * (col / d)
+    s2 = a[p, p]
     floor = 1e-12 * yty
     if (s2 <= floor).any():
         warnings.warn(
@@ -213,13 +220,12 @@ def _conditional_marginal_core(xtx, xty, yty, n, v_batch) -> np.ndarray:
             stacklevel=2,
         )
         s2 = np.maximum(s2, floor)
-    logdet = 2.0 * np.sum(np.log(pivots[:, :p]), axis=1)
     return (
         math.lgamma(n / 2.0)
         - (n / 2.0) * math.log(math.pi)
         - (n / 2.0) * np.log(s2)
-        + 0.5 * np.sum(np.log(v_batch), axis=1)
-        - 0.5 * logdet
+        + 0.5 * np.log(v_batch).sum(axis=1)
+        - 0.5 * np.log(pivots).sum(axis=0)
     )
 
 
@@ -241,7 +247,8 @@ def mc_log_evidence(
     ``mu^{eta+1}`` scale factor is deliberately not applied; see the
     module docstring).  The estimate is the box average in log space with
     a delta-method standard error; adding the reported ``log_box_volume``
-    gives the integral itself.
+    gives the integral itself.  The draws are those of
+    ``default_rng(seed).uniform(lo, hi, (draws, p))``, bit for bit.
 
     An empty reduced model has nothing to integrate: the exact closed
     form is returned with zero standard error.  A ``k`` not finite and
@@ -264,34 +271,39 @@ def mc_log_evidence(
     _, _, v_inv, _, _ = _polished_mode(fit, data, h)
     sig = v_inv / math.sqrt(0.5 + h.eta)
     lo = np.maximum(0.0, v_inv - k * sig)
-    hi = v_inv + k * sig
-    if not ((hi - lo) > 0).all():
+    width = v_inv + k * sig - lo
+    if not (width > 0).all():
         raise EmptyBox("degenerate box bounds")
-    log_volume = float(np.sum(np.log(hi - lo)))
+    log_volume = float(np.log(width).sum())
 
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(lo, hi, size=(draws, p_active))
+    # Generator.uniform(lo, hi, (draws, p)) computes exactly this.
+    u = lo + width * np.random.default_rng(seed).random((draws, p_active))
     _, xtx, xty = _live(data, np.flatnonzero(state.active))
     yty = float(data.y @ data.y)
 
+    # A draw with a zero precision (possible only where lo is 0) has zero
+    # prior density; when there is none, the draws are scored uncopied.
+    ok = slice(None) if (u > 0).all() else (u > 0).all(axis=1)
+    v = u[ok]
     logs = np.full(draws, -np.inf)
-    ok = (u > 0).all(axis=1)
-    if ok.any():
-        vals = _conditional_marginal_core(xtx, xty, yty, n, u[ok])
-        vals += np.sum(h.eta * np.log(u[ok]) - h.mu * u[ok], axis=1)
+    if v.size:
+        vals = _conditional_marginal_core(xtx, xty, yty, n, v)
+        vals += (h.eta * np.log(v) - h.mu * v).sum(axis=1)
         vals -= p_active * math.lgamma(h.eta + 1.0)
         logs[ok] = vals
 
-    m = float(np.max(logs))
+    m = float(logs.max())
     if not math.isfinite(m):
         raise NonFiniteEvidence(f"mc log integrand max {m}")
+    # The box average of exp(logs) and its delta-method standard error:
+    # np.mean and np.std(ddof=1) in their own arithmetic.
     w = np.exp(logs - m)
-    mean_w = float(np.mean(w))
+    mean_w = float(w.sum()) / draws
     value = m + math.log(mean_w)
+    se = 0.0
     if draws > 1:
-        se = float(np.std(w, ddof=1) / (math.sqrt(draws) * mean_w))
-    else:
-        se = 0.0
+        w -= mean_w
+        se = math.sqrt(float((w * w).sum()) / (draws - 1)) / (math.sqrt(draws) * mean_w)
     if not math.isfinite(value):
         raise NonFiniteEvidence(f"mc value {value}")
     return EvidenceEstimate(

@@ -168,6 +168,16 @@ def _check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
+def _check_number(value, name: str, low: float, strict: bool = True) -> None:
+    """Check that ``value`` is a finite real number above ``low``, or at
+    least ``low`` when not ``strict``; errors call it ``name``."""
+
+    if (not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or not (value > low if strict else value >= low)):
+        bound = f"> {low:g}" if strict else f">= {low:g}"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 def _check_seed(seed, name: str = "seed") -> None:
     """Check that a random seed is an integer >= 0; errors call it ``name``."""
 
@@ -191,8 +201,11 @@ def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(gram + diag(d)) x = rhs`` by Cholesky factorization.
 
     ``d`` is a vector or a scalar added to the diagonal of a copy of
-    ``gram``; ``gram`` itself is left unchanged.  The factorization is the
-    one ``scipy.linalg.cho_factor``/``cho_solve`` compute, without their
+    ``gram``; ``gram`` itself is left unchanged.  ``gram`` must be exactly
+    symmetric, as ``X'X`` and its ``_live`` slices are: the copy is taken
+    of ``gram.T``, which for a C-ordered ``gram`` is already in the
+    F order LAPACK wants.  The factorization is the one
+    ``scipy.linalg.cho_factor``/``cho_solve`` compute, without their
     wrapper overhead or finiteness checks.
 
     Raises
@@ -201,7 +214,7 @@ def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
         If ``gram + diag(d)`` is not positive definite.
     """
 
-    a = np.array(gram, order="F")
+    a = np.array(gram.T, order="F")
     a.flat[:: a.shape[0] + 1] += d
     # info < 0 flags a malformed argument, which a square float64 array
     # cannot be; info > 0 is the order of the failing leading minor.
@@ -356,16 +369,16 @@ class Hyper:
     loosest bound enforced here.  ``mu`` defaults to machine epsilon: any
     strictly positive value keeps the posterior proper while being
     numerically indistinguishable from the zero limit in the updates.
+    Either one not a finite real number in range raises ``ValueError``
+    naming it.
     """
 
     eta: float
     mu: float = MACHINE_EPS
 
     def __post_init__(self):
-        if not (self.eta >= -1.5):
-            raise ValueError(f"eta must be >= -1.5, got {self.eta}")
-        if not (self.mu > 0):
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        _check_number(self.eta, "eta", -1.5, strict=False)
+        _check_number(self.mu, "mu", 0.0)
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "mu", float(self.mu))
 
@@ -375,7 +388,8 @@ class FitOptions:
     """Iteration controls shared by all solvers: the iteration cap, the
     relative coefficient change below which a fit has converged, and the
     prior-variance mode below which a coordinate is pruned.  The prior's
-    inverse scale is ``Hyper.mu``."""
+    inverse scale is ``Hyper.mu``.  A tolerance that is not a finite real
+    number > 0 raises ``ValueError`` naming it."""
 
     max_iter: int = 500
     conv_tol: float = 1e-8
@@ -383,8 +397,8 @@ class FitOptions:
 
     def __post_init__(self):
         _check_count(self.max_iter, "max_iter")
-        if not (self.conv_tol > 0 and self.prune_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        _check_number(self.conv_tol, "conv_tol", 0.0)
+        _check_number(self.prune_tol, "prune_tol", 0.0)
 
 
 @dataclass(frozen=True)

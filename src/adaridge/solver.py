@@ -337,9 +337,10 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
     that fails too, the polish raises ``NonInteriorMode``: every value it
     returns is a converged Newton point.
 
-    The polished values (arrays read-only) are memoized on ``data`` by fit
-    and ``h``, so scoring one grid fit again, as the Monte-Carlo k-sweep
-    does, polishes it once.
+    The polished values (arrays read-only), or the failure, are memoized
+    on ``data`` by fit and ``h``, so scoring one grid fit again, as the
+    Monte-Carlo k-sweep does, polishes it once; a failed polish raises
+    ``NonInteriorMode`` again, with the same message, on every call.
     """
 
     key = (id(fit), h)
@@ -357,12 +358,15 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
             _, beta, v_inv, _, _ = _cycle(data, idx, beta, _joint_step(data, h, trace),
                                           POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
             polished = _newton_polish(x, data.y, xtx, h, beta, trace[-1][1], v_inv)
-            if polished is None:
-                raise NonInteriorMode(
-                    "Newton finds no joint mode from the fit or from the cycle")
-        beta, sigma2, v_inv, logdet, quad = polished
         # The entry keeps the fit alive, so its id cannot be reused while
-        # the entry exists.
-        hit = data._memo[key] = (fit, _read_only(beta), sigma2,
-                                 _read_only(v_inv), logdet, quad)
+        # the entry exists; a failed polish is kept as ``(fit, None)``.
+        if polished is None:
+            hit = data._memo[key] = (fit, None)
+        else:
+            beta, sigma2, v_inv, logdet, quad = polished
+            hit = data._memo[key] = (fit, _read_only(beta), sigma2,
+                                     _read_only(v_inv), logdet, quad)
+    if hit[1] is None:
+        raise NonInteriorMode(
+            "Newton finds no joint mode from the fit or from the cycle")
     return hit[1:]

@@ -170,8 +170,10 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
                            it, True, trace)
 
         xstar[:, idx] = xstar[:, idx] * omega
-        bs = _ridge_solve(xstar[:, idx].T @ xstar[:, idx], a,
-                          xstar[:, idx].T @ data.y)
+        # one gather, so that xs.T @ xs is exactly symmetric, as
+        # _ridge_solve requires
+        xs = xstar[:, idx]
+        bs = _ridge_solve(xs.T @ xs, a, xs.T @ data.y)
         beta_star[idx] = bs
         beta_orig = cum[idx] * bs
         delta = float(np.max(np.abs(beta_orig - beta[idx]) / (1.0 + np.abs(beta[idx]))))

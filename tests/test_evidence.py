@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from adaridge import (
+    DEFAULT_K_SWEEP,
     Dataset,
     EVIDENCE_MU,
     FitOptions,
@@ -267,6 +270,31 @@ class TestConditionalMarginalCore:
         with pytest.raises(SingularSystem):
             _conditional_marginal_core(data.xtx, data.xty, yty, data.n, v_batch)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_failing_pivot_is_named(self, k):
+        # positive precisions before coordinate k keep the first k - 1
+        # pivots positive; -2 on X'X's unit diagonal makes the k-th negative
+        data, _, _ = random_instance(5, p_range=(8, 8))
+        v_batch = np.random.default_rng(k).uniform(0.5, 2.0, size=(6, 8))
+        v_batch[4, k - 1] = -2.0
+        yty = float(data.y @ data.y)
+        with pytest.raises(SingularSystem, match=f"^{k}-th leading minor"):
+            _conditional_marginal_core(data.xtx, data.xty, yty, data.n, v_batch)
+
+
+@given(p=st.integers(1, 10), draws=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_core_matches_the_reference_on_generated_batches(p, draws, seed):
+    """Unit-norm columns, precisions ``exp(U(-8, 8))``, and a response of
+    sd 10 around a random fit, so that ``S^2`` stays a sizeable share of
+    ``y'y`` (see ``test_near_interpolating_fit``) and every value far
+    from 0."""
+
+    rng = np.random.default_rng(seed)
+    n = p + int(rng.integers(10, 60))
+    x = rng.standard_normal((n, p))
+    data, _ = standardize(x, x @ rng.standard_normal(p) + 10.0 * rng.standard_normal(n))
+    assert_core_matches_reference(data, np.exp(rng.uniform(-8.0, 8.0, size=(draws, p))))
+
 
 class TestMonteCarloEvidence:
     def test_deterministic_and_tagged(self):
@@ -337,6 +365,65 @@ class TestMonteCarloEvidence:
         with pytest.raises(EmptyBox):
             mc_log_evidence(ols, data, Hyper(-0.5, mu=EVIDENCE_MU), k=10.0,
                             draws=10, seed=0)
+
+    @pytest.mark.parametrize("k", [0.5, 1000.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_are_generator_uniform(self, monkeypatch, seed, k):
+        # k = 1000 puts the lower edge of every box at 0
+        import adaridge.evidence as ev
+
+        data = (single_predictor_instance(seed)[0] if seed == 0
+                else random_instance(seed)[0])
+        h = Hyper(0.5, mu=EVIDENCE_MU)
+        fit = fit_joint_mode(data, Hyper(0.5))
+        batches = []
+
+        def captured(xtx, xty, yty, n, v_batch):
+            batches.append(v_batch.copy())
+            return _conditional_marginal_core(xtx, xty, yty, n, v_batch)
+
+        monkeypatch.setattr(ev, "_conditional_marginal_core", captured)
+        mc_log_evidence(fit, data, h, k=k, draws=300, seed=seed)
+        _, _, v_inv, _, _ = _polished_mode(fit, data, h)
+        sig = v_inv / math.sqrt(0.5 + h.eta)
+        lo = np.maximum(0.0, v_inv - k * sig)
+        assert (lo == 0).all() == (k == 1000.0)
+        expected = np.random.default_rng(seed).uniform(lo, v_inv + k * sig,
+                                                       (300, v_inv.size))
+        assert len(batches) == 1
+        assert np.array_equal(batches[0], expected)
+
+    def test_draws_at_zero_precision_count_but_add_nothing(self, monkeypatch):
+        # k = 1000 puts the box's lower edge at 0; a draw there has zero
+        # prior density, so 50 such draws of 200 scale the box average of
+        # the other 150 by 150 / 200.  At eta < 0 the prior kernel's
+        # v^eta is infinite there, so such a draw must not be scored.
+        import adaridge.evidence as ev
+
+        data, _, _ = random_instance(3)
+        h = Hyper(-0.25, mu=EVIDENCE_MU)
+        fit = fit_joint_mode(data, Hyper(-0.25))
+        real_rng = np.random.default_rng
+
+        class Rows:
+            def __init__(self, seed):
+                self.r = real_rng(seed).random((200, fit.state.active.sum()))
+
+        class FirstRowsAtZero(Rows):
+            def random(self, shape):
+                self.r[:50, 0] = 0.0
+                return self.r
+
+        class LastRows(Rows):
+            def random(self, shape):
+                return self.r[50:]
+
+        monkeypatch.setattr(ev.np.random, "default_rng", LastRows)
+        rest = mc_log_evidence(fit, data, h, k=1000.0, draws=150, seed=1)
+        monkeypatch.setattr(ev.np.random, "default_rng", FirstRowsAtZero)
+        zeroed = mc_log_evidence(fit, data, h, k=1000.0, draws=200, seed=1)
+        assert zeroed.log_value == pytest.approx(rest.log_value + math.log(0.75),
+                                                 rel=1e-14)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
     def test_non_finite_integrand_raises(self, monkeypatch, bad):
@@ -751,6 +838,32 @@ class TestNewtonPolish:
         sel = select_eta(data)
         assert sel.estimates[sel.grid.index(16.0)] is None
         assert sel.best_eta == -0.25
+
+    def test_failed_polish_is_kept(self, monkeypatch):
+        import adaridge.solver as solver
+
+        real = solver._cycle
+        warm_starts = []
+
+        def counted(*args):
+            # the polish's warm start is the one cycle that never prunes
+            if args[-1] == 0.0:
+                warm_starts.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_cycle", counted)
+        data = study_replication(83, 6)
+        fit = fit_joint_mode(data, Hyper(16.0))
+        h = Hyper(16.0, mu=EVIDENCE_MU)
+        messages = []
+        for kk in DEFAULT_K_SWEEP:
+            sel = select_eta(data, method="mc", k=kk, draws=50)
+            assert sel.estimates[sel.grid.index(16.0)] is None
+            with pytest.raises(NonInteriorMode) as err:
+                mc_log_evidence(fit, data, h, k=kk, draws=50)
+            messages.append(str(err.value))
+        assert len(warm_starts) == 1
+        assert len(set(messages)) == 1
 
     def test_converges_where_the_cycle_is_capped(self):
         data = study_replication(1, 3)

@@ -27,7 +27,7 @@ from adaridge.errors import (
     NonPositiveSigma2,
     ZeroNormColumn,
 )
-from adaridge.model import _live
+from adaridge.model import _POTRF, _POTRS, _live, _ridge_solve
 from conftest import random_instance, toeplitz_design
 
 
@@ -225,6 +225,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_iter"):
             FitOptions(max_iter=max_iter)
 
+    @pytest.mark.parametrize("make, kwargs, name", [
+        (FitOptions, {"conv_tol": "1e-8"}, "conv_tol"),
+        (FitOptions, {"conv_tol": math.inf}, "conv_tol"),
+        (FitOptions, {"conv_tol": 0.0}, "conv_tol"),
+        (FitOptions, {"prune_tol": None}, "prune_tol"),
+        (FitOptions, {"prune_tol": math.nan}, "prune_tol"),
+        (Hyper, {"eta": "1"}, "eta"),
+        (Hyper, {"eta": math.inf}, "eta"),
+        (Hyper, {"eta": math.nan}, "eta"),
+        (Hyper, {"eta": 0.0, "mu": math.inf}, "mu"),
+        (Hyper, {"eta": 0.0, "mu": None}, "mu"),
+    ])
+    def test_bad_options_name_their_field(self, make, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            make(**kwargs)
+
     def test_max_iter_may_be_a_numpy_integer(self):
         data, _, _ = random_instance(0)
         assert fit_joint_mode(data, Hyper(0.0),
@@ -255,6 +271,31 @@ def column_gather(data: Dataset, idx):
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def ridge_solve_from_a_plain_copy(gram, d, rhs):
+    """``_ridge_solve`` as it copied ``gram`` itself into F order."""
+
+    a = np.array(gram, order="F")
+    a.flat[:: a.shape[0] + 1] += d
+    c, info = _POTRF(a, lower=1, overwrite_a=1, clean=0)
+    assert info == 0
+    return _POTRS(c, rhs, lower=1)[0]
+
+
+@pytest.mark.parametrize("n, p", [(20, 8), (100, 8), (800, 200), (50, 200)])
+def test_ridge_solve_copies_a_symmetric_gram(n, p):
+    # _ridge_solve copies gram.T, which is gram only when X'X and its
+    # slices are exactly symmetric
+    rng = np.random.default_rng([n, p])
+    data = Dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
+    assert same_bits(data.xtx, data.xtx.T)
+    for idx in (np.arange(p), np.flatnonzero(rng.random(p) < 0.5)):
+        _, xtx, xty = _live(data, idx)
+        assert same_bits(xtx, xtx.T)
+        d = rng.uniform(1e-6, 1.0, idx.size)
+        assert same_bits(_ridge_solve(xtx, d, xty),
+                         ridge_solve_from_a_plain_copy(xtx, d, xty))
 
 
 class TestLive:
