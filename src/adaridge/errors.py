@@ -45,8 +45,8 @@ class ExactFit(AdaRidgeError):
 
 
 class NoInitializer(AdaRidgeError):
-    """Neither least squares nor the ridge fallback produced a usable
-    starting point."""
+    """The solvers' start (``Dataset.initial_beta``) is unavailable: the
+    ridge fallback's ``X'X`` is singular, or the start is not finite."""
 
 
 class NonInteriorMode(AdaRidgeError):

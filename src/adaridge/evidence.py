@@ -62,6 +62,7 @@ from .model import (
     Hyper,
     ModeFit,
     _check_count,
+    _check_number,
     _check_seed,
     _live,
     _log_joint_density,
@@ -251,8 +252,9 @@ def mc_log_evidence(
     ``default_rng(seed).uniform(lo, hi, (draws, p))``, bit for bit.
 
     An empty reduced model has nothing to integrate: the exact closed
-    form is returned with zero standard error.  A ``k`` not finite and
-    positive, or ``draws`` not an integer >= 1, raises ``ValueError``.
+    form is returned with zero standard error.  A ``k`` that is not a
+    finite real number > 0, or ``draws`` not an integer >= 1, raises
+    ``ValueError``.
     """
 
     _check_mc(k, draws)
@@ -313,13 +315,17 @@ def mc_log_evidence(
 
 
 def _check_grid(grid, name: str = "grid") -> tuple[float, ...]:
-    """``grid`` as floats, checked to be non-empty and ascending, with
-    finite values above -1 (a proper prior); errors call it ``name``."""
+    """``grid`` as a tuple of floats, checked to be a non-empty, ascending
+    sequence of real numbers, finite and above -1 (a proper prior);
+    errors call it ``name``."""
 
+    try:
+        grid = tuple(grid)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of numbers, got {grid!r}") from None
+    for g in grid:
+        _check_number(g, f"{name} values", -1.0)
     grid = tuple(float(g) for g in grid)
-    bad = [g for g in grid if not -1 < g < math.inf]
-    if bad:
-        raise ValueError(f"{name} values must be finite and > -1, got {bad[0]:g}")
     if not grid or sorted(grid) != list(grid):
         raise ValueError(f"{name} must be non-empty and ascending")
     return grid
@@ -328,8 +334,7 @@ def _check_grid(grid, name: str = "grid") -> tuple[float, ...]:
 def _check_mc(k, draws, names: tuple[str, str] = ("k", "draws")) -> None:
     """Check a Monte-Carlo box width and draw count; errors use ``names``."""
 
-    if not 0 < k < math.inf:
-        raise ValueError(f"{names[0]} must be finite and > 0, got {k:g}")
+    _check_number(k, names[0], 0.0)
     _check_count(draws, names[1])
 
 

@@ -48,6 +48,8 @@ from .metrics import (
 from .model import (
     FitOptions,
     Hyper,
+    _check_count,
+    _check_number,
     _check_seed,
     _one_blas_thread,
     _openblas_thread_controls,
@@ -104,13 +106,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if self.em_variant not in VARIANTS:
             raise ValueError(f"em_variant must be one of {tuple(VARIANTS)}")
-        if "em" in self.estimators and not self.em_eta >= VARIANTS[self.em_variant]:
-            raise ValueError(f"em_eta must be >= {VARIANTS[self.em_variant]} for {self.em_variant}")
+        if "em" in self.estimators:
+            _check_number(self.em_eta, f"em_eta for {self.em_variant}",
+                          VARIANTS[self.em_variant], strict=False)
         object.__setattr__(self, "eta_grid", _check_grid(self.eta_grid, "eta_grid"))
-        object.__setattr__(self, "k_sweep", tuple(float(k) for k in self.k_sweep))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
         for k in self.k_sweep:
             _check_mc(k, self.mc_draws, ("k_sweep", "mc_draws"))
+        object.__setattr__(self, "k_sweep", tuple(float(k) for k in self.k_sweep))
+        object.__setattr__(self, "estimators", tuple(self.estimators))
         if ("aris-eb" in self.estimators and self.evidence_method == "mc"
                 and not self.k_sweep):
             raise ValueError("k_sweep must be non-empty when aris-eb runs with mc")
@@ -128,12 +131,9 @@ class ExperimentConfig:
                 except TypeError:
                     what = "an integer >= 1" if f.name == "mc_draws" else "an integer"
                     raise ValueError(f"{f.name} must be {what}, got {value}") from None
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.test_size < 1:
-            raise ValueError("test_size must be >= 1")
-        if self.n_boot < 2:
-            raise ValueError("n_boot must be >= 2")
+        _check_count(self.replications, "replications")
+        _check_count(self.test_size, "test_size")
+        _check_count(self.n_boot, "n_boot", 2)
         DgpSpec(self.model_id, self.n, self.sigma, 0)
         _check_seed(self.master_seed, "master_seed")
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .model import Dataset
+from .model import Dataset, _check_count
 
 __all__ = [
     "test_mse",
@@ -66,8 +66,7 @@ def median_and_bootstrap_se(values, n_boot: int = 500, seed: int = 0) -> tuple[f
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise EmptyInput("no values to summarize")
-    if n_boot < 2:
-        raise ValueError("n_boot must be >= 2")
+    _check_count(n_boot, "n_boot", 2)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, vals.size, size=(n_boot, vals.size))
     boot_medians = np.median(vals[idx], axis=1)

@@ -42,8 +42,11 @@ from .errors import (
 # the precision prior.  Must stay far below prune_tol for pruning to fire.
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-# Ridge penalty used to initialize when least squares is unavailable
-# (rank-deficient design or p >= n).
+# The solvers start from the unridged solve of ``X'X`` when its Cholesky
+# factor's squared smallest-to-largest pivot ratio exceeds
+# ``START_PIVOT_RATIO``, and otherwise from the solve ridged by
+# ``FALLBACK_RIDGE`` (p >= n, duplicated or near-duplicated columns).
+START_PIVOT_RATIO = 1e-8
 FALLBACK_RIDGE = 1e-6
 
 # The LAPACK routines behind scipy.linalg.cho_factor / cho_solve.
@@ -160,12 +163,12 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _check_count(value, name: str) -> None:
-    """Check that a size or draw count is an integer >= 1; errors call it
-    ``name``."""
+def _check_count(value, name: str, low: int = 1) -> None:
+    """Check that a size or draw count is an integer >= ``low``; errors
+    call it ``name``."""
 
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
 def _check_number(value, name: str, low: float, strict: bool = True) -> None:
@@ -197,7 +200,8 @@ def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return s2
 
 
-def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
+def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray,
+                 min_pivot_ratio: float = 0.0) -> np.ndarray:
     """Solve ``(gram + diag(d)) x = rhs`` by Cholesky factorization.
 
     ``d`` is a vector or a scalar added to the diagonal of a copy of
@@ -206,12 +210,15 @@ def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
     of ``gram.T``, which for a C-ordered ``gram`` is already in the
     F order LAPACK wants.  The factorization is the one
     ``scipy.linalg.cho_factor``/``cho_solve`` compute, without their
-    wrapper overhead or finiteness checks.
+    wrapper overhead or finiteness checks.  A ``min_pivot_ratio`` above 0
+    also requires the squared ratio of the factor's smallest to largest
+    pivot to exceed it; only the start (``Dataset.initial_beta``) asks.
 
     Raises
     ------
     SingularSystem
-        If ``gram + diag(d)`` is not positive definite.
+        If ``gram + diag(d)`` is not positive definite, or its factor
+        fails the pivot-ratio test.
     """
 
     a = np.array(gram.T, order="F")
@@ -222,6 +229,12 @@ def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
     if info > 0:
         raise SingularSystem(
             f"{info}-th leading minor of the array is not positive definite")
+    if min_pivot_ratio:
+        pivots = c.diagonal()
+        ratio = (pivots.min() / pivots.max()) ** 2
+        if not ratio > min_pivot_ratio:
+            raise SingularSystem(
+                f"squared pivot ratio {ratio:.3g} is not above {min_pivot_ratio:g}")
     x, _ = _POTRS(c, rhs, lower=1)
     return x
 
@@ -294,26 +307,28 @@ class Dataset:
 
     @cached_property
     def initial_beta(self) -> np.ndarray:
-        """Start of the iterative solvers: least squares, or a lightly
-        ridged solve (penalty ``FALLBACK_RIDGE``) when least squares is
-        unavailable (rank-deficient design or p >= n).
+        """Start of the iterative solvers, solved from the cached ``X'X``:
+        least squares by Cholesky when the factor is well conditioned (its
+        squared smallest-to-largest pivot ratio above
+        ``START_PIVOT_RATIO``), else the solve ridged by ``FALLBACK_RIDGE``.
+        A singular ``X'X`` (p >= n, duplicated columns) fails the factor or
+        the ratio and so takes the ridged solve.
 
         Raises
         ------
         NoInitializer
-            If neither gives finite coefficients.
+            If the ridged solve fails too, or the start is not finite.
         """
 
-        if self.n > self.p:
-            beta, _, rank, _ = np.linalg.lstsq(self.x, self.y, rcond=None)
-            if rank == self.p and np.isfinite(beta).all():
-                return _read_only(beta)
         try:
-            beta = _ridge_solve(self.xtx, FALLBACK_RIDGE, self.xty)
-        except SingularSystem as exc:
-            raise NoInitializer(str(exc)) from None
+            beta = _ridge_solve(self.xtx, 0.0, self.xty, START_PIVOT_RATIO)
+        except SingularSystem:
+            try:
+                beta = _ridge_solve(self.xtx, FALLBACK_RIDGE, self.xty)
+            except SingularSystem as exc:
+                raise NoInitializer(str(exc)) from None
         if not np.isfinite(beta).all():
-            raise NoInitializer("ridge fallback produced non-finite coefficients")
+            raise NoInitializer("the start has non-finite coefficients")
         return _read_only(beta)
 
 

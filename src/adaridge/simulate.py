@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset, _check_count, _check_seed
+from .model import Dataset, _check_count, _check_number, _check_seed
 
 __all__ = [
     "DgpSpec",
@@ -54,8 +54,7 @@ class DgpSpec:
         if self.model_id not in MODEL_BETAS:
             raise ValueError(f"model_id must be one of {sorted(MODEL_BETAS)}")
         _check_count(self.n, "n")
-        if not (0 <= self.sigma < np.inf):
-            raise ValueError("sigma must be finite and non-negative")
+        _check_number(self.sigma, "sigma", 0.0, strict=False)
         _check_seed(self.seed)
 
 

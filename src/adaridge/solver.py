@@ -86,20 +86,21 @@ def fit_joint_mode(data: Dataset, h: Hyper,
                    opts: FitOptions = FitOptions()) -> ModeFit:
     """Maximize the joint posterior by iterated conditional maximization.
 
-    Starting from least squares, each iteration updates the noise
-    variance, then the precisions (using the previous coefficients), then
-    the coefficients.  A coordinate whose prior-variance mode falls below
-    ``opts.prune_tol`` is zeroed permanently.  Stops when the relative
-    coefficient change drops below ``opts.conv_tol`` or after
-    ``opts.max_iter`` cycles.
+    Starting from ``data.initial_beta`` (least squares, or a lightly
+    ridged solve on an ill-conditioned ``X'X``), each iteration updates
+    the noise variance, then the precisions (using the previous
+    coefficients), then the coefficients.  A coordinate whose
+    prior-variance mode falls below ``opts.prune_tol`` is zeroed
+    permanently.  Stops when the relative coefficient change drops below
+    ``opts.conv_tol`` or after ``opts.max_iter`` cycles.
 
     For ``eta <= -1/2`` the precision conditional peaks at zero precision
     and the procedure is exactly least squares, returned directly; a
     design without full column rank raises ``RankDeficient`` there.
     Pruning every variable is not an error; the result is the empty model.
 
-    ``X'X``, ``X'y`` and the least-squares start are computed once per
-    :class:`Dataset` object and shared by every fit on it.  So is the fit
+    ``X'X``, ``X'y`` and the start are computed once per :class:`Dataset`
+    object and shared by every fit on it.  So is the fit
     itself: a second call with an equal ``(h, opts)`` on the same dataset
     object returns the same :class:`ModeFit`, whose arrays are read-only.
     A failed fit is not kept and raises again on the next call.  Each

@@ -59,6 +59,22 @@ def wide_design(seed=3, n=50, p=200):
     return x, x @ beta + rng.standard_normal(n)
 
 
+def near_collinear_design(seed, noise, n=35):
+    """A raw design with 8 columns, the last ``-2`` times the second plus
+    ``noise`` times N(0, 1): rows iid N(0, I) otherwise, coefficients
+    (3, 1.5, 0, 0, 2, 0, 0, 0), unit noise."""
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 8))
+    x[:, 7] = -2.0 * x[:, 1] + noise * rng.standard_normal(n)
+    beta = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+    return x, x @ beta + rng.standard_normal(n)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def live_view(data: Dataset, idx):
     """``data`` restricted to the coordinates ``idx`` by ``model._live``,
     the view the solver, the polish, MC evidence and EM work on: the live

@@ -8,7 +8,7 @@ checks the solver's conditional-update cycle.
 
 :func:`em_step` and :func:`em_step_explicit_sigma` are single steps of
 the two :func:`adaridge.fit_em` variants, written out on their own:
-iterating them from the least-squares start reproduces the EM loop.
+iterating them from ``Dataset.initial_beta`` reproduces the EM loop.
 
 :func:`assemble_hessian` lays the negative Hessian blocks that
 ``adaridge.solver._derivatives`` returns, and the Newton step factors, out

@@ -14,14 +14,16 @@ from adaridge import AdaRidgeError, ExperimentConfig, select_eta, standardize
 from adaridge.cli import _fit_settings, _ParseError, build_parser
 
 ETAS = st.one_of(st.floats(-2.0, 40.0),
-                 st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -2.0]))
+                 st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -2.0,
+                                  None, "0.5"]))
 # about half the grids and box widths are drawn valid, so that acceptance
 # is tested too
 GRIDS = st.one_of(
     st.lists(st.floats(-1.0, 40.0, exclude_min=True), min_size=1, max_size=3).map(sorted),
     st.lists(ETAS, max_size=3))
 KS = st.one_of(st.floats(0.0, 2000.0, exclude_min=True),
-               st.sampled_from([0.0, -0.0, -3.0, math.nan, math.inf, -math.inf]))
+               st.sampled_from([0.0, -0.0, -3.0, math.nan, math.inf, -math.inf,
+                                "3"]))
 # draw counts: small integers, numpy's among them, and non-integers
 DRAWS = st.one_of(st.integers(0, 3),
                   st.sampled_from([np.int64(2), 2.5, 1.0, math.nan, "2"]))

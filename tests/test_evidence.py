@@ -32,6 +32,7 @@ from adaridge.evidence import (
     EvidenceEstimate,
     _conditional_marginal_core,
 )
+from adaridge.model import FALLBACK_RIDGE, _ridge_solve
 from adaridge.solver import (
     POLISH_CONV_TOL,
     POLISH_MAX_ITER,
@@ -44,7 +45,9 @@ from conftest import (
     joint_cycle,
     live_view,
     log_joint_of_theta,
+    near_collinear_design,
     random_instance,
+    same_bits,
     toeplitz_design,
 )
 from oracles import assemble_hessian
@@ -356,8 +359,8 @@ class TestMonteCarloEvidence:
     def test_bad_box_rejected(self):
         data, _ = single_predictor_instance(3)
         fit = fit_joint_mode(data, Hyper(0.5))
-        for k in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="k must be finite and > 0"):
+        for k in (0.0, -1.0, math.inf, math.nan, None, "3"):
+            with pytest.raises(ValueError, match="^k must be a finite number > 0"):
                 mc_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU), k=k,
                                 draws=10, seed=0)
         # no finite curvature, so no box, at the least-squares boundary
@@ -520,12 +523,30 @@ class TestSelectEta:
         dict(method="mc", draws=0),
         dict(grid=(0.0, math.inf)),
         dict(grid=(-1.2, 0.0)),
-    ], ids=["k-inf", "k-nan", "k-zero", "draws-zero", "grid-inf", "grid-below-minus-one"])
+        dict(method="mc", k="3"),
+        dict(grid=(None,)),
+        dict(grid=(0.0, "0.5")),
+        dict(grid=None),
+        dict(grid=0.5),
+    ], ids=["k-inf", "k-nan", "k-zero", "draws-zero", "grid-inf", "grid-below-minus-one",
+            "k-str", "grid-none", "grid-str", "grid-not-a-sequence", "grid-a-number"])
     def test_bad_arguments_rejected_before_any_fit(self, kwargs):
         data, _, _ = random_instance(6)
         with pytest.raises(ValueError):
             select_eta(data, **kwargs)
         assert data._memo == {}
+
+    @pytest.mark.parametrize("noise", [1e-12, 1e-8])
+    def test_near_collinear_design_selects(self, noise):
+        # A near-duplicate column fails the start's pivot-ratio test, so the
+        # fits start from the ridged solve and every grid point is scored;
+        # from the least-squares start, of about 1e12, every grid fit fails
+        # on 7 of these seeds at noise 1e-12 and on 2 at 1e-8.
+        for seed in range(20):
+            data, _ = standardize(*near_collinear_design(seed, noise))
+            assert same_bits(data.initial_beta,
+                             _ridge_solve(data.xtx, FALLBACK_RIDGE, data.xty))
+            assert None not in select_eta(data).estimates
 
     def test_sparse_design_recovers_signal(self):
         hits = 0

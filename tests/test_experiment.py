@@ -92,6 +92,13 @@ class TestParseConfig:
         (dict(replications="2"), "^replications must be an integer, got 2$"),
         (dict(test_size=None), "^test_size must be an integer, got None$"),
         (dict(n_boot="500"), "^n_boot must be an integer, got 500$"),
+        (dict(sigma="3"), "^sigma must be a finite number >= 0, got '3'$"),
+        (dict(estimators=("em",), em_eta="x"),
+         "^em_eta for independent-prior must be a finite number >= -1.5, got 'x'$"),
+        (dict(MC, k_sweep=(None,)), "^k_sweep must be a finite number > 0, got None$"),
+        (dict(eta_grid=(0.0, None)), "^eta_grid values must be a finite number > -1, got None$"),
+        (dict(replications=0), "^replications must be an integer >= 1, got 0$"),
+        (dict(test_size=-1), "^test_size must be an integer >= 1, got -1$"),
     ], ids=["grid-descending", "grid-nan", "model-id", "sigma", "sigma-infinite",
             "k-sweep-empty",
             "k-sweep-infinite", "k-sweep-zero", "mc-draws", "n-boot", "em-eta",
@@ -99,7 +106,8 @@ class TestParseConfig:
             "model-id-float", "n-float", "replications-float", "test-size-float",
             "master-seed-float", "master-seed-negative", "n-boot-float",
             "mc-draws-float-no-sweep", "replications-str", "test-size-none",
-            "n-boot-str"])
+            "n-boot-str", "sigma-str", "em-eta-str", "k-sweep-none", "grid-none",
+            "replications-zero", "test-size-negative"])
     def test_bad_config_rejected_before_any_replication(self, kwargs, message):
         fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | kwargs
         with pytest.raises(ValueError, match=message):

@@ -105,3 +105,8 @@ class TestMedianBootstrap:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             median_and_bootstrap_se([], seed=0)
+
+    @pytest.mark.parametrize("n_boot", [1, 2.5, 2.0, "500", None])
+    def test_bad_n_boot_rejected(self, n_boot):
+        with pytest.raises(ValueError, match="^n_boot must be an integer >= 2, got "):
+            median_and_bootstrap_se([1.0, 2.0], n_boot=n_boot)

@@ -14,6 +14,7 @@ from adaridge import (
     destandardize_beta,
     fit_em,
     fit_joint_mode,
+    fit_ols,
     log_joint_posterior,
     select_eta,
     standardize,
@@ -25,10 +26,18 @@ from adaridge.errors import (
     NoInitializer,
     NonFiniteInput,
     NonPositiveSigma2,
+    SingularSystem,
     ZeroNormColumn,
 )
-from adaridge.model import _POTRF, _POTRS, _live, _ridge_solve
-from conftest import random_instance, toeplitz_design
+from adaridge.model import (
+    _POTRF,
+    _POTRS,
+    FALLBACK_RIDGE,
+    START_PIVOT_RATIO,
+    _live,
+    _ridge_solve,
+)
+from conftest import random_instance, same_bits, toeplitz_design, wide_design
 
 
 class TestStandardize:
@@ -262,15 +271,60 @@ class TestValidation:
             fit_joint_mode(data, Hyper(0.0))
 
 
+class TestStart:
+    """``Dataset.initial_beta``: least squares by Cholesky of the cached
+    ``X'X`` when the factor passes the pivot-ratio test, else the solve
+    ridged by ``FALLBACK_RIDGE``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_p_above_n_starts_from_the_ridged_solve(self, seed):
+        data, _ = standardize(*wide_design(seed))
+        assert same_bits(data.initial_beta,
+                         _ridge_solve(data.xtx, FALLBACK_RIDGE, data.xty))
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_duplicated_column_starts_from_the_ridged_solve(self, n):
+        # p = n = 3, and an exact copy of a column at n = 40
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3))
+        x[:, 2] = x[:, 0]
+        data, _ = standardize(x, rng.standard_normal(n))
+        assert same_bits(data.initial_beta,
+                         _ridge_solve(data.xtx, FALLBACK_RIDGE, data.xty))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_well_conditioned_start_is_least_squares(self, seed):
+        data, _, _ = random_instance(seed)
+        ols = fit_ols(data)
+        assert (np.abs(data.initial_beta - ols).max()
+                <= 1e-12 * np.abs(ols).max())
+
+    def test_wide_well_conditioned_start_is_least_squares(self):
+        rng = np.random.default_rng(800)
+        data, _ = standardize(rng.standard_normal((800, 200)),
+                              rng.standard_normal(800))
+        ols = fit_ols(data)
+        assert (np.abs(data.initial_beta - ols).max()
+                <= 1e-12 * np.abs(ols).max())
+
+    def test_pivot_ratio_test(self):
+        # diag(1, r) factors with pivots 1 and sqrt(r): its squared pivot
+        # ratio is r, and only the start's solve tests it
+        rhs = np.ones(2)
+        above = np.diag([1.0, 2 * START_PIVOT_RATIO])
+        below = np.diag([1.0, START_PIVOT_RATIO / 2])
+        assert same_bits(_ridge_solve(above, 0.0, rhs, START_PIVOT_RATIO),
+                         _ridge_solve(above, 0.0, rhs))
+        _ridge_solve(below, 0.0, rhs)
+        with pytest.raises(SingularSystem, match="pivot ratio"):
+            _ridge_solve(below, 0.0, rhs, START_PIVOT_RATIO)
+
+
 def column_gather(data: Dataset, idx):
     """The restriction ``_live`` replaced: a numpy column gather of ``x``
     and an ``np.ix_`` slice of ``X'X``."""
 
     return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def ridge_solve_from_a_plain_copy(gram, d, rhs):

@@ -122,6 +122,19 @@ def test_ridge_solves_only_in_the_cycle_and_the_start():
     assert solves == {("solver.py", "_cycle"), ("model.py", "initial_beta")}
 
 
+def test_least_squares_only_in_fit_ols():
+    # The solvers start from a Cholesky solve of the cached X'X
+    # (Dataset.initial_beta); fit_ols, the documented least squares, is
+    # the one lstsq.
+    src = Path(adaridge.__file__).parent
+    solves = set()
+    for path in src.glob("*.py"):
+        for where, name in _calls_by_function(ast.parse(path.read_text())):
+            if name == "lstsq":
+                solves.add((path.name, where))
+    assert solves == {("baselines.py", "fit_ols")}
+
+
 def test_em_runs_no_loop_of_its_own():
     src = Path(adaridge.__file__).parent
     loops = [node for node in ast.walk(ast.parse((src / "em.py").read_text()))

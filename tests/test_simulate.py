@@ -79,6 +79,11 @@ class TestDrawDataset:
         with pytest.raises(ValueError, match=message):
             DgpSpec(3, n, 3.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", ["1", None, -1.0, np.inf, np.nan])
+    def test_bad_sigma_rejected_by_the_spec(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be a finite number >= 0, got "):
+            DgpSpec(3, 20, sigma, seed=0)
+
     def test_numpy_integer_size_accepted(self):
         a, _ = draw_dataset(DgpSpec(3, np.int64(12), 3.0, seed=4))
         b, _ = draw_dataset(DgpSpec(3, 12, 3.0, seed=4))
