@@ -20,7 +20,6 @@ from .evidence import (
     EVIDENCE_MU,
     EbSelection,
     EvidenceEstimate,
-    conditional_marginal,
     laplace_log_evidence,
     mc_log_evidence,
     select_eta,
@@ -46,7 +45,6 @@ from .model import (
     PosteriorState,
     Standardization,
     destandardize_beta,
-    log_joint_posterior,
     standardize,
 )
 from .simulate import (
@@ -72,7 +70,6 @@ __all__ = [
     "ModeFit",
     "standardize",
     "destandardize_beta",
-    "log_joint_posterior",
     "fit_joint_mode",
     "EmFit",
     "fit_em",
@@ -85,7 +82,6 @@ __all__ = [
     "EvidenceEstimate",
     "EbSelection",
     "laplace_log_evidence",
-    "conditional_marginal",
     "mc_log_evidence",
     "select_eta",
     "DgpSpec",

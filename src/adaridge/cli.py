@@ -168,9 +168,6 @@ def cmd_experiment(args) -> int:
     except ExperimentFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT
-    except AdaRidgeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     for row in report.rows:
         print(f"{row.estimator}: cm={row.cm:.3f}" + (
             "" if row.median_mse is None else

@@ -31,11 +31,6 @@ class NonPositiveSigma2(AdaRidgeError):
     """A noise variance that must be strictly positive is not."""
 
 
-class InfinitePrecision(AdaRidgeError):
-    """A pruned coordinate (infinite prior precision) reached an operation
-    that requires finite precisions; restrict to the active set first."""
-
-
 class SingularSystem(AdaRidgeError):
     """A linear system that should be positive definite is singular."""
 

@@ -53,6 +53,7 @@ from .errors import (
     AdaRidgeError,
     EmptyBox,
     NonFiniteEvidence,
+    NonFiniteInput,
     NonInteriorMode,
     SingularSystem,
 )
@@ -77,7 +78,6 @@ __all__ = [
     "EvidenceEstimate",
     "EbSelection",
     "laplace_log_evidence",
-    "conditional_marginal",
     "mc_log_evidence",
     "select_eta",
 ]
@@ -168,24 +168,13 @@ def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstim
     return EvidenceEstimate(log_value=value, method="laplace")
 
 
-def conditional_marginal(data: Dataset, v_inv) -> float:
+def _conditional_marginal_core(xtx, xty, yty, n, v_batch) -> np.ndarray:
     """Log marginal ``p(y | v^{-1})`` with coefficients and noise variance
     integrated out analytically (Jeffreys prior on the variance), all
-    constants included::
+    constants included, for each row of precisions in ``v_batch``::
 
         lgamma(n/2) - (n/2) log pi - (n/2) log S^2
         + (1/2) sum log v_inv - (1/2) log |X'X + V^{-1}|
-    """
-
-    v = np.asarray(v_inv, dtype=float)
-    yty = float(data.y @ data.y)
-    return float(_conditional_marginal_core(data.xtx, data.xty, yty, data.n,
-                                            v[None, :])[0])
-
-
-def _conditional_marginal_core(xtx, xty, yty, n, v_batch) -> np.ndarray:
-    """Batched evaluation of the conditional log marginal; ``v_batch`` has
-    one precision vector per row.
 
     The bordered matrix ``[[X'X + V^{-1}, X'y], [X'y', y'y]]`` is reduced
     by symmetric elimination, one column at a time, with the draws on its
@@ -306,8 +295,6 @@ def mc_log_evidence(
     if draws > 1:
         w -= mean_w
         se = math.sqrt(float((w * w).sum()) / (draws - 1)) / (math.sqrt(draws) * mean_w)
-    if not math.isfinite(value):
-        raise NonFiniteEvidence(f"mc value {value}")
     return EvidenceEstimate(
         log_value=value, method="hypercube-mc",
         k=float(k), mc_draws=draws, mc_se=se, log_box_volume=log_volume,
@@ -368,6 +355,7 @@ def select_eta(
     before any fit, for either method; ``k=None`` is ``DEFAULT_K``.  Grid
     points may fail (solver or evidence errors); the selection fails only
     if every point does, with a message that names each point's error.
+    Data whose ``X'X`` or ``X'y`` overflows raise ``NonFiniteInput``.
     Monte-Carlo scoring draws from a per-point stream derived from
     ``(seed, grid index, k)`` so results do not depend on evaluation order.
     The whole selection runs its BLAS on one thread (see
@@ -389,6 +377,8 @@ def select_eta(
             fit = fit_joint_mode(data, Hyper(eta), opts)
             est = _score(fit, data, eta, method, k, draws,
                          [int(seed), gi, int(round(k))])
+        except NonFiniteInput:
+            raise  # the data, not this grid point, are at fault
         except AdaRidgeError as exc:
             errors.append(f"eta={eta:g}: {type(exc).__name__}: {exc}")
             estimates.append(None)

@@ -106,9 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if self.em_variant not in VARIANTS:
             raise ValueError(f"em_variant must be one of {tuple(VARIANTS)}")
-        if "em" in self.estimators:
-            _check_number(self.em_eta, f"em_eta for {self.em_variant}",
-                          VARIANTS[self.em_variant], strict=False)
+        _check_number(self.em_eta, f"em_eta for {self.em_variant}",
+                      VARIANTS[self.em_variant], strict=False)
         object.__setattr__(self, "eta_grid", _check_grid(self.eta_grid, "eta_grid"))
         for k in self.k_sweep:
             _check_mc(k, self.mc_draws, ("k_sweep", "mc_draws"))
@@ -434,8 +433,9 @@ def run_experiment(
     ``report.csv``, ``replications.csv``, ``report.txt`` and
     ``provenance.json`` under ``out_dir``.
 
-    A failed replication aborts the run unless ``allow_failures`` is set,
-    in which case it is recorded and excluded from the aggregates.
+    A failed replication aborts the run with ``ExperimentFailure`` unless
+    ``allow_failures`` is set, in which case it is recorded and excluded
+    from the aggregates; a replication's error never escapes otherwise.
     Results are byte-identical for any ``jobs`` value.
 
     The replications run with the caller's BLAS pinned to one thread

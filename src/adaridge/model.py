@@ -1,5 +1,5 @@
 """Core domain types, the standardization protocol, and the joint
-log-posterior evaluator.
+log density of the hierarchical model.
 
 The hierarchical model is a Gaussian linear likelihood with a conjugate
 normal prior on the coefficients, a Jeffreys prior on the noise variance,
@@ -30,7 +30,6 @@ from scipy.linalg import get_lapack_funcs
 from .errors import (
     DimensionMismatch,
     ExactFit,
-    InfinitePrecision,
     NoInitializer,
     NonFiniteInput,
     NonPositiveSigma2,
@@ -78,7 +77,6 @@ __all__ = [
     "ModeFit",
     "standardize",
     "destandardize_beta",
-    "log_joint_posterior",
 ]
 
 
@@ -190,6 +188,15 @@ def _check_seed(seed, name: str = "seed") -> None:
         raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
+def _finite_product(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, read-only, where it is finite; else ``NonFiniteInput``
+    naming the product ``name`` (finite inputs can overflow in it)."""
+
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} has non-finite entries: the data overflow it")
+    return _read_only(arr)
+
+
 def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     """Residual sum of squares ``||y - X b||^2``; zero raises ``ExactFit``."""
 
@@ -289,13 +296,13 @@ class Dataset:
 
     @cached_property
     def xtx(self) -> np.ndarray:
-        """``X'X``, shape (p, p)."""
-        return _read_only(self.x.T @ self.x)
+        """``X'X``, shape (p, p); ``NonFiniteInput`` where it overflows."""
+        return _finite_product(self.x.T @ self.x, "X'X")
 
     @cached_property
     def xty(self) -> np.ndarray:
-        """``X'y``, shape (p,)."""
-        return _read_only(self.x.T @ self.y)
+        """``X'y``, shape (p,); ``NonFiniteInput`` where it overflows."""
+        return _finite_product(self.x.T @ self.y, "X'y")
 
     @cached_property
     def _memo(self) -> dict:
@@ -454,10 +461,14 @@ class PosteriorState:
 class ModeFit:
     """Result of a joint-mode fit.
 
-    ``log_joint_trace[i]`` is the joint log density
-    (:func:`log_joint_posterior`, under the fit's ``Hyper``) on the
-    surviving submodel after iteration ``i+1``: the noise variance and
-    precisions of that iteration with the coefficients it produced.
+    ``log_joint_trace[i]`` is the joint log density under the fit's
+    ``Hyper``, all constants kept::
+
+        log N(y; X beta, sigma2 I) + log N(beta; 0, sigma2 V)
+        + log(1/sigma2) + sum_j log Gamma(v_inv_j; eta + 1, mu)
+
+    on the surviving submodel after iteration ``i+1``: the noise variance
+    and precisions of that iteration with the coefficients it produced.
     ``active_count_trace[i]`` records how many coordinates were live then.
     Trace values are comparable only between iterations with the same
     live count, since pruning changes the density's dimension.
@@ -526,37 +537,14 @@ def destandardize_beta(beta_std, s: Standardization) -> np.ndarray:
     return beta / s.column_norms
 
 
-def log_joint_posterior(state: PosteriorState, data: Dataset, h: Hyper) -> float:
-    """Log of the unnormalized joint posterior density, all constants kept.
-
-    Evaluates, on the (already reduced) model::
-
-        log N(y; X beta, sigma2 I) + log N(beta; 0, sigma2 V)
-        + log(1/sigma2) + sum_j log Gamma(v_inv_j; eta + 1, mu)
-
-    The eta- and mu-dependent normalization (``(eta+1) log mu`` and
-    ``-log Gamma(eta+1)`` per coordinate) is included because evidence
-    values are compared across eta.  All precisions must be finite:
-    callers evaluate a pruned model on its active coordinates, keeping
-    only those entries of the state and those columns of ``X``.
-    """
-
-    if not np.isfinite(state.v_inv).all():
-        raise InfinitePrecision("restrict to the active set before evaluating")
-    if len(state.beta) != data.p:
-        raise DimensionMismatch(
-            f"state has {len(state.beta)} coordinates, data has {data.p} columns"
-        )
-    r = data.y - data.x @ state.beta
-    quad = float(r @ r + state.beta @ (state.v_inv * state.beta))
-    return _log_joint_density(quad, state.sigma2, state.v_inv, data.n, h)
-
-
 def _log_joint_density(quad: float, s2: float, v_inv: np.ndarray, n: int,
                        h: Hyper) -> float:
-    """:func:`log_joint_posterior` given its quadratic term
-    ``quad = rss + beta' V^{-1} beta``; the solver's trace and the Laplace
-    evidence supply ``quad`` from residuals they already hold."""
+    """The joint log density (see :class:`ModeFit`) of a submodel with
+    finite precisions ``v_inv``, given its quadratic term ``quad = rss +
+    beta' V^{-1} beta``; the solver's trace and the Laplace evidence supply
+    ``quad`` from residuals they already hold.  The eta- and mu-dependent
+    normalization (``(eta+1) log mu`` and ``-log Gamma(eta+1)`` per
+    coordinate) is kept because evidence values are compared across eta."""
 
     p = len(v_inv)
     lj = -(n + p) / 2.0 * math.log(2.0 * math.pi * s2) - math.log(s2) - quad / (2.0 * s2)

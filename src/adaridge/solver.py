@@ -104,8 +104,13 @@ def fit_joint_mode(data: Dataset, h: Hyper,
     itself: a second call with an equal ``(h, opts)`` on the same dataset
     object returns the same :class:`ModeFit`, whose arrays are read-only.
     A failed fit is not kept and raises again on the next call.  Each
-    ``log_joint_trace`` entry is :func:`log_joint_posterior` on the live
-    submodel, with its quadratic term ``rss + beta' V^{-1} beta`` taken
+    ``log_joint_trace`` entry is the joint log density on the live
+    submodel::
+
+        log N(y; X beta, sigma2 I) + log N(beta; 0, sigma2 V)
+        + log(1/sigma2) + sum_j log Gamma(v_inv_j; eta + 1, mu)
+
+    with its quadratic term ``rss + beta' V^{-1} beta`` taken
     from the residual the next iteration computes anyway (one extra
     residual after the last iteration).  The loop keeps only those terms;
     the trace is evaluated when it is first read.  A fit that is not in

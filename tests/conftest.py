@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from adaridge import Dataset, Hyper, PosteriorState, log_joint_posterior, standardize
+from adaridge import Dataset, Hyper, PosteriorState, standardize
 from adaridge.model import _live
 from adaridge.solver import _cycle, _joint_step
+from oracles import log_joint_posterior
 
 
 # Property tests draw the same examples on every run, keep no example

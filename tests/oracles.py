@@ -1,4 +1,10 @@
-"""Test oracles: independently coded routes to the solvers' results.
+"""Test oracles: independently coded routes to the library's results.
+
+:func:`log_joint_posterior` evaluates the joint log density of a
+:class:`~adaridge.PosteriorState` from the data, and
+:func:`conditional_marginal` the conditional log marginal at one precision
+vector.  The package evaluates both only inside ``model._log_joint_density``
+and ``evidence._conditional_marginal_core``, from terms its callers hold.
 
 The reweighted-ridge path reaches the fixed point of
 :func:`adaridge.fit_joint_mode` by rescaling columns and solving standard
@@ -21,15 +27,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from adaridge.errors import ExactFit
+from adaridge.errors import AdaRidgeError, DimensionMismatch, ExactFit
+from adaridge.evidence import _conditional_marginal_core
 from adaridge.model import (
     Dataset,
     FitOptions,
     Hyper,
     ModeFit,
+    PosteriorState,
+    _log_joint_density,
     _ridge_solve,
 )
 from adaridge.solver import _finish, _ols_boundary_fit
+
+
+class InfinitePrecision(AdaRidgeError):
+    """A pruned coordinate (infinite prior precision) reached
+    :func:`log_joint_posterior`; restrict to the active set first."""
+
+
+def log_joint_posterior(state: PosteriorState, data: Dataset, h: Hyper) -> float:
+    """Log of the unnormalized joint posterior density, all constants kept.
+
+    Evaluates, on the (already reduced) model::
+
+        log N(y; X beta, sigma2 I) + log N(beta; 0, sigma2 V)
+        + log(1/sigma2) + sum_j log Gamma(v_inv_j; eta + 1, mu)
+
+    All precisions must be finite: callers evaluate a pruned model on its
+    active coordinates, keeping only those entries of the state and those
+    columns of ``X``.
+    """
+
+    if not np.isfinite(state.v_inv).all():
+        raise InfinitePrecision("restrict to the active set before evaluating")
+    if len(state.beta) != data.p:
+        raise DimensionMismatch(
+            f"state has {len(state.beta)} coordinates, data has {data.p} columns"
+        )
+    r = data.y - data.x @ state.beta
+    quad = float(r @ r + state.beta @ (state.v_inv * state.beta))
+    return _log_joint_density(quad, state.sigma2, state.v_inv, data.n, h)
+
+
+def conditional_marginal(data: Dataset, v_inv) -> float:
+    """Log marginal ``p(y | v^{-1})`` at one precision vector: the MC
+    kernel ``_conditional_marginal_core`` on a batch of one."""
+
+    v = np.asarray(v_inv, dtype=float)
+    yty = float(data.y @ data.y)
+    return float(_conditional_marginal_core(data.xtx, data.xty, yty, data.n,
+                                            v[None, :])[0])
 
 
 def assemble_hessian(blocks) -> np.ndarray:

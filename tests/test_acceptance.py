@@ -17,7 +17,6 @@ from adaridge import (
     DgpSpec,
     FitOptions,
     Hyper,
-    conditional_marginal,
     destandardize_beta,
     draw_dataset,
     draw_test_set,
@@ -38,7 +37,7 @@ from adaridge.experiment import ExperimentConfig, _derive_seed, run_experiment
 from adaridge.model import PosteriorState
 from adaridge.solver import _derivatives, _polished_mode
 from conftest import fd_hessian, log_joint_of_theta, random_instance
-from oracles import assemble_hessian, fit_reweighted_ridge
+from oracles import assemble_hessian, conditional_marginal, fit_reweighted_ridge
 
 DEFAULT_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 

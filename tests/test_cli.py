@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,10 @@ class TestFit:
                                "--eta", "0")
         assert code == 0
         assert json.loads(out)["predictors"] == ["x1"]
+        code, out, err = run_cli(capsys, "fit", str(path), "--response", "y",
+                                 "--eta", "0")
+        assert code == 2 and out == ""
+        assert "no column named 'y'" in err
 
     def test_parse_error_exit_code_names_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -148,6 +154,8 @@ class TestFit:
         (["x1,x2,y", "1.0,nan,2.0", "2.0,1.0,3.0", "0.5,2.0,1.0"], "NonFiniteInput"),
         (["x1,x2,y", "1.0,0.0,2.0", "2.0,0.0,3.0", "0.5,0.0,1.0"], "ZeroNormColumn"),
         (["y", "2.0", "3.0"], "DimensionMismatch"),
+        (["x1,y"], "need a header row and at least one data row"),
+        (["x1,x2,y", "1.0,2.0,3.0", "1.0,2.0"], "row 3: expected 3 fields, got 2"),
     ])
     def test_invalid_data_is_an_input_error(self, tmp_path, capsys, rows, error):
         path = tmp_path / "d.csv"
@@ -310,6 +318,8 @@ class TestExperimentCommand:
         assert err == "error: master_seed must be >= 0, got -4\n"
         assert not (tmp_path / "o").exists()
 
+    # A replication's every error is caught and recorded, so a failed run
+    # exits 4 whatever the replication raised.
     def test_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -319,3 +329,13 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", str(cfg), "--out",
                                str(tmp_path / "o"), "--jobs", "1")
         assert code == 4
+
+
+def test_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    # python -m adaridge.cli exits with the code main returns
+    monkeypatch.setattr(sys, "argv", ["adaridge", "experiment", str(tmp_path / "none")])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("adaridge.cli", run_name="__main__")
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -14,10 +14,8 @@ from adaridge import (
     FitOptions,
     Hyper,
     PosteriorState,
-    conditional_marginal,
     fit_joint_mode,
     laplace_log_evidence,
-    log_joint_posterior,
     mc_log_evidence,
     select_eta,
     standardize,
@@ -50,7 +48,7 @@ from conftest import (
     same_bits,
     toeplitz_design,
 )
-from oracles import assemble_hessian
+from oracles import assemble_hessian, conditional_marginal, log_joint_posterior
 
 
 def interior_state(data, rng, eta=0.8):
@@ -147,6 +145,15 @@ class TestLaplace:
         a = laplace_log_evidence(fit, data, h)
         b = laplace_log_evidence(fit, data, h)
         assert a.log_value == b.log_value
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_value_raises(self):
+        # at mu = 1e300 the polished precision is 1.5e-300, so its curvature
+        # (1/2 + eta) / v_inv^2, and with it the log determinant, overflow
+        data = study_replication(0, 0)
+        fit = fit_joint_mode(data, Hyper(0.0))
+        with pytest.raises(NonFiniteEvidence, match="^laplace value -inf$"):
+            laplace_log_evidence(fit, data, Hyper(1.0, mu=1e300))
 
     def test_estimate_tags(self):
         data, _, _ = random_instance(3)
@@ -368,6 +375,10 @@ class TestMonteCarloEvidence:
         with pytest.raises(EmptyBox):
             mc_log_evidence(ols, data, Hyper(-0.5, mu=EVIDENCE_MU), k=10.0,
                             draws=10, seed=0)
+        # a half-width k s below half an ulp of the centre rounds away
+        with pytest.raises(EmptyBox, match="^degenerate box bounds$"):
+            mc_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU), k=1e-20,
+                            draws=10, seed=0)
 
     @pytest.mark.parametrize("k", [0.5, 1000.0])
     @pytest.mark.parametrize("seed", range(4))
@@ -528,8 +539,10 @@ class TestSelectEta:
         dict(grid=(0.0, "0.5")),
         dict(grid=None),
         dict(grid=0.5),
+        dict(method="gibbs"),
     ], ids=["k-inf", "k-nan", "k-zero", "draws-zero", "grid-inf", "grid-below-minus-one",
-            "k-str", "grid-none", "grid-str", "grid-not-a-sequence", "grid-a-number"])
+            "k-str", "grid-none", "grid-str", "grid-not-a-sequence", "grid-a-number",
+            "method"])
     def test_bad_arguments_rejected_before_any_fit(self, kwargs):
         data, _, _ = random_instance(6)
         with pytest.raises(ValueError):
@@ -930,6 +943,24 @@ class TestNewtonPolish:
         assert max(relative_gradient(reduced, h, beta, sigma2, v_inv)) < 1e-13
         est = laplace_log_evidence(fit, data, h)
         assert math.isfinite(est.log_value)
+
+    def test_a_step_no_halving_places_fails_the_point(self, monkeypatch):
+        # a step whose precision part leaves v_inv <= 0 even at its last
+        # halving (t = 2^-39) is never taken, and the polish gives up
+        import adaridge.solver as solver
+
+        data, _, _ = random_instance(0)
+        state, h = interior_state(data, np.random.default_rng(0))
+        calls = []
+
+        def outward(*args):
+            calls.append(args)
+            return np.zeros(data.p), 0.0, np.full(data.p, -1e300), 0.0, 0.0
+
+        monkeypatch.setattr(solver, "_newton_step", outward)
+        assert _newton_polish(data.x, data.y, data.xtx, h, state.beta,
+                              state.sigma2, state.v_inv) is None
+        assert len(calls) == 1
 
 
 class TestTraceOnDemand:

@@ -8,8 +8,8 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaridge import experiment, model
-from adaridge.errors import NonFiniteEvidence
+from adaridge import Hyper, experiment, fit_joint_mode, model, standardize
+from adaridge.errors import NonFiniteEvidence, SingularSystem
 from adaridge.experiment import (
     ExperimentConfig,
     ExperimentFailure,
@@ -18,6 +18,7 @@ from adaridge.experiment import (
     run_experiment,
     run_replication,
 )
+from adaridge.simulate import DgpSpec, draw_dataset
 
 CONFIG_TEXT = """
 # sparse design, small smoke-test sizes
@@ -49,6 +50,10 @@ class TestParseConfig:
             parse_config("model_id = 1\nn = abc\nsigma = 1\nreplications = 1")
         with pytest.raises(ValueError, match=r"config line 3: could not convert"):
             parse_config("model_id = 1\nn = 10\neta_grid = 0, x\nsigma = 1")
+
+    def test_line_without_assignment_names_line(self):
+        with pytest.raises(ValueError, match="^config line 2: expected 'key = value'$"):
+            parse_config("model_id = 1\nn 10\nsigma = 1\nreplications = 1")
 
     def test_missing_required_rejected(self):
         with pytest.raises(ValueError, match="missing required"):
@@ -95,6 +100,12 @@ class TestParseConfig:
         (dict(sigma="3"), "^sigma must be a finite number >= 0, got '3'$"),
         (dict(estimators=("em",), em_eta="x"),
          "^em_eta for independent-prior must be a finite number >= -1.5, got 'x'$"),
+        (dict(em_eta="x"),
+         "^em_eta for independent-prior must be a finite number >= -1.5, got 'x'$"),
+        (dict(em_variant="explicit-sigma"),
+         "^em_eta for explicit-sigma must be a finite number >= -0.5, got -1.0$"),
+        (dict(em_variant="gibbs"), "^em_variant must be one of"),
+        (dict(estimators=()), "^estimators must be non-empty$"),
         (dict(MC, k_sweep=(None,)), "^k_sweep must be a finite number > 0, got None$"),
         (dict(eta_grid=(0.0, None)), "^eta_grid values must be a finite number > -1, got None$"),
         (dict(replications=0), "^replications must be an integer >= 1, got 0$"),
@@ -106,7 +117,9 @@ class TestParseConfig:
             "model-id-float", "n-float", "replications-float", "test-size-float",
             "master-seed-float", "master-seed-negative", "n-boot-float",
             "mc-draws-float-no-sweep", "replications-str", "test-size-none",
-            "n-boot-str", "sigma-str", "em-eta-str", "k-sweep-none", "grid-none",
+            "n-boot-str", "sigma-str", "em-eta-str", "em-eta-str-without-em",
+            "em-eta-default-explicit-sigma", "em-variant", "estimators-empty",
+            "k-sweep-none", "grid-none",
             "replications-zero", "test-size-negative"])
     def test_bad_config_rejected_before_any_replication(self, kwargs, message):
         fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | kwargs
@@ -215,6 +228,21 @@ class TestRunReplication:
         assert path_record(("aris-eb", "aris-path")) == alone
 
 
+    def test_a_failed_grid_fit_is_left_off_the_path(self):
+        # p = 8 > n = 6: on this replication the fit at eta -0.45 raises
+        # SingularSystem, and the path takes the other two fits
+        cfg = ExperimentConfig(3, 6, 3.0, 1, test_size=50,
+                               eta_grid=(-0.45, 0.0, 1.0),
+                               estimators=("aris-path",), master_seed=3)
+        raw, _ = draw_dataset(DgpSpec(3, 6, 3.0, experiment._derive_seed(3, 0)))
+        data, _ = standardize(raw.x, raw.y)
+        with pytest.raises(SingularSystem):
+            fit_joint_mode(data, Hyper(-0.45))
+        fewer = ExperimentConfig(3, 6, 3.0, 1, test_size=50, eta_grid=(0.0, 1.0),
+                                 estimators=("aris-path",), master_seed=3)
+        assert run_replication(cfg, 0) == run_replication(fewer, 0)
+
+
 class TestRunExperiment:
     def test_single_replication_report_is_verbatim(self, tmp_path):
         cfg = ExperimentConfig(3, 60, 3.0, 1, test_size=300,
@@ -303,6 +331,13 @@ class TestRunExperiment:
         for name in ("report.csv", "replications.csv"):
             text = (tmp_path / name).read_text()
             assert np.__version__ not in text and "blas" not in text
+
+    @pytest.mark.parametrize("show_config", [
+        lambda mode: {},                      # no "Build Dependencies"
+        lambda: None,                         # no mode argument
+    ], ids=["no-blas-entry", "old-signature"])
+    def test_unknown_blas_build_is_recorded_as_none(self, show_config):
+        assert experiment._blas_build(show_config) is None
 
     def test_report_files_written(self, tmp_path):
         cfg = ExperimentConfig(3, 60, 3.0, 2, test_size=200, eta_grid=(0.0,),

@@ -54,6 +54,10 @@ class TestSupportMetrics:
         none = np.zeros(2, dtype=bool)
         assert support_metrics(none, none) == (0, 0, True)
 
+    def test_mask_lengths_must_agree(self):
+        with pytest.raises(DimensionMismatch, match="equal length"):
+            support_metrics(np.ones(3, dtype=bool), np.ones(2, dtype=bool))
+
     def test_cm_equivalence_property(self, rng):
         for _ in range(50):
             act = rng.random(6) < 0.5
@@ -71,6 +75,10 @@ class TestPathContainsTruth:
         sup = np.array([True, False])
         masks = [np.array([True, True]), np.array([False, False])]
         assert not path_contains_truth(masks, sup)
+
+    def test_mask_lengths_must_agree(self):
+        with pytest.raises(DimensionMismatch, match="equal length"):
+            path_contains_truth([np.ones(3, dtype=bool)], np.ones(2, dtype=bool))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyInput):

@@ -15,14 +15,12 @@ from adaridge import (
     fit_em,
     fit_joint_mode,
     fit_ols,
-    log_joint_posterior,
     select_eta,
     standardize,
 )
 from adaridge import evidence, solver
 from adaridge.errors import (
     DimensionMismatch,
-    InfinitePrecision,
     NoInitializer,
     NonFiniteInput,
     NonPositiveSigma2,
@@ -37,7 +35,9 @@ from adaridge.model import (
     _live,
     _ridge_solve,
 )
+from adaridge.simulate import DgpSpec, draw_dataset
 from conftest import random_instance, same_bits, toeplitz_design, wide_design
+from oracles import InfinitePrecision, log_joint_posterior
 
 
 class TestStandardize:
@@ -228,6 +228,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             PosteriorState(beta=np.array([1.0]), sigma2=1.0,
                            v_inv=np.array([np.inf]), active=np.array([False]))
+        with pytest.raises(DimensionMismatch, match="share length"):
+            PosteriorState(beta=np.zeros(2), sigma2=1.0, v_inv=np.ones(1),
+                           active=np.array([True]))
+        with pytest.raises(ValueError, match="non-negative"):
+            PosteriorState(beta=np.zeros(1), sigma2=1.0, v_inv=np.array([-1.0]),
+                           active=np.array([True]))
 
     @pytest.mark.parametrize("max_iter", [2.5, np.float64(3), 0, "3"])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
@@ -260,6 +266,19 @@ class TestValidation:
             Dataset(np.ones((3, 2)), np.ones(4))
         with pytest.raises(NonFiniteInput):
             Dataset(np.array([[np.inf]]), np.array([1.0]))
+        with pytest.raises(NonFiniteInput, match="response"):
+            Dataset(np.ones((2, 1)), np.array([1.0, np.nan]))
+        with pytest.raises(DimensionMismatch, match="2-d design matrix"):
+            Dataset(np.ones(3), np.ones(3))
+        with pytest.raises(DimensionMismatch, match="1-d vector"):
+            Dataset(np.ones((3, 1)), np.ones((3, 1)))
+
+    def test_no_initializer_when_the_start_overflows(self):
+        # X'X = 2e-300 and X'y = 2e150 are finite; least squares, 1e450,
+        # is not
+        data = Dataset(np.full((2, 1), 1e-150), np.full(2, 1e300))
+        with pytest.raises(NoInitializer, match="non-finite"):
+            data.initial_beta
 
     def test_no_initializer_when_the_ridge_fallback_is_singular(self):
         # p >= n sends the start to the ridged solve; at 1e150 the ridge of
@@ -268,6 +287,29 @@ class TestValidation:
         with pytest.raises(NoInitializer, match="leading minor"):
             data.initial_beta
         with pytest.raises(NoInitializer, match="leading minor"):
+            fit_joint_mode(data, Hyper(0.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestOverflowingProducts:
+    """Finite data whose ``X'X`` or ``X'y`` overflows raise
+    ``NonFiniteInput`` naming the product, instead of fitting the empty
+    model from an all-zero start."""
+
+    def test_overflowing_gram_fails_the_fit_and_the_selection(self):
+        raw, _ = draw_dataset(DgpSpec(3, 100, 3.0, 0))
+        data = Dataset(raw.x * 1e160, raw.y)
+        for call in (lambda: data.xtx, lambda: data.initial_beta,
+                     lambda: fit_joint_mode(data, Hyper(0.0)),
+                     lambda: select_eta(data),
+                     lambda: select_eta(data, method="mc", draws=10)):
+            with pytest.raises(NonFiniteInput, match="^X'X has non-finite"):
+                call()
+
+    def test_overflowing_response_product(self):
+        data = Dataset(np.ones((100, 1)), np.full(100, 1e307))
+        assert np.isfinite(data.xtx).all()
+        with pytest.raises(NonFiniteInput, match="^X'y has non-finite"):
             fit_joint_mode(data, Hyper(0.0))
 
 

@@ -86,6 +86,17 @@ def _calls_by_function(node, where=None):
         yield from _calls_by_function(child, inner)
 
 
+def test_every_exported_function_has_a_caller_in_the_package():
+    # An export that no module calls serves only its tests, and belongs
+    # with the oracles in tests/oracles.py.
+    src = Path(adaridge.__file__).parent
+    called = {name for path in src.glob("*.py")
+              for _, name in _calls_by_function(ast.parse(path.read_text()))}
+    functions = {name for name in adaridge.__all__
+                 if inspect.isfunction(getattr(adaridge, name))}
+    assert functions - called == set()
+
+
 def test_only_the_solver_touches_the_fit_memo():
     # model.py defines Dataset._memo; solver.py is its one reader and writer.
     src = Path(adaridge.__file__).parent

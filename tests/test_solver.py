@@ -15,7 +15,6 @@ from adaridge import (
     fit_em,
     fit_joint_mode,
     fit_ols,
-    log_joint_posterior,
     select_eta,
     standardize,
 )
@@ -32,7 +31,7 @@ from adaridge.simulate import DgpSpec, draw_dataset
 from adaridge.solver import _derivatives, _newton_step
 from conftest import (fd_gradient, joint_cycle, random_instance, toeplitz_design,
                       wide_design)
-from oracles import assemble_hessian, fit_reweighted_ridge
+from oracles import assemble_hessian, fit_reweighted_ridge, log_joint_posterior
 
 
 def orthonormal_data(rng, n=20, p=3):
@@ -537,6 +536,12 @@ class TestOneBlasThread:
             with _one_blas_thread():
                 assert (pinned.count, free.count) == (1, 1)
         assert pinned.sets == [] and free.sets == [1, 3]
+
+    def test_a_module_that_does_not_load_is_skipped(self, monkeypatch):
+        # numpy 1.x names its core module numpy.core, 2.x numpy._core
+        monkeypatch.setattr(model_module, "_BLAS_LINKED_MODULES",
+                            (("adaridge.no_such_module", "scipy.linalg._fblas"),))
+        assert len(list(model_module._blas_linked_libraries())) == 1
 
     def test_a_memo_hit_reads_no_count(self, monkeypatch):
         data, _, _ = random_instance(3)
