@@ -20,7 +20,6 @@ from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K,
     _check_grid,
-    _check_mc,
     _score,
     select_eta,
 )
@@ -29,7 +28,7 @@ from .model import (
     FitOptions,
     Hyper,
     _check_count,
-    _check_seed,
+    _check_number,
     destandardize_beta,
     standardize,
 )
@@ -96,8 +95,9 @@ def _fit_settings(args):
         if eta is not None:
             _check_grid([eta], "--eta")
         _check_grid(args.grid, "--grid")
-        _check_mc(args.k, args.draws, ("--k", "--draws"))
-        _check_seed(args.seed, "--seed")
+        _check_number(args.k, "--k", 0.0)
+        _check_count(args.draws, "--draws")
+        _check_count(args.seed, "--seed", 0)
         opts = FitOptions(max_iter=args.max_iter, conv_tol=args.conv_tol,
                           prune_tol=args.prune_tol)
     except ValueError as exc:
@@ -168,6 +168,9 @@ def cmd_experiment(args) -> int:
     except ExperimentFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT
+    except OSError as exc:  # --out is not a writable directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     for row in report.rows:
         print(f"{row.estimator}: cm={row.cm:.3f}" + (
             "" if row.median_mse is None else

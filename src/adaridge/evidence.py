@@ -64,7 +64,6 @@ from .model import (
     ModeFit,
     _check_count,
     _check_number,
-    _check_seed,
     _live,
     _log_joint_density,
     _one_blas_thread,
@@ -246,7 +245,8 @@ def mc_log_evidence(
     ``ValueError``.
     """
 
-    _check_mc(k, draws)
+    k = _check_number(k, "k", 0.0)
+    draws = _check_count(draws, "draws")
     state = fit.state
     p_active = int(state.active.sum())
     n = data.n
@@ -254,7 +254,7 @@ def mc_log_evidence(
     if p_active == 0:
         return EvidenceEstimate(
             log_value=_null_model_log_marginal(data), method="hypercube-mc",
-            k=float(k), mc_draws=draws, mc_se=0.0, log_box_volume=0.0,
+            k=k, mc_draws=draws, mc_se=0.0, log_box_volume=0.0,
         )
     if h.eta <= -0.5:
         raise EmptyBox("box width requires eta > -1/2 (finite curvature)")
@@ -297,7 +297,7 @@ def mc_log_evidence(
         se = math.sqrt(float((w * w).sum()) / (draws - 1)) / (math.sqrt(draws) * mean_w)
     return EvidenceEstimate(
         log_value=value, method="hypercube-mc",
-        k=float(k), mc_draws=draws, mc_se=se, log_box_volume=log_volume,
+        k=k, mc_draws=draws, mc_se=se, log_box_volume=log_volume,
     )
 
 
@@ -310,19 +310,10 @@ def _check_grid(grid, name: str = "grid") -> tuple[float, ...]:
         grid = tuple(grid)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of numbers, got {grid!r}") from None
-    for g in grid:
-        _check_number(g, f"{name} values", -1.0)
-    grid = tuple(float(g) for g in grid)
+    grid = tuple(_check_number(g, f"{name} values", -1.0) for g in grid)
     if not grid or sorted(grid) != list(grid):
         raise ValueError(f"{name} must be non-empty and ascending")
     return grid
-
-
-def _check_mc(k, draws, names: tuple[str, str] = ("k", "draws")) -> None:
-    """Check a Monte-Carlo box width and draw count; errors use ``names``."""
-
-    _check_number(k, names[0], 0.0)
-    _check_count(draws, names[1])
 
 
 def _score(fit, data, eta, method, k, draws, seed) -> EvidenceEstimate:
@@ -365,9 +356,9 @@ def select_eta(
     grid = _check_grid(grid)
     if method not in ("laplace", "mc"):
         raise ValueError(f"unknown evidence method {method!r}")
-    k = DEFAULT_K if k is None else k
-    _check_mc(k, draws)
-    _check_seed(seed)
+    k = _check_number(DEFAULT_K if k is None else k, "k", 0.0)
+    draws = _check_count(draws, "draws")
+    seed = _check_count(seed, "seed", 0)
 
     estimates: list[EvidenceEstimate | None] = []
     best = None
@@ -376,7 +367,7 @@ def select_eta(
         try:
             fit = fit_joint_mode(data, Hyper(eta), opts)
             est = _score(fit, data, eta, method, k, draws,
-                         [int(seed), gi, int(round(k))])
+                         [seed, gi, round(k)])
         except NonFiniteInput:
             raise  # the data, not this grid point, are at fault
         except AdaRidgeError as exc:

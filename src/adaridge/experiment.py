@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,6 @@ from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K_SWEEP,
     _check_grid,
-    _check_mc,
     select_eta,
 )
 from .metrics import (
@@ -50,7 +48,6 @@ from .model import (
     Hyper,
     _check_count,
     _check_number,
-    _check_seed,
     _one_blas_thread,
     _openblas_thread_controls,
     destandardize_beta,
@@ -109,9 +106,8 @@ class ExperimentConfig:
         _check_number(self.em_eta, f"em_eta for {self.em_variant}",
                       VARIANTS[self.em_variant], strict=False)
         object.__setattr__(self, "eta_grid", _check_grid(self.eta_grid, "eta_grid"))
-        for k in self.k_sweep:
-            _check_mc(k, self.mc_draws, ("k_sweep", "mc_draws"))
-        object.__setattr__(self, "k_sweep", tuple(float(k) for k in self.k_sweep))
+        object.__setattr__(self, "k_sweep", tuple(
+            _check_number(k, "k_sweep", 0.0) for k in self.k_sweep))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if ("aris-eb" in self.estimators and self.evidence_method == "mc"
                 and not self.k_sweep):
@@ -119,26 +115,15 @@ class ExperimentConfig:
         rows = _row_order(self)
         if len(set(rows)) != len(rows):
             raise ValueError(f"report rows repeat: {rows}")
-        # Integer fields are stored as Python ints, so numpy integers reach
-        # provenance.json as plain numbers; the sizes are compared only
-        # once they are ints.
-        for f in fields(self):
-            if f.name in _INT_KEYS:
-                value = getattr(self, f.name)
-                try:
-                    object.__setattr__(self, f.name, operator.index(value))
-                except TypeError:
-                    what = "an integer >= 1" if f.name == "mc_draws" else "an integer"
-                    raise ValueError(f"{f.name} must be {what}, got {value}") from None
-        _check_count(self.replications, "replications")
-        _check_count(self.test_size, "test_size")
-        _check_count(self.n_boot, "n_boot", 2)
+        # Each integer key is checked against its least value and stored as
+        # a Python int, so numpy integers reach provenance.json as plain ints.
+        for key, low in _INT_KEYS.items():
+            object.__setattr__(self, key, _check_count(getattr(self, key), key, low))
         DgpSpec(self.model_id, self.n, self.sigma, 0)
-        _check_seed(self.master_seed, "master_seed")
 
 
-_INT_KEYS = {"model_id", "n", "replications", "test_size", "mc_draws",
-             "master_seed", "n_boot"}
+_INT_KEYS = {"model_id": 0, "n": 1, "replications": 1, "test_size": 1,
+             "mc_draws": 1, "master_seed": 0, "n_boot": 2}
 _FLOAT_KEYS = {"sigma", "em_eta"}
 _LIST_KEYS = {"eta_grid", "k_sweep", "estimators"}
 _STR_KEYS = {"evidence_method", "em_variant"}

@@ -161,31 +161,26 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _check_count(value, name: str, low: int = 1) -> None:
-    """Check that a size or draw count is an integer >= ``low``; errors
-    call it ``name``."""
+def _check_count(value, name: str, low: int = 1) -> int:
+    """``value`` as an ``int``, checked to be an integer >= ``low`` (a
+    size, a draw count, a seed); errors call it ``name``.  The package's
+    one integer rule."""
 
     if not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return int(value)
 
 
-def _check_number(value, name: str, low: float, strict: bool = True) -> None:
-    """Check that ``value`` is a finite real number above ``low``, or at
-    least ``low`` when not ``strict``; errors call it ``name``."""
+def _check_number(value, name: str, low: float, strict: bool = True) -> float:
+    """``value`` as a ``float``, checked to be a finite real number above
+    ``low``, or at least ``low`` when not ``strict``; errors call it
+    ``name``.  The package's one real-number rule."""
 
     if (not isinstance(value, numbers.Real) or not math.isfinite(value)
             or not (value > low if strict else value >= low)):
         bound = f"> {low:g}" if strict else f">= {low:g}"
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-
-
-def _check_seed(seed, name: str = "seed") -> None:
-    """Check that a random seed is an integer >= 0; errors call it ``name``."""
-
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {seed}")
-    if seed < 0:
-        raise ValueError(f"{name} must be >= 0, got {seed}")
+    return float(value)
 
 
 def _finite_product(arr: np.ndarray, name: str) -> np.ndarray:
@@ -399,10 +394,8 @@ class Hyper:
     mu: float = MACHINE_EPS
 
     def __post_init__(self):
-        _check_number(self.eta, "eta", -1.5, strict=False)
-        _check_number(self.mu, "mu", 0.0)
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "eta", _check_number(self.eta, "eta", -1.5, strict=False))
+        object.__setattr__(self, "mu", _check_number(self.mu, "mu", 0.0))
 
 
 @dataclass(frozen=True)

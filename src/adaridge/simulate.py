@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Dataset, _check_count, _check_number, _check_seed
+from .model import Dataset, _check_count, _check_number
 
 __all__ = [
     "DgpSpec",
@@ -51,11 +51,11 @@ class DgpSpec:
     seed: int
 
     def __post_init__(self):
-        if self.model_id not in MODEL_BETAS:
+        if _check_count(self.model_id, "model_id", 0) not in MODEL_BETAS:
             raise ValueError(f"model_id must be one of {sorted(MODEL_BETAS)}")
         _check_count(self.n, "n")
         _check_number(self.sigma, "sigma", 0.0, strict=False)
-        _check_seed(self.seed)
+        _check_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import fit_ols
-from .errors import ExactFit, NonInteriorMode
+from .errors import ExactFit, NonFiniteInput, NonInteriorMode
 from .model import (
     _POTRF,
     _POTRS,
@@ -98,6 +98,8 @@ def fit_joint_mode(data: Dataset, h: Hyper,
     and the procedure is exactly least squares, returned directly; a
     design without full column rank raises ``RankDeficient`` there.
     Pruning every variable is not an error; the result is the empty model.
+    A coefficient too large to square (above about 1.3e154) would leave a
+    zero precision, and raises ``NonFiniteInput`` instead.
 
     ``X'X``, ``X'y`` and the start are computed once per :class:`Dataset`
     object and shared by every fit on it.  So is the fit
@@ -142,6 +144,9 @@ def _fit_joint_mode(data: Dataset, h: Hyper, opts: FitOptions) -> ModeFit:
     idx, beta, v_inv, iters, converged = _cycle(
         data, np.arange(data.p), data.initial_beta, _joint_step(data, h, trace),
         opts.max_iter, opts.conv_tol, opts.prune_tol)
+    # A coefficient whose square overflows is left with a zero precision.
+    if not (v_inv > 0).all():
+        raise NonFiniteInput("the precision update overflows: a coefficient is too large")
     # The empty model's noise variance is y'y / (n + 2).
     sigma2 = trace[-1][1] if idx.size else float(data.y @ data.y) / (data.n + 2)
     return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, trace)

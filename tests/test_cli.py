@@ -53,7 +53,7 @@ class TestSimulate:
         code, stdout, err = run_cli(capsys, "simulate", "--model", "3", "--n", "40",
                                     "--sigma", "3", "--seed", "-1", "--out", str(out))
         assert code == 2 and stdout == ""
-        assert err == "error: seed must be >= 0, got -1\n"
+        assert err == "error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     def test_bad_test_size_is_an_input_error(self, tmp_path, capsys):
@@ -315,8 +315,19 @@ class TestExperimentCommand:
         code, out, err = run_cli(capsys, "experiment", str(cfg), "--out",
                                  str(tmp_path / "o"), "--jobs", "1")
         assert code == 2 and out == ""
-        assert err == "error: master_seed must be >= 0, got -4\n"
+        assert err == "error: master_seed must be an integer >= 0, got -4\n"
         assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("model_id = 3\nn = 20\nsigma = 3\nreplications = 1\n")
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out",
+                                 str(taken), "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(taken) in err
+        assert taken.read_text() == "keep me\n"
 
     # A replication's every error is caught and recorded, so a failed run
     # exits 4 whatever the replication raised.

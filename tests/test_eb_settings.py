@@ -86,7 +86,7 @@ def test_negative_seed_fails_before_any_fit(monkeypatch, method):
 
     monkeypatch.setattr(ev, "fit_joint_mode", counted)
     data = standardize(_X, _Y)[0]
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
         select_eta(data, method=method, seed=-1)
     assert calls == []
     select_eta(data, method=method, seed=0, draws=20)

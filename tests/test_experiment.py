@@ -86,17 +86,18 @@ class TestParseConfig:
         (dict(estimators=("ols", "ols")), "repeat"),
         (dict(MC, k_sweep=(10.0, 10.0)), "repeat"),
         (dict(MC, k_sweep=(10.0, 10.000001)), "repeat"),
-        (dict(model_id=3.0), "^model_id must be an integer, got 3.0$"),
-        (dict(n=40.0), "^n must be an integer, got 40.0$"),
-        (dict(replications=2.5), "^replications must be an integer, got 2.5$"),
-        (dict(test_size=np.float64(100)), "^test_size must be an integer, got 100.0$"),
-        (dict(master_seed=1.0), "^master_seed must be an integer, got 1.0$"),
-        (dict(master_seed=-4), "^master_seed must be >= 0, got -4$"),
-        (dict(n_boot=500.0), "^n_boot must be an integer, got 500.0$"),
+        (dict(model_id=3.0), "^model_id must be an integer >= 0, got 3.0$"),
+        (dict(n=40.0), "^n must be an integer >= 1, got 40.0$"),
+        (dict(replications=2.5), "^replications must be an integer >= 1, got 2.5$"),
+        (dict(test_size=np.float64(100)), "^test_size must be an integer >= 1, got 100.0$"),
+        (dict(master_seed=1.0), "^master_seed must be an integer >= 0, got 1.0$"),
+        (dict(master_seed=-4), "^master_seed must be an integer >= 0, got -4$"),
+        (dict(n_boot=500.0), "^n_boot must be an integer >= 2, got 500.0$"),
         (dict(k_sweep=(), mc_draws=2.5), "^mc_draws must be an integer >= 1, got 2.5$"),
-        (dict(replications="2"), "^replications must be an integer, got 2$"),
-        (dict(test_size=None), "^test_size must be an integer, got None$"),
-        (dict(n_boot="500"), "^n_boot must be an integer, got 500$"),
+        (dict(k_sweep=(), mc_draws=0), "^mc_draws must be an integer >= 1, got 0$"),
+        (dict(replications="2"), "^replications must be an integer >= 1, got 2$"),
+        (dict(test_size=None), "^test_size must be an integer >= 1, got None$"),
+        (dict(n_boot="500"), "^n_boot must be an integer >= 2, got 500$"),
         (dict(sigma="3"), "^sigma must be a finite number >= 0, got '3'$"),
         (dict(estimators=("em",), em_eta="x"),
          "^em_eta for independent-prior must be a finite number >= -1.5, got 'x'$"),
@@ -116,8 +117,8 @@ class TestParseConfig:
             "estimator-repeated", "k-repeated", "k-label-repeated",
             "model-id-float", "n-float", "replications-float", "test-size-float",
             "master-seed-float", "master-seed-negative", "n-boot-float",
-            "mc-draws-float-no-sweep", "replications-str", "test-size-none",
-            "n-boot-str", "sigma-str", "em-eta-str", "em-eta-str-without-em",
+            "mc-draws-float-no-sweep", "mc-draws-zero-no-sweep", "replications-str",
+            "test-size-none", "n-boot-str", "sigma-str", "em-eta-str", "em-eta-str-without-em",
             "em-eta-default-explicit-sigma", "em-variant", "estimators-empty",
             "k-sweep-none", "grid-none",
             "replications-zero", "test-size-negative"])
@@ -133,15 +134,21 @@ class TestParseConfig:
                          **self.MC)
 
 
-@given(name=st.sampled_from(["replications", "test_size", "n_boot"]),
+# every integer key of a config, with its least value
+LEAST = {"model_id": 0, "n": 1, "replications": 1, "test_size": 1, "mc_draws": 1,
+         "master_seed": 0, "n_boot": 2}
+
+
+@given(name=st.sampled_from(sorted(LEAST)),
        value=st.one_of(st.none(), st.floats(), st.integers(-3, 600).map(str),
                        st.lists(st.integers(0, 9), max_size=2)))
 def test_range_checked_fields_are_integers_first(name, value):
-    # the range checks compare only after the integer coercion, so a
+    # every integer key is checked as an integer before its range, so a
     # string, None or float gets the field-named error, not a TypeError
     fields = dict(model_id=3, n=40, sigma=3.0, replications=2) | {name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    with pytest.raises(ValueError) as info:
         ExperimentConfig(**fields)
+    assert str(info.value) == f"{name} must be an integer >= {LEAST[name]}, got {value}"
 
 
 def ints(lo, hi):

@@ -61,13 +61,23 @@ class TestDrawDataset:
         assert not np.array_equal(a.x, b.x)
 
     @pytest.mark.parametrize("seed, message", [
-        (-1, "^seed must be >= 0, got -1$"),
-        (np.int64(-3), "^seed must be >= 0, got -3$"),
-        (2.0, "^seed must be an integer, got 2.0$"),
+        (-1, "^seed must be an integer >= 0, got -1$"),
+        (np.int64(-3), "^seed must be an integer >= 0, got -3$"),
+        (2.0, "^seed must be an integer >= 0, got 2.0$"),
     ])
     def test_bad_seed_rejected_by_the_spec(self, seed, message):
         with pytest.raises(ValueError, match=message):
             DgpSpec(3, 40, 3.0, seed=seed)
+
+    @pytest.mark.parametrize("model_id, message", [
+        (3.0, "^model_id must be an integer >= 0, got 3.0$"),
+        ("3", "^model_id must be an integer >= 0, got 3$"),
+        (-1, "^model_id must be an integer >= 0, got -1$"),
+        (np.int64(4), r"^model_id must be one of \[0, 1, 2, 3\]$"),
+    ], ids=["float", "str", "negative", "unknown"])
+    def test_bad_model_id_rejected_by_the_spec(self, model_id, message):
+        with pytest.raises(ValueError, match=message):
+            DgpSpec(model_id, 20, 3.0, seed=1)
 
     @pytest.mark.parametrize("n, message", [
         (40.5, "^n must be an integer >= 1, got 40.5$"),

@@ -18,7 +18,8 @@ from adaridge import (
     select_eta,
     standardize,
 )
-from adaridge.errors import ExactFit, NonFiniteEvidence, RankDeficient, SingularSystem
+from adaridge.errors import (ExactFit, NonFiniteEvidence, NonFiniteInput, RankDeficient,
+                             SingularSystem)
 from adaridge.evidence import DEFAULT_ETA_GRID
 from adaridge.model import (
     MACHINE_EPS,
@@ -335,6 +336,23 @@ class TestFitJointMode:
         assert not fit.state.active.any()
         assert (fit.state.beta == 0).all()
         assert fit.converged
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_precision_update_raises(self):
+        # the least-squares coefficient, about 1.6e155, squares to infinity
+        # in the precision update, which leaves a zero precision
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((30, 1))
+        data = Dataset(x * 1e-155, 2 * x[:, 0] + rng.standard_normal(30))
+        with pytest.raises(NonFiniteInput, match="^the precision update overflows"):
+            fit_joint_mode(data, Hyper(0.0))
+        for method in ("laplace", "mc"):
+            with pytest.raises(NonFiniteInput, match="^the precision update overflows"):
+                select_eta(data, method=method, draws=20)
+        # EM's zero weight is the limit of its update: least squares
+        emf = fit_em(data, Hyper(-1.0))
+        np.testing.assert_allclose(emf.beta, fit_ols(data), rtol=1e-12)
+        assert emf.converged and emf.active.all()
 
     def test_eta_domain(self):
         data = Dataset(np.eye(3), np.array([1.0, 2.0, 0.5]))
