@@ -19,13 +19,16 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import importlib
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import (
     DimensionMismatch,
@@ -48,15 +51,37 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 START_PIVOT_RATIO = 1e-8
 FALLBACK_RIDGE = 1e-6
 
-# The LAPACK routines behind scipy.linalg.cho_factor / cho_solve.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
-# Extension modules linked against numpy's and scipy's BLAS; a symbol
-# lookup through their handles searches the libraries they depend on.
-_BLAS_LINKED_MODULES = (
-    ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"),
-    ("scipy.linalg._fblas",),
-)
+def _lapack_extension(directory: str):
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded
+    from its file in ``directory``; ``ImportError`` naming ``directory``
+    where it holds no such file."""
+
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        "scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no scipy LAPACK extension _flapack in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The LAPACK routines behind scipy.linalg.cho_factor / cho_solve, the very
+# objects scipy.linalg's own lookup of "potrf" and "potrs" returns, taken
+# from scipy's LAPACK extension loaded from its file.  The package never
+# imports the scipy.linalg package: in scipy 1.17 it pulls in numpy.f2py,
+# numpy.testing and unittest, and with it importing adaridge took
+# 0.38-0.61 s and 57.5 MB of RSS, without it 0.21-0.32 s and 34.3 MB
+# (fresh processes on a 2-core machine).  Top-level scipy comes first; on
+# Windows it sets up the wheel's library path.
+_FLAPACK = _lapack_extension(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
+_POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
+
+# numpy's core extension module under its 2.x and 1.x names; it links
+# numpy's BLAS as _FLAPACK links scipy's, and a symbol lookup through
+# either's handle searches the libraries it depends on.
+_BLAS_LINKED_MODULES = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
+
 # OpenBLAS thread-control symbols, ``{}`` being ``set`` or ``get``: the
 # prefixed names of the scipy-openblas wheels (ILP64 and LP64), then the
 # plain ones.
@@ -100,17 +125,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _blas_linked_libraries():
-    """ctypes handles of one extension module linked against numpy's BLAS
-    and one linked against scipy's."""
+    """ctypes handles of numpy's core extension module, linked against
+    numpy's BLAS, and of ``_FLAPACK``, linked against scipy's."""
 
-    for candidates in _BLAS_LINKED_MODULES:
-        for name in candidates:
-            try:
-                lib = ctypes.CDLL(importlib.import_module(name).__file__)
-            except (ImportError, OSError):
-                continue
-            yield lib
-            break
+    for name in _BLAS_LINKED_MODULES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(name).__file__)
+        except (ImportError, OSError):
+            continue
+        yield lib
+        break
+    yield ctypes.CDLL(_FLAPACK.__file__)
 
 
 @cache

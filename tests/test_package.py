@@ -1,8 +1,16 @@
 import ast
 import inspect
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import adaridge
+from adaridge import model
 
 
 def test_every_exported_name_resolves():
@@ -163,3 +171,46 @@ def test_newton_steps_only_in_the_newton_polish():
             if name == "_newton_step":
                 steps.add((path.name, where))
     assert steps == {("solver.py", "_newton_polish")}
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` in a fresh interpreter that imports the
+    package from this source tree."""
+
+    src = str(Path(adaridge.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_importing_the_package_imports_no_scipy_linalg():
+    # scipy.linalg costs about 0.3 s and 23 MB to import; only its LAPACK
+    # extension, loaded from its file, may be there
+    loaded = _fresh_python(
+        "import sys, adaridge, adaridge.cli\n"
+        "print(' '.join(m for m in sys.modules"
+        " if m == 'scipy.linalg' or m.startswith('scipy.linalg.')))")
+    assert set(loaded.split()) <= {"scipy.linalg._flapack"}
+
+
+def test_potrf_and_potrs_are_scipys_own():
+    from scipy.linalg import get_lapack_funcs
+
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+    assert potrf is model._POTRF and potrs is model._POTRS
+
+
+def test_potrf_and_potrs_are_scipys_own_when_scipy_linalg_came_first():
+    assert _fresh_python(
+        "import numpy as np\n"
+        "from scipy.linalg import get_lapack_funcs\n"
+        "from adaridge import model\n"
+        "potrf, potrs = get_lapack_funcs(('potrf', 'potrs'), dtype=np.float64)\n"
+        "print(potrf is model._POTRF and potrs is model._POTRS)") == "True"
+
+
+def test_a_directory_without_the_lapack_extension_raises(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        model._lapack_extension(str(tmp_path))

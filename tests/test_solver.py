@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -558,8 +560,35 @@ class TestOneBlasThread:
     def test_a_module_that_does_not_load_is_skipped(self, monkeypatch):
         # numpy 1.x names its core module numpy.core, 2.x numpy._core
         monkeypatch.setattr(model_module, "_BLAS_LINKED_MODULES",
-                            (("adaridge.no_such_module", "scipy.linalg._fblas"),))
-        assert len(list(model_module._blas_linked_libraries())) == 1
+                            ("adaridge.no_such_module",) + model_module._BLAS_LINKED_MODULES)
+        numpy_core, flapack = [lib._name for lib in model_module._blas_linked_libraries()]
+        assert "_multiarray_umath" in numpy_core
+        assert flapack == model_module._FLAPACK.__file__
+
+    def test_scipys_copy_reads_one_inside(self):
+        # scipy's copy found apart from _openblas_thread_controls: a copy the
+        # pin lost would pass the tests above and leave potrf on 2 threads
+        from scipy.linalg import _fblas
+
+        lib = ctypes.CDLL(_fblas.__file__)
+        names = [(f"{stem}_set_num_threads{tail}", f"{stem}_get_num_threads{tail}")
+                 for stem in ("scipy_openblas", "openblas") for tail in ("64_", "")]
+        found = [(getattr(lib, s), getattr(lib, g)) for s, g in names
+                 if hasattr(lib, s) and hasattr(lib, g)]
+        if not found:
+            pytest.skip("scipy's OpenBLAS exposes no thread control")
+        set_threads, get_threads = found[0]
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        before = get_threads()
+        set_threads(2)
+        try:
+            with _one_blas_thread():
+                inside = get_threads()
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert (inside, after) == (1, 2)
 
     def test_a_memo_hit_reads_no_count(self, monkeypatch):
         data, _, _ = random_instance(3)
