@@ -37,7 +37,8 @@ def fit_ridge_gcv(data: Dataset) -> RidgeFit:
 
     For each penalty in ``LAMBDA_GRID`` computes ``GCV = n RSS / (n - tr
     H)^2`` with ``H`` the ridge hat matrix, and returns the minimizer (ties
-    go to the smaller penalty).  A single SVD serves the whole grid.
+    go to the smaller penalty).  A single SVD serves the whole grid, which
+    is scored in one pass.
     """
 
     u, s, vt = np.linalg.svd(data.x, full_matrices=False)
@@ -45,16 +46,12 @@ def fit_ridge_gcv(data: Dataset) -> RidgeFit:
     n = data.n
     yty = float(data.y @ data.y)
 
-    best = None
-    for lam in LAMBDA_GRID:
-        shrink = s**2 / (s**2 + lam)          # diagonal of the hat matrix in U-space
-        fitted_norm2 = float(np.sum((shrink * uty) ** 2))
-        cross = float(np.sum(shrink * uty**2))
-        rss = yty - 2.0 * cross + fitted_norm2
-        tr_h = float(np.sum(shrink))
-        score = n * rss / (n - tr_h) ** 2
-        if best is None or score < best[0]:
-            best = (score, lam)
-    score, lam = best
+    shrink = s**2 / (s**2 + LAMBDA_GRID[:, None])   # hat-matrix diagonals in U-space
+    fitted_norm2 = np.sum((shrink * uty) ** 2, axis=1)
+    cross = np.sum(shrink * uty**2, axis=1)
+    rss = yty - 2.0 * cross + fitted_norm2
+    scores = n * rss / (n - np.sum(shrink, axis=1)) ** 2
+    best = int(np.argmin(scores))
+    lam = LAMBDA_GRID[best]
     beta = vt.T @ ((s / (s**2 + lam)) * uty)
-    return RidgeFit(beta=beta, lam=float(lam), gcv_score=float(score))
+    return RidgeFit(beta=beta, lam=float(lam), gcv_score=float(scores[best]))

@@ -23,7 +23,7 @@ from .evidence import (
     _score,
     select_eta,
 )
-from .experiment import ExperimentFailure, default_jobs, parse_config, run_experiment
+from .experiment import ExperimentFailure, parse_config, run_experiment
 from .model import (
     FitOptions,
     Hyper,
@@ -157,13 +157,14 @@ def cmd_fit(args) -> int:
 
 def cmd_experiment(args) -> int:
     try:
+        if args.jobs is not None:
+            _check_count(args.jobs, "--jobs")
         config = parse_config(Path(args.config).read_text())
-        jobs = default_jobs() if args.jobs is None else args.jobs
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = run_experiment(config, args.out, jobs=jobs,
+        report = run_experiment(config, args.out, jobs=args.jobs,
                                 allow_failures=args.allow_failures)
     except ExperimentFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("config", help="flat key=value configuration file")
     p_exp.add_argument("--out", default="experiment-out", help="output directory")
     p_exp.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: ADARIDGE_JOBS or all cores)")
+                       help="worker processes (default: all cores)")
     p_exp.add_argument("--allow-failures", action="store_true",
                        help="record failed replications instead of aborting")
     p_exp.set_defaults(func=cmd_experiment)

@@ -302,17 +302,17 @@ def mc_log_evidence(
 
 
 def _check_grid(grid, name: str = "grid") -> tuple[float, ...]:
-    """``grid`` as a tuple of floats, checked to be a non-empty, ascending
-    sequence of real numbers, finite and above -1 (a proper prior);
-    errors call it ``name``."""
+    """``grid`` as a tuple of floats, checked to be a non-empty, strictly
+    ascending sequence of real numbers, finite and above -1 (a proper
+    prior); errors call it ``name``."""
 
     try:
         grid = tuple(grid)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of numbers, got {grid!r}") from None
     grid = tuple(_check_number(g, f"{name} values", -1.0) for g in grid)
-    if not grid or sorted(grid) != list(grid):
-        raise ValueError(f"{name} must be non-empty and ascending")
+    if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be non-empty and strictly ascending")
     return grid
 
 

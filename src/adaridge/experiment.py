@@ -68,8 +68,6 @@ __all__ = [
 ESTIMATORS = ("aris-eb", "aris-eta0", "ols", "ridge-gcv", "em", "aris-path")
 EVIDENCE_METHODS = ("laplace", "mc")
 
-JOBS_ENV_VAR = "ADARIDGE_JOBS"
-
 
 class ExperimentFailure(AdaRidgeError):
     """A replication failed and failures were not allowed."""
@@ -296,21 +294,6 @@ def _worker(args) -> tuple[int, list[dict] | None, str, int | None]:
     return rep, recs, err, _blas_threads()
 
 
-def _run_pooled(tasks: list, jobs: int) -> list:
-    """``_worker`` over ``tasks`` in ``jobs`` forked processes.
-
-    The caller runs this under ``_one_blas_thread``, so the workers inherit
-    one BLAS thread through fork and OpenBLAS never starts its thread pool
-    in them.  Where fork is not available the workers start with their
-    default count and pin it themselves in each fit.
-    """
-
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        return list(pool.map(_worker, tasks))
-
-
 def _row_order(config: ExperimentConfig) -> list[str]:
     order = []
     for name in config.estimators:
@@ -395,19 +378,6 @@ def _write_report_txt(path: Path, config: ExperimentConfig,
     path.write_text("\n".join(out) + "\n")
 
 
-def default_jobs() -> int:
-    """Worker count from ``ADARIDGE_JOBS``, else the number of cores."""
-
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path,
@@ -423,24 +393,32 @@ def run_experiment(
     from the aggregates; a replication's error never escapes otherwise.
     Results are byte-identical for any ``jobs`` value.
 
+    ``jobs`` is the worker count: ``None`` means every core, and any other
+    value must be an integer >= 1 (``ValueError`` before any file is
+    written).  At most ``min(jobs, replications)`` workers run.
+
     The replications run with the caller's BLAS pinned to one thread
     (``model._one_blas_thread``), restored when they end.  With one worker
-    they run in the calling process; otherwise at most
-    ``min(jobs, replications)`` worker processes fork under the pin and
-    inherit the one thread.
+    they run in the calling process.  Otherwise the workers fork under the
+    pin, so they inherit one BLAS thread and OpenBLAS never starts its
+    thread pool in them; where fork is not available they start with their
+    default count and pin it themselves in each fit.
     """
 
+    jobs = (os.cpu_count() or 1) if jobs is None else _check_count(jobs, "jobs")
+    jobs = min(jobs, config.replications)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    jobs = min(jobs, config.replications)
 
     tasks = [(config, rep) for rep in range(config.replications)]
     with _one_blas_thread():
         if jobs == 1:
             outcomes = [_worker(task) for task in tasks]
         else:
-            outcomes = _run_pooled(tasks, jobs)
+            context = multiprocessing.get_context(
+                "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+                outcomes = list(pool.map(_worker, tasks))
     threads = [t for *_, t in outcomes if t is not None]
 
     records: list[dict] = []

@@ -19,6 +19,9 @@ iterating them from ``Dataset.initial_beta`` reproduces the EM loop.
 :func:`assemble_hessian` lays the negative Hessian blocks that
 ``adaridge.solver._derivatives`` returns, and the Newton step factors, out
 as one dense matrix, for comparison with finite differences.
+
+:func:`ridge_gcv_loop` scores the GCV penalties one at a time, as
+:func:`adaridge.fit_ridge_gcv` did before it scored the grid in one pass.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from adaridge.baselines import LAMBDA_GRID, RidgeFit
 from adaridge.errors import AdaRidgeError, DimensionMismatch, ExactFit
 from adaridge.evidence import _conditional_marginal_core
 from adaridge.model import (
@@ -243,3 +247,28 @@ def fit_reweighted_ridge(data: Dataset, h: Hyper,
     weights = RidgeWeights(omega=cum[idx], eta=h.eta)
     return _finish(data, h, idx, beta[idx], sigma2, a / weights.omega**2,
                    opts.max_iter, False, trace)
+
+
+def ridge_gcv_loop(data: Dataset) -> RidgeFit:
+    """:func:`adaridge.fit_ridge_gcv` with one Python iteration per penalty
+    of ``LAMBDA_GRID``; a strictly smaller score replaces the best, so ties
+    go to the smaller penalty."""
+
+    u, s, vt = np.linalg.svd(data.x, full_matrices=False)
+    uty = u.T @ data.y
+    n = data.n
+    yty = float(data.y @ data.y)
+
+    best = None
+    for lam in LAMBDA_GRID:
+        shrink = s**2 / (s**2 + lam)
+        fitted_norm2 = float(np.sum((shrink * uty) ** 2))
+        cross = float(np.sum(shrink * uty**2))
+        rss = yty - 2.0 * cross + fitted_norm2
+        tr_h = float(np.sum(shrink))
+        score = n * rss / (n - tr_h) ** 2
+        if best is None or score < best[0]:
+            best = (score, lam)
+    score, lam = best
+    beta = vt.T @ ((s / (s**2 + lam)) * uty)
+    return RidgeFit(beta=beta, lam=float(lam), gcv_score=float(score))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import adaridge.baselines as baselines
 from adaridge import Dataset, fit_ols, fit_ridge_gcv, standardize
 from adaridge.errors import RankDeficient
-from conftest import toeplitz_design
+from conftest import same_bits, toeplitz_design
+from oracles import ridge_gcv_loop
 
 
 def ridge_gcv_on_grid(monkeypatch, data, grid):
@@ -83,6 +86,16 @@ class TestRidgeGcv:
         assert rf.lam == pytest.approx(best)
         assert rf.gcv_score == pytest.approx(min(scores), rel=1e-10)
 
+    def test_tie_goes_to_the_smaller_penalty(self, rng, monkeypatch):
+        # a penalty one ulp above 1e-6 vanishes in every s^2 + lambda, so
+        # both score the same
+        x, y = toeplitz_design(40, [1.0, 0.5, 0.0], 1.0, rng)
+        data, _ = standardize(x, y)
+        low, high = 1e-6, np.nextafter(1e-6, 1.0)
+        assert (ridge_gcv_on_grid(monkeypatch, data, [low]).gcv_score
+                == ridge_gcv_on_grid(monkeypatch, data, [high]).gcv_score)
+        assert ridge_gcv_on_grid(monkeypatch, data, [low, high]).lam == low
+
     def test_deterministic(self, rng):
         x, y = toeplitz_design(30, [1.0, 0.5], 1.0, rng)
         data, _ = standardize(x, y)
@@ -90,3 +103,17 @@ class TestRidgeGcv:
         b = fit_ridge_gcv(data)
         assert a.lam == b.lam and a.gcv_score == b.gcv_score
         np.testing.assert_array_equal(a.beta, b.beta)
+
+    @given(n=st.integers(3, 60), p=st.integers(1, 80), seed=st.integers(0, 2**16))
+    def test_one_pass_is_the_loop_bit_for_bit(self, n, p, seed):
+        # p >= n among them, where tr H comes close to n at small penalties
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        y = x[:, :3] @ np.ones(min(p, 3)) + rng.standard_normal(n)
+        data, _ = standardize(x, y)
+        a, b = fit_ridge_gcv(data), ridge_gcv_loop(data)
+        assert a.lam == b.lam
+        assert same_bits(a.beta, b.beta)
+        # the loop squares (n - tr H) with the C library's pow, which can
+        # miss the correctly rounded square by one unit in the last place
+        assert abs(a.gcv_score - b.gcv_score) <= np.spacing(b.gcv_score)

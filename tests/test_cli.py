@@ -171,12 +171,13 @@ class TestFit:
         ["--max-iter", "0"],
         ["--conv-tol", "0"],
         ["--grid", "1", "0"],
+        ["--grid", "0", "0", "1"],
         ["--grid", "-2"],
         ["--evidence", "mc", "--draws", "0"],
         ["--evidence", "mc", "--k", "0"],
         ["--evidence", "mc", "--seed", "-1"],
     ], ids=["eta-minus-one", "eta-text", "max-iter", "conv-tol", "grid-descending",
-            "grid-below-minus-one", "draws", "k", "seed"])
+            "grid-repeated", "grid-below-minus-one", "draws", "k", "seed"])
     def test_bad_option_value_is_an_input_error(self, tmp_path, capsys, rng, option):
         path = tmp_path / "d.csv"
         self.make_single_signal_csv(path, rng)
@@ -285,14 +286,15 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", str(cfg))
         assert code == 2
 
-    def test_bad_jobs_env_exit_code(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_bad_jobs_exit_code(self, tmp_path, capsys, jobs):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("model_id = 3\nn = 50\nsigma = 3\nreplications = 2\n")
-        monkeypatch.setenv("ADARIDGE_JOBS", "abc")
         code, out, err = run_cli(capsys, "experiment", str(cfg), "--out",
-                                 str(tmp_path / "o"))
+                                 str(tmp_path / "o"), "--jobs", jobs)
         assert code == 2
-        assert "ADARIDGE_JOBS" in err and out == ""
+        assert err == f"error: --jobs must be an integer >= 1, got {jobs}\n"
+        assert out == ""
         assert not (tmp_path / "o").exists()
 
     def test_config_checked_before_any_replication(self, tmp_path, capsys):

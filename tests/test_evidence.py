@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -487,13 +488,18 @@ class TestSelectEta:
         assert sel.best_eta == 0.25
         assert len(sel.estimates) == 1
 
-    def test_tie_breaks_to_smaller_eta(self):
-        # duplicated grid value produces identical evidence; the first
-        # (smaller index) entry must win
+    def test_tie_breaks_to_smaller_eta(self, monkeypatch):
+        # every grid point scores the same evidence; the first (smallest)
+        # value must win
         data, _, _ = random_instance(6)
-        sel = select_eta(data, [0.25, 0.25])
+        import adaridge.evidence as ev
+
+        real = ev.laplace_log_evidence
+        monkeypatch.setattr(ev, "laplace_log_evidence", lambda fit, d, h: (
+            dataclasses.replace(real(fit, d, h), log_value=-1.0)))
+        sel = ev.select_eta(data, [0.25, 0.5, 1.0])
         assert sel.best_eta == 0.25
-        assert sel.estimates[0].log_value == sel.estimates[1].log_value
+        assert [est.log_value for est in sel.estimates] == [-1.0] * 3
 
     def test_failed_grid_point_skipped(self, monkeypatch):
         data, _, _ = random_instance(6)
@@ -534,6 +540,7 @@ class TestSelectEta:
         dict(method="mc", draws=0),
         dict(grid=(0.0, math.inf)),
         dict(grid=(-1.2, 0.0)),
+        dict(method="mc", grid=(0.0, 0.0, 0.0, 1.0)),
         dict(method="mc", k="3"),
         dict(grid=(None,)),
         dict(grid=(0.0, "0.5")),
@@ -541,8 +548,8 @@ class TestSelectEta:
         dict(grid=0.5),
         dict(method="gibbs"),
     ], ids=["k-inf", "k-nan", "k-zero", "draws-zero", "grid-inf", "grid-below-minus-one",
-            "k-str", "grid-none", "grid-str", "grid-not-a-sequence", "grid-a-number",
-            "method"])
+            "grid-repeated", "k-str", "grid-none", "grid-str", "grid-not-a-sequence",
+            "grid-a-number", "method"])
     def test_bad_arguments_rejected_before_any_fit(self, kwargs):
         data, _, _ = random_instance(6)
         with pytest.raises(ValueError):

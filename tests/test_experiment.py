@@ -72,6 +72,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(eta_grid=(1.0, 0.0)), "ascending"),
+        (dict(eta_grid=(0.0, 0.0, 1.0)),
+         "^eta_grid must be non-empty and strictly ascending$"),
         (dict(eta_grid=(0.0, float("nan"))), "eta_grid"),
         (dict(model_id=7), "model_id"),
         (dict(sigma=-1.0), "sigma"),
@@ -111,8 +113,8 @@ class TestParseConfig:
         (dict(eta_grid=(0.0, None)), "^eta_grid values must be a finite number > -1, got None$"),
         (dict(replications=0), "^replications must be an integer >= 1, got 0$"),
         (dict(test_size=-1), "^test_size must be an integer >= 1, got -1$"),
-    ], ids=["grid-descending", "grid-nan", "model-id", "sigma", "sigma-infinite",
-            "k-sweep-empty",
+    ], ids=["grid-descending", "grid-repeated", "grid-nan", "model-id", "sigma",
+            "sigma-infinite", "k-sweep-empty",
             "k-sweep-infinite", "k-sweep-zero", "mc-draws", "n-boot", "em-eta",
             "estimator-repeated", "k-repeated", "k-label-repeated",
             "model-id-float", "n-float", "replications-float", "test-size-float",
@@ -304,26 +306,25 @@ class TestRunExperiment:
         assert report.provenance["failures"]
         assert not report.rows  # nothing aggregable
 
-    def test_jobs_env_var(self, monkeypatch):
-        from adaridge.experiment import default_jobs
-
-        monkeypatch.setenv("ADARIDGE_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.delenv("ADARIDGE_JOBS")
-        assert default_jobs() >= 1
-
-    def test_bad_jobs_env_var_names_it(self, monkeypatch):
-        from adaridge.experiment import default_jobs
-
-        monkeypatch.setenv("ADARIDGE_JOBS", "abc")
-        with pytest.raises(ValueError, match="ADARIDGE_JOBS"):
-            default_jobs()
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2"])
+    def test_bad_jobs_rejected_before_any_file(self, tmp_path, jobs):
+        cfg = ExperimentConfig(3, 40, 3.0, 5, test_size=100, eta_grid=(0.0,),
+                               estimators=("ols",), master_seed=6)
+        with pytest.raises(ValueError, match="^jobs must be an integer >= 1"):
+            run_experiment(cfg, tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
 
     def test_workers_capped_at_replications(self, tmp_path):
         cfg = ExperimentConfig(3, 40, 3.0, 2, test_size=100, eta_grid=(0.0,),
                                estimators=("ols",), master_seed=6)
         report = run_experiment(cfg, tmp_path, jobs=8)
         assert report.provenance["environment"]["jobs"] == 2
+
+    def test_default_jobs_is_every_core(self, tmp_path):
+        cfg = ExperimentConfig(3, 40, 3.0, 3, test_size=100, eta_grid=(0.0,),
+                               estimators=("ols",), master_seed=6)
+        report = run_experiment(cfg, tmp_path)
+        assert report.provenance["environment"]["jobs"] == min(os.cpu_count() or 1, 3)
 
     def test_provenance_records_numeric_environment(self, tmp_path):
         cfg = ExperimentConfig(3, 40, 3.0, 1, test_size=100, eta_grid=(0.0,),
