@@ -16,10 +16,12 @@ solvers are held to in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .baselines import fit_ols
+from .errors import ExactFit
 from .model import Dataset, FitOptions, Hyper, _one_blas_thread, _rss
 from .solver import _cycle
 
@@ -83,38 +85,27 @@ def fit_em(
                      iterations=1, converged=True, variant=variant,
                      active=np.ones(p, dtype=bool))
 
-    trace: list[float] = []
-    idx, beta_live, _, iterations, converged = _cycle(
-        data, np.arange(p), data.initial_beta, _em_step(data, h, variant, trace),
-        opts.max_iter, opts.conv_tol, opts.prune_tol)
+    independent = variant == "independent-prior"
+    a = 2.0 * h.eta + (3.0 if independent else 1.0)
+    # c = a S^2 / d, and D_j = c / (g beta_j^2).
+    d, g = (1.0, data.n + 2.0) if independent else (data.n + 2.0, 1.0)
+    idx, beta_live, _, iterations, converged, trace, _ = _cycle(
+        data, np.arange(p), data.initial_beta, partial(_em_step, a, d, g),
+        opts.max_iter, opts.conv_tol, opts.prune_tol,
+        weights=lambda c, vtilde, b: c / (g * b**2), reweight=independent)
     beta = np.zeros(p)
     beta[idx] = beta_live
-    return EmFit(beta=beta, s2_trace=np.asarray(trace), iterations=iterations,
-                 converged=converged, variant=variant,
+    return EmFit(beta=beta, s2_trace=np.array([s2 for s2, _, _ in trace]),
+                 iterations=iterations, converged=converged, variant=variant,
                  active=np.isin(np.arange(p), idx))
 
 
-def _em_step(data: Dataset, h: Hyper, variant: str, trace: list):
-    """EM's step for ``solver._cycle``: append ``S^2`` to ``trace`` and
-    return the prior-variance scales ``1 / D_j``, where the weights of
-    :func:`fit_em` are ``D_j = c / (g beta_j^2)``."""
+def _em_step(a: float, d: float, g: float, s2: float, beta: np.ndarray, w):
+    """EM's step for ``solver._cycle`` at the residual sum ``S^2 = s2``:
+    ``(S^2, c, 1 / D_j)`` for the weights ``D_j = c / (g beta_j^2)`` of
+    :func:`fit_em`, with ``c = a (S^2 / d)``."""
 
-    n, y = data.n, data.y
-    independent = variant == "independent-prior"
-    a = 2.0 * h.eta + (3.0 if independent else 1.0)
-    g = n + 2.0 if independent else 1.0
-
-    def step(x, beta, w, last):
-        if last:
-            return None
-        s2 = _rss(y, x, beta)
-        trace.append(s2)
-        c = a * s2 if independent else a * (s2 / (n + 2.0))
-
-        def weights(vtilde, x_live, b):
-            pruned = independent and b.size < beta.size
-            return (a * _rss(y, x_live, b) if pruned else c) / (g * b**2)
-
-        return g * beta**2 / c, weights
-
-    return step
+    if s2 == 0.0:
+        raise ExactFit("zero residual: the coefficients interpolate y exactly")
+    c = a * (s2 / d)
+    return s2, c, g * beta**2 / c

@@ -39,6 +39,11 @@ Two conventions here are deliberate and documented:
   then acts as the parsimony dial: each retained coordinate dilutes the
   average by roughly ``log(2k / sqrt(2 pi))``.  Adding the estimate's
   ``log_box_volume`` gives the plain integral over the box.
+
+Both methods integrate the mode's basin only.  On a one-coordinate
+instance at n = 60 and eta >= 4, a second basin near ``v_inv = eta /
+EVIDENCE_MU`` outweighs it, by a median of 18 log units at eta 4 and 96
+at eta 8; at eta <= 2, or at n = 400, it adds nothing measurable.
 """
 
 from __future__ import annotations

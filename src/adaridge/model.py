@@ -188,21 +188,21 @@ def _one_blas_thread():
 
 def _check_count(value, name: str, low: int = 1) -> int:
     """``value`` as an ``int``, checked to be an integer >= ``low`` (a
-    size, a draw count, a seed); errors call it ``name``.  The package's
-    one integer rule."""
+    size, a draw count, a seed) and not a ``bool``; errors call it
+    ``name``.  The package's one integer rule."""
 
-    if not isinstance(value, numbers.Integral) or value < low:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
     return int(value)
 
 
 def _check_number(value, name: str, low: float, strict: bool = True) -> float:
     """``value`` as a ``float``, checked to be a finite real number above
-    ``low``, or at least ``low`` when not ``strict``; errors call it
-    ``name``.  The package's one real-number rule."""
+    ``low``, or at least ``low`` when not ``strict``, and not a ``bool``;
+    errors call it ``name``.  The package's one real-number rule."""
 
-    if (not isinstance(value, numbers.Real) or not math.isfinite(value)
-            or not (value > low if strict else value >= low)):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not (value > low if strict else value >= low)):
         bound = f"> {low:g}" if strict else f">= {low:g}"
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
     return float(value)
@@ -475,7 +475,7 @@ class PosteriorState:
         object.__setattr__(self, "active", active)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeFit:
     """Result of a joint-mode fit.
 
@@ -498,7 +498,8 @@ class ModeFit:
 
     Every array of a fit, those of ``state`` and the trace included, is
     read-only: :func:`~adaridge.solver.fit_joint_mode` hands the same fit
-    to every caller that asks for it on one dataset.
+    to every caller that asks for it on one dataset.  A fit equals only
+    itself and hashes by identity, so it can key a memo.
     """
 
     state: PosteriorState

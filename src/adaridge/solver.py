@@ -20,6 +20,8 @@ coordinate survives roughly when its t-statistic exceeds
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .baselines import fit_ols
@@ -140,87 +142,93 @@ def _fit_joint_mode(data: Dataset, h: Hyper, opts: FitOptions) -> ModeFit:
         raise ValueError(f"joint-mode fitting needs eta > -1, got {h.eta}")
     if h.eta <= -0.5:
         return _ols_boundary_fit(data, h)
-    trace: list[tuple] = []
-    idx, beta, v_inv, iters, converged = _cycle(
-        data, np.arange(data.p), data.initial_beta, _joint_step(data, h, trace),
+    idx, beta, v_inv, iters, converged, trace, rss = _cycle(
+        data, np.arange(data.p), data.initial_beta, partial(_joint_step, data.n, h),
         opts.max_iter, opts.conv_tol, opts.prune_tol)
     # A coefficient whose square overflows is left with a zero precision.
     if not (v_inv > 0).all():
         raise NonFiniteInput("the precision update overflows: a coefficient is too large")
-    # The empty model's noise variance is y'y / (n + 2).
-    sigma2 = trace[-1][1] if idx.size else float(data.y @ data.y) / (data.n + 2)
-    return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, trace)
+    # Iteration i's quadratic term is the next one's, taken at the
+    # coefficients it produced; the step at the exit residual gives the
+    # last.  The empty model's noise variance is y'y / (n + 2).
+    if idx.size:
+        sigma2 = trace[-1][1]
+        trace.append(_joint_step(data.n, h, rss, beta, v_inv))
+    else:
+        sigma2 = rss / (data.n + 2)
+    terms = [(quad, s2, w) for (quad, _, _), (_, s2, w) in zip(trace[1:], trace)]
+    return _finish(data, h, idx, beta, sigma2, v_inv, iters, converged, terms)
 
 
-def _joint_step(data: Dataset, h: Hyper, trace: list):
-    """The joint step for :func:`_cycle` under ``h``: append the last
-    iteration's ``(quad, sigma2, v_inv)`` to ``trace`` (see :class:`ModeFit`);
-    unless ``last``, set ``sigma2 = quad / (n + p_live + 2)``, return ``vtilde``."""
+def _joint_step(n: int, h: Hyper, rss: float, beta: np.ndarray, w: np.ndarray):
+    """The joint step for :func:`_cycle` under ``h``: ``(quad, sigma2,
+    vtilde)``, with ``sigma2 = quad / (n + p_live + 2)`` the noise
+    variance's conditional mode and ``vtilde`` the prior variances'; the
+    precisions are ``1 / vtilde``."""
 
-    n, y, mu = data.n, data.y, h.mu
-    a = 1.0 + 2.0 * h.eta
-    sigma2 = None
-
-    def weights(vtilde, x, beta):
-        return 1.0 / vtilde
-
-    def step(x, beta, v_inv, last):
-        nonlocal sigma2
-        r = y - x @ beta
-        quad = float(r @ r + beta @ (v_inv * beta))
-        if sigma2 is not None:
-            trace.append((quad, sigma2, v_inv))
-        if last:
-            return None
-        if quad == 0.0:
-            raise ExactFit("zero residual encountered during fitting")
-        sigma2 = quad / (n + beta.size + 2)
-        return (beta**2 + 2.0 * sigma2 * mu) / (a * sigma2), weights
-
-    return step
+    quad = rss + float(beta @ (w * beta))
+    if quad == 0.0:
+        raise ExactFit("zero residual encountered during fitting")
+    sigma2 = quad / (n + beta.size + 2)
+    return quad, sigma2, (beta**2 + 2.0 * sigma2 * h.mu) / ((1.0 + 2.0 * h.eta) * sigma2)
 
 
 def _cycle(data: Dataset, idx: np.ndarray, beta: np.ndarray, step,
-           max_iter: int, conv_tol: float, prune_tol: float):
+           max_iter: int, conv_tol: float, prune_tol: float, *,
+           weights=lambda scale, vtilde, b: 1.0 / vtilde, reweight: bool = False):
     """The reweighted-ridge loop of both solvers on the coordinates
     ``idx``, from their coefficients ``beta`` and zero weights ``w``.
 
-    Each iteration calls ``step(x, beta, w, False)`` on the live columns,
-    which returns each coordinate's prior variance and a function
-    ``weights(vtilde, x, beta)``.  A coordinate whose prior variance is
+    Each iteration computes the live residual sum ``rss`` once and calls
+    the stateless ``step(rss, beta, w)``, which returns ``(quad, scale,
+    vtilde)``: the iteration's quadratic term and scale, and each
+    coordinate's prior variance.  A coordinate whose prior variance is
     below ``prune_tol`` is dropped for good (``prune_tol = 0`` never
-    prunes); the survivors' ``w`` are their weights, and their next
-    coefficients solve ``(X'X + diag(w)) beta = X'y``.  The loop stops
-    once ``max |d beta| / (1 + |beta|) < conv_tol`` or after ``max_iter``
-    iterations, and calls ``step(x, beta, w, True)``; pruning every
-    coordinate in iteration ``k`` stops at once, as converged after ``k``.
-    Returns ``(idx, beta, w, iterations, converged)``.
+    prunes); with ``reweight`` the scale is then the step's at the
+    survivors' own residual sum.  The survivors' weights are ``w =
+    weights(scale, vtilde, beta)`` (by default ``1 / vtilde``), and their
+    next coefficients solve ``(X'X + diag(w)) beta = X'y``.  The loop
+    stops once ``max |d beta| / (1 + |beta|) < conv_tol`` or after
+    ``max_iter`` iterations; pruning every coordinate in iteration ``k``
+    stops at once, as converged after ``k``.
+
+    Returns ``(idx, beta, w, iterations, converged, trace, rss)``:
+    ``trace`` holds each iteration's ``(quad, scale, w)``, with empty
+    weights in an iteration that prunes every coordinate, and ``rss`` is
+    the residual sum at the final coefficients (``y'y`` for none).
     """
 
     # The data restricted to the live coordinates is re-sliced only when
     # pruning shrinks them.
+    y = data.y
     x, xtx, xty = _live(data, idx)
     w = np.zeros(idx.size)
-    converged = False
-    for it in range(1, max_iter + 1):
-        vtilde, weights = step(x, beta, w, False)
+    trace = []
+    it, converged = 0, False
+    while True:
+        r = y - x @ beta
+        rss = float(r @ r)
+        if converged or it == max_iter:
+            return idx, beta, w, it, converged, trace, rss
+        it += 1
+        quad, scale, vtilde = step(rss, beta, w)
         if prune_tol and (dead := vtilde < prune_tol).any():
             keep = ~dead
             idx, beta, vtilde = idx[keep], beta[keep], vtilde[keep]
             if idx.size == 0:
-                return idx, beta, vtilde, it, True
+                trace.append((quad, scale, vtilde))
+                return idx, beta, vtilde, it, True, trace, float(y @ y)
             # Release the old live arrays first, so no two copies coexist.
             del x, xtx, xty
             x, xtx, xty = _live(data, idx)
-        w = weights(vtilde, x, beta)
+            if reweight:
+                r = y - x @ beta
+                scale = step(float(r @ r), beta, w[keep])[1]
+        w = weights(scale, vtilde, beta)
+        trace.append((quad, scale, w))
         beta_new = _ridge_solve(xtx, w, xty)
-        delta = float((abs(beta_new - beta) / (1.0 + abs(beta))).max())
+        converged = float((abs(beta_new - beta) / (1.0 + abs(beta))).max()) < conv_tol
         beta = beta_new
-        converged = delta < conv_tol
-        if converged:
-            break
-    step(x, beta, w, True)
-    return idx, beta, w, it, converged
 
 
 def _derivatives(beta, s2, v_inv, x, y, xtx, h: Hyper):
@@ -303,9 +311,9 @@ def _newton_polish(x, y, xtx, h: Hyper, beta, sigma2, v_inv):
     at a point where the Schur complement is positive definite.  The
     polish has converged after a full step whose relative coefficient
     change ``max |d beta| / (1 + |beta|)`` is below ``POLISH_CONV_TOL``,
-    and returns ``(beta, sigma2, v_inv, logdet, quad)`` with ``logdet``
-    the negative Hessian's log determinant and ``quad`` the log joint
-    density's quadratic term at that final point.  Returns
+    and returns ``(beta, sigma2, v_inv, logdet, quad)``, arrays read-only,
+    with ``logdet`` the negative Hessian's log determinant and ``quad``
+    the log joint density's quadratic term at that final point.  Returns
     ``None`` when the Schur complement at the start is not positive
     definite, a step cannot be damped, or no step converges within
     ``POLISH_NEWTON_MAX_STEPS``.
@@ -329,7 +337,7 @@ def _newton_polish(x, y, xtx, h: Hyper, beta, sigma2, v_inv):
         delta = float((abs(trial[0] - beta) / (1.0 + abs(beta))).max())
         beta, sigma2, v_inv = trial
         if t == 1.0 and delta < POLISH_CONV_TOL:
-            return (beta, sigma2, v_inv) + step[3:]
+            return (_read_only(beta), sigma2, _read_only(v_inv)) + step[3:]
     return None
 
 
@@ -348,13 +356,13 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
     that fails too, the polish raises ``NonInteriorMode``: every value it
     returns is a converged Newton point.
 
-    The polished values (arrays read-only), or the failure, are memoized
-    on ``data`` by fit and ``h``, so scoring one grid fit again, as the
+    The polished values, or the failure, are memoized on ``data`` by the
+    fit object itself and ``h``, so scoring one grid fit again, as the
     Monte-Carlo k-sweep does, polishes it once; a failed polish raises
     ``NonInteriorMode`` again, with the same message, on every call.
     """
 
-    key = (id(fit), h)
+    key = (fit, h)
     hit = data._memo.get(key)
     if hit is None:
         state = fit.state
@@ -365,19 +373,13 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
         if polished is None:
             # A prune tolerance of 0 turns pruning off, so the vectors keep
             # their length.
-            trace = []
-            _, beta, v_inv, _, _ = _cycle(data, idx, beta, _joint_step(data, h, trace),
-                                          POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
+            _, beta, v_inv, _, _, trace, _ = _cycle(
+                data, idx, beta, partial(_joint_step, data.n, h),
+                POLISH_MAX_ITER, POLISH_CONV_TOL, 0.0)
             polished = _newton_polish(x, data.y, xtx, h, beta, trace[-1][1], v_inv)
-        # The entry keeps the fit alive, so its id cannot be reused while
-        # the entry exists; a failed polish is kept as ``(fit, None)``.
-        if polished is None:
-            hit = data._memo[key] = (fit, None)
-        else:
-            beta, sigma2, v_inv, logdet, quad = polished
-            hit = data._memo[key] = (fit, _read_only(beta), sigma2,
-                                     _read_only(v_inv), logdet, quad)
-    if hit[1] is None:
+        # A failed polish is kept as ``()``.
+        hit = data._memo[key] = polished or ()
+    if not hit:
         raise NonInteriorMode(
             "Newton finds no joint mode from the fit or from the cycle")
-    return hit[1:]
+    return hit

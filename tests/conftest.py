@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,11 +94,10 @@ def joint_cycle(data: Dataset, h: Hyper, idx, beta, max_iter, conv_tol, prune_to
     and the polish's warm start take it, and ``exit_sigma2`` the noise
     variance's conditional mode at the final coefficients."""
 
-    trace = []
-    idx, beta, v_inv, iters, converged = _cycle(
+    idx, beta, v_inv, iters, converged, trace, rss = _cycle(
         data, np.asarray(idx), np.asarray(beta, dtype=float),
-        _joint_step(data, h, trace), max_iter, conv_tol, prune_tol)
-    exit_sigma2 = trace[-1][0] / (data.n + idx.size + 2)
+        partial(_joint_step, data.n, h), max_iter, conv_tol, prune_tol)
+    exit_sigma2 = _joint_step(data.n, h, rss, beta, v_inv)[1]
     return idx, beta, trace[-1][1], v_inv, exit_sigma2, iters, converged
 
 

@@ -23,13 +23,15 @@ GRIDS = st.one_of(
     st.lists(ETAS, max_size=3))
 KS = st.one_of(st.floats(0.0, 2000.0, exclude_min=True),
                st.sampled_from([0.0, -0.0, -3.0, math.nan, math.inf, -math.inf,
-                                "3"]))
-# draw counts: small integers, numpy's among them, and non-integers
+                                "3", True]))
+# draw counts: small integers, numpy's among them, and non-integers, True
+# among them
 DRAWS = st.one_of(st.integers(0, 3),
-                  st.sampled_from([np.int64(2), 2.5, 1.0, math.nan, "2"]))
-# seeds: integers either side of 0, numpy's among them, and non-integers
+                  st.sampled_from([np.int64(2), 2.5, 1.0, math.nan, "2", True]))
+# seeds: integers either side of 0, numpy's among them, and non-integers,
+# True among them
 SEEDS = st.one_of(st.integers(-3, 3),
-                  st.sampled_from([np.int64(5), np.int64(-1), 1.0, 2.5]))
+                  st.sampled_from([np.int64(5), np.int64(-1), 1.0, 2.5, True]))
 # select_eta's names, then the config key and the fit flag for each
 NAMES = {"grid": ("eta_grid", "--grid"), "k": ("k_sweep", "--k"),
          "draws": ("mc_draws", "--draws"), "seed": ("master_seed", "--seed")}
@@ -67,6 +69,8 @@ def test_one_rule_for_every_entry_point(grid, method, k, draws, seed):
     args.seed = seed
     by_cli = rejection(lambda: _fit_settings(args), _ParseError)
 
+    if any(value is True for value in (k, draws, seed)):
+        assert by_library is not None   # a bool is not a number
     if by_library is None:
         assert by_config is None and by_cli is None
     else:

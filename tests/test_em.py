@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -115,6 +117,17 @@ class TestFitEm:
         emf = fit_em(data, Hyper(-1.0))
         assert emf.beta[1] == 0.0
         assert not emf.active[1]
+
+    def test_a_zero_start_coefficient_is_pruned_without_a_warning(self):
+        # the coordinate is pruned before any weight divides by its square
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        data = Dataset(x, np.array([3.0, 0.0, 1.0, -1.0]))
+        assert data.initial_beta[1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fits = [fit_em(data, Hyper(0.0), variant=variant) for variant in VARIANTS]
+            fits.append(fit_joint_mode(data, Hyper(0.0)).state)
+        assert [(f.beta[1], f.active[1]) for f in fits] == [(0.0, False)] * 3
 
     def test_matches_joint_mode_at_shifted_eta(self):
         # marginal mode at eta = -1 coincides with the joint mode at

@@ -306,7 +306,7 @@ class TestRunExperiment:
         assert report.provenance["failures"]
         assert not report.rows  # nothing aggregable
 
-    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2"])
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2", True])
     def test_bad_jobs_rejected_before_any_file(self, tmp_path, jobs):
         cfg = ExperimentConfig(3, 40, 3.0, 5, test_size=100, eta_grid=(0.0,),
                                estimators=("ols",), master_seed=6)

@@ -73,10 +73,12 @@ def test_every_public_default_is_passed_somewhere():
 
 def test_sources_parse_as_python_3_10():
     # The oldest interpreter the package supports; syntax newer than it
-    # fails here on any newer interpreter.
-    src = Path(adaridge.__file__).parent
-    paths = sorted(src.glob("*.py"))
-    assert paths
+    # fails here on any newer interpreter.  The tests and tools run on it too.
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for folder in (Path(adaridge.__file__).parent, root / "tests",
+                                 root / "tools")
+             for path in sorted(folder.glob("*.py"))]
+    assert {path.parent.name for path in paths} == {"adaridge", "tests", "tools"}
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
@@ -183,6 +185,21 @@ def _fresh_python(code: str) -> str:
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
+
+
+def test_fit_fingerprint_repeats_itself():
+    # tools/fit_fingerprint.py checks a change for bit-identical fits, so
+    # one tree must print the same count and digest on every run
+    tool = Path(__file__).resolve().parents[1] / "tools" / "fit_fingerprint.py"
+    outputs = []
+    for _ in range(2):
+        out = subprocess.run([sys.executable, str(tool), "--seeds", "1"],
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout.split())
+    assert outputs[0] == outputs[1]
+    fits, _, _, digest = outputs[0]
+    assert fits == "228" and re.fullmatch("[0-9a-f]{64}", digest)
 
 
 def test_importing_the_package_imports_no_scipy_linalg():

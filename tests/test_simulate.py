@@ -64,6 +64,7 @@ class TestDrawDataset:
         (-1, "^seed must be an integer >= 0, got -1$"),
         (np.int64(-3), "^seed must be an integer >= 0, got -3$"),
         (2.0, "^seed must be an integer >= 0, got 2.0$"),
+        (True, "^seed must be an integer >= 0, got True$"),
     ])
     def test_bad_seed_rejected_by_the_spec(self, seed, message):
         with pytest.raises(ValueError, match=message):
@@ -74,7 +75,8 @@ class TestDrawDataset:
         ("3", "^model_id must be an integer >= 0, got 3$"),
         (-1, "^model_id must be an integer >= 0, got -1$"),
         (np.int64(4), r"^model_id must be one of \[0, 1, 2, 3\]$"),
-    ], ids=["float", "str", "negative", "unknown"])
+        (True, "^model_id must be an integer >= 0, got True$"),
+    ], ids=["float", "str", "negative", "unknown", "bool"])
     def test_bad_model_id_rejected_by_the_spec(self, model_id, message):
         with pytest.raises(ValueError, match=message):
             DgpSpec(model_id, 20, 3.0, seed=1)
@@ -84,12 +86,13 @@ class TestDrawDataset:
         (40.0, "^n must be an integer >= 1, got 40.0$"),
         (0, "^n must be an integer >= 1, got 0$"),
         (np.int64(-2), "^n must be an integer >= 1, got -2$"),
+        (True, "^n must be an integer >= 1, got True$"),
     ])
     def test_bad_size_rejected_by_the_spec(self, n, message):
         with pytest.raises(ValueError, match=message):
             DgpSpec(3, n, 3.0, seed=0)
 
-    @pytest.mark.parametrize("sigma", ["1", None, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("sigma", ["1", None, -1.0, np.inf, np.nan, True])
     def test_bad_sigma_rejected_by_the_spec(self, sigma):
         with pytest.raises(ValueError, match="^sigma must be a finite number >= 0, got "):
             DgpSpec(3, 20, sigma, seed=0)
@@ -118,6 +121,7 @@ class TestDrawTestSet:
         (10.5, "^m must be an integer >= 1, got 10.5$"),
         (0, "^m must be an integer >= 1, got 0$"),
         (np.int32(-1), "^m must be an integer >= 1, got -1$"),
+        (True, "^m must be an integer >= 1, got True$"),
     ])
     def test_bad_size_rejected(self, m, message):
         spec = DgpSpec(3, 20, 3.0, seed=1)
