@@ -19,8 +19,8 @@ from .errors import AdaRidgeError, DimensionMismatch, NonFiniteInput, ZeroNormCo
 from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K,
+    EVIDENCE_METHODS,
     _check_grid,
-    _score,
     select_eta,
 )
 from .experiment import ExperimentFailure, parse_config, run_experiment
@@ -137,9 +137,10 @@ def cmd_fit(args) -> int:
             fit = fit_joint_mode(data, Hyper(eta), opts)
             out["eta"] = eta
             if args.evidence_value:
-                est = _score(fit, data, eta, args.evidence, args.k, args.draws,
-                             args.seed)
-                out["log_evidence"] = est.log_value
+                # the one-point grid's value; its fit is the memoized one above
+                sel = select_eta(data, [eta], args.evidence, opts,
+                                 k=args.k, draws=args.draws, seed=args.seed)
+                out["log_evidence"] = sel.estimates[0].log_value
         state = fit.state
         out.update({
             "coefficients": list(destandardize_beta(state.beta, std)),
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--eta", default="eb",
                        help="shrinkage level, or 'eb' to select it by "
                             "empirical Bayes (default)")
-    p_fit.add_argument("--evidence", choices=["laplace", "mc"], default="laplace")
+    p_fit.add_argument("--evidence", choices=EVIDENCE_METHODS, default="laplace")
     p_fit.add_argument("--evidence-value", action="store_true",
                        help="also report the log evidence of a fixed-eta fit")
     p_fit.add_argument("--k", type=float, default=DEFAULT_K, help="MC box width")

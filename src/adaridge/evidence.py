@@ -94,6 +94,10 @@ DEFAULT_ETA_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0
 DEFAULT_K_SWEEP = (3.0, 10.0, 100.0, 1000.0)
 DEFAULT_K = 1000.0
 
+EVIDENCE_METHODS = ("laplace", "mc")
+# An evidence value must beat the best so far by this to replace it.
+EVIDENCE_TIE = 1e-12
+
 @dataclass(frozen=True)
 class EvidenceEstimate:
     """One log-evidence value with its method tag; Monte-Carlo estimates
@@ -129,12 +133,6 @@ class EbSelection:
     estimates: tuple[EvidenceEstimate | None, ...]
     best_eta: float
     refit: ModeFit
-
-
-def _null_model_log_marginal(data: Dataset) -> float:
-    yty = float(data.y @ data.y)
-    n = data.n
-    return math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi) - (n / 2.0) * math.log(yty)
 
 
 def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstimate:
@@ -242,23 +240,29 @@ def mc_log_evidence(
     module docstring).  The estimate is the box average in log space with
     a delta-method standard error; adding the reported ``log_box_volume``
     gives the integral itself.  The draws are those of
-    ``default_rng(seed).uniform(lo, hi, (draws, p))``, bit for bit.
+    ``default_rng(seed).uniform(lo, hi, (draws, p))``, bit for bit; ``seed``
+    is an integer >= 0 or a list of them, as ``select_eta`` passes.
 
     An empty reduced model has nothing to integrate: the exact closed
     form is returned with zero standard error.  A ``k`` that is not a
-    finite real number > 0, or ``draws`` not an integer >= 1, raises
-    ``ValueError``.
+    finite real number > 0, ``draws`` not an integer >= 1, or a seed not
+    an integer >= 0 raises ``ValueError``.
     """
 
     k = _check_number(k, "k", 0.0)
     draws = _check_count(draws, "draws")
+    for s in seed if isinstance(seed, (list, tuple)) else [seed]:
+        _check_count(s, "seed", 0)
     state = fit.state
     p_active = int(state.active.sum())
     n = data.n
+    yty = float(data.y @ data.y)
 
     if p_active == 0:
+        value = (math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi)
+                 - (n / 2.0) * math.log(yty))
         return EvidenceEstimate(
-            log_value=_null_model_log_marginal(data), method="hypercube-mc",
+            log_value=value, method="hypercube-mc",
             k=k, mc_draws=draws, mc_se=0.0, log_box_volume=0.0,
         )
     if h.eta <= -0.5:
@@ -275,7 +279,6 @@ def mc_log_evidence(
     # Generator.uniform(lo, hi, (draws, p)) computes exactly this.
     u = lo + width * np.random.default_rng(seed).random((draws, p_active))
     _, xtx, xty = _live(data, np.flatnonzero(state.active))
-    yty = float(data.y @ data.y)
 
     # A draw with a zero precision (possible only where lo is 0) has zero
     # prior density; when there is none, the draws are scored uncopied.
@@ -321,16 +324,6 @@ def _check_grid(grid, name: str = "grid") -> tuple[float, ...]:
     return grid
 
 
-def _score(fit, data, eta, method, k, draws, seed) -> EvidenceEstimate:
-    """Evidence of ``fit`` under ``Hyper(eta, mu=EVIDENCE_MU)`` by ``method``,
-    ``"laplace"`` or ``"mc"`` (which alone reads ``k``, ``draws``, ``seed``)."""
-
-    h = Hyper(eta, mu=EVIDENCE_MU)
-    if method == "laplace":
-        return laplace_log_evidence(fit, data, h)
-    return mc_log_evidence(fit, data, h, k=k, draws=draws, seed=seed)
-
-
 @_one_blas_thread()
 def select_eta(
     data: Dataset,
@@ -352,14 +345,14 @@ def select_eta(
     points may fail (solver or evidence errors); the selection fails only
     if every point does, with a message that names each point's error.
     Data whose ``X'X`` or ``X'y`` overflows raise ``NonFiniteInput``.
-    Monte-Carlo scoring draws from a per-point stream derived from
-    ``(seed, grid index, k)`` so results do not depend on evaluation order.
+    Monte-Carlo draws for grid point ``gi`` come from ``default_rng([seed,
+    gi, round(k)])``: they depend on its grid position, not on evaluation order.
     The whole selection runs its BLAS on one thread (see
     ``model._one_blas_thread``).
     """
 
     grid = _check_grid(grid)
-    if method not in ("laplace", "mc"):
+    if method not in EVIDENCE_METHODS:
         raise ValueError(f"unknown evidence method {method!r}")
     k = _check_number(DEFAULT_K if k is None else k, "k", 0.0)
     draws = _check_count(draws, "draws")
@@ -371,8 +364,12 @@ def select_eta(
     for gi, eta in enumerate(grid):
         try:
             fit = fit_joint_mode(data, Hyper(eta), opts)
-            est = _score(fit, data, eta, method, k, draws,
-                         [seed, gi, round(k)])
+            h = Hyper(eta, mu=EVIDENCE_MU)
+            if method == "laplace":
+                est = laplace_log_evidence(fit, data, h)
+            else:
+                est = mc_log_evidence(fit, data, h, k=k, draws=draws,
+                                      seed=[seed, gi, round(k)])
         except NonFiniteInput:
             raise  # the data, not this grid point, are at fault
         except AdaRidgeError as exc:
@@ -380,7 +377,7 @@ def select_eta(
             estimates.append(None)
             continue
         estimates.append(est)
-        if best is None or est.log_value > estimates[best[0]].log_value + 1e-12:
+        if best is None or est.log_value > estimates[best[0]].log_value + EVIDENCE_TIE:
             best = gi, fit
     if best is None:
         raise NonFiniteEvidence(

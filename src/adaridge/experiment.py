@@ -34,6 +34,8 @@ from .errors import AdaRidgeError
 from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K_SWEEP,
+    EVIDENCE_METHODS,
+    EVIDENCE_TIE,
     _check_grid,
     select_eta,
 )
@@ -59,14 +61,11 @@ from .solver import fit_joint_mode
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
-    "ReportRow",
     "parse_config",
     "run_experiment",
-    "ExperimentFailure",
 ]
 
 ESTIMATORS = ("aris-eb", "aris-eta0", "ols", "ridge-gcv", "em", "aris-path")
-EVIDENCE_METHODS = ("laplace", "mc")
 
 
 class ExperimentFailure(AdaRidgeError):
@@ -245,10 +244,9 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
                     rec = scored(f"aris-eb-k{kk:g}", sel.refit.state.beta,
                                  sel.refit.state.active, f"eta={sel.best_eta:g}")
                     records.append(rec)
-                    idx = sel.grid.index(sel.best_eta)
-                    est = sel.estimates[idx]
+                    est = sel.estimates[sel.grid.index(sel.best_eta)]
                     total = est.log_value + est.log_box_volume
-                    if best is None or total > best[0] + 1e-12:
+                    if best is None or total > best[0] + EVIDENCE_TIE:
                         best = (total, kk, sel, rec)
                 _, kk, sel, rec = best
                 records.append({**rec, "estimator": "aris-eb-best",

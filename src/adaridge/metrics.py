@@ -61,13 +61,13 @@ def path_contains_truth(fits_over_grid, support_true) -> bool:
 
 def median_and_bootstrap_se(values, n_boot: int = 500, seed: int = 0) -> tuple[float, float]:
     """Sample median (mean of the middle two for even counts) and the
-    standard deviation of ``n_boot`` bootstrap medians."""
+    standard deviation of ``n_boot`` bootstrap medians of ``default_rng(seed)``."""
 
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise EmptyInput("no values to summarize")
     _check_count(n_boot, "n_boot", 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
     idx = rng.integers(0, vals.size, size=(n_boot, vals.size))
     boot_medians = np.median(vals[idx], axis=1)
     return float(np.median(vals)), float(np.std(boot_medians, ddof=1))

@@ -68,6 +68,7 @@ class TruthRecord:
 def make_covariance(model_id: int) -> np.ndarray:
     """Predictor correlation matrix for the given design."""
 
+    model_id = _check_count(model_id, "model_id", 0)
     if model_id == 0:
         c = np.eye(4)
         for i in range(3):

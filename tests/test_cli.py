@@ -189,13 +189,7 @@ class TestFit:
         args = build_parser().parse_args(["fit", "d.csv"])
         assert FitOptions(args.max_iter, args.conv_tol, args.prune_tol) == FitOptions()
 
-    @pytest.mark.parametrize("method, extra", [
-        ("laplace", []),
-        ("mc", ["--k", "10", "--draws", "200", "--seed", "3"]),
-    ])
-    def test_evidence_value_is_the_library_value(self, tmp_path, capsys, rng,
-                                                 method, extra):
-        path = tmp_path / "d.csv"
+    def make_three_predictor_csv(self, path, rng):
         x = rng.standard_normal((50, 3))
         y = x @ np.array([3.0, 0.0, 1.0]) + rng.standard_normal(50)
         rows = ["x1,x2,x3,y"] + [
@@ -203,6 +197,15 @@ class TestFit:
             for xi, yi in zip(x, y)
         ]
         path.write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("method, extra", [
+        ("laplace", []),
+        ("mc", ["--k", "10", "--draws", "200", "--seed", "3"]),
+    ])
+    def test_evidence_value_is_the_library_value(self, tmp_path, capsys, rng,
+                                                 method, extra):
+        path = tmp_path / "d.csv"
+        self.make_three_predictor_csv(path, rng)
         code, out, _ = run_cli(capsys, "fit", str(path), "--eta", "0.5",
                                "--evidence", method, "--evidence-value", *extra)
         assert code == 0
@@ -213,8 +216,23 @@ class TestFit:
         if method == "laplace":
             expected = laplace_log_evidence(fit, data, h)
         else:
-            expected = mc_log_evidence(fit, data, h, k=10.0, draws=200, seed=3)
+            # the one-point grid's value, drawn from that grid's stream
+            expected = mc_log_evidence(fit, data, h, k=10.0, draws=200,
+                                       seed=[3, 0, 10])
         assert json.loads(out)["log_evidence"] == expected.log_value
+
+    def test_evidence_value_is_the_one_point_grid_value(self, tmp_path, capsys,
+                                                        rng):
+        path = tmp_path / "d.csv"
+        self.make_three_predictor_csv(path, rng)
+        mc = ["--evidence", "mc", "--k", "10", "--draws", "200", "--seed", "3"]
+        code, fixed, _ = run_cli(capsys, "fit", str(path), "--eta", "1",
+                                 "--evidence-value", *mc)
+        assert code == 0
+        code, listed, _ = run_cli(capsys, "fit", str(path), "--grid", "1", *mc)
+        assert code == 0
+        (point,) = json.loads(listed)["evidence"]
+        assert json.loads(fixed)["log_evidence"] == point["log_evidence"]
 
     def test_evidence_value_at_the_boundary_is_a_solver_error(self, tmp_path,
                                                               capsys, rng):

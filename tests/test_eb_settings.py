@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import adaridge.evidence as ev
@@ -53,6 +53,11 @@ def rejection(call, error=ValueError) -> str | None:
 
 @given(grid=GRIDS, method=st.sampled_from(["laplace", "mc"]),
        k=KS, draws=DRAWS, seed=SEEDS)
+# a bool in one setting, every other setting valid: each rule alone must
+# reject it
+@example(grid=[0.5], method="mc", k=True, draws=2, seed=0)
+@example(grid=[0.5], method="mc", k=10.0, draws=True, seed=0)
+@example(grid=[0.5], method="mc", k=10.0, draws=2, seed=True)
 def test_one_rule_for_every_entry_point(grid, method, k, draws, seed):
     data = standardize(_X, _Y)[0]
     by_library = rejection(lambda: select_eta(data, grid, method, k=k, draws=draws,

@@ -381,6 +381,20 @@ class TestMonteCarloEvidence:
             mc_log_evidence(fit, data, Hyper(0.5, mu=EVIDENCE_MU), k=1e-20,
                             draws=10, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, True, 2.5, -1, "3", [0, True, 10],
+                                      [0, -1, 10]],
+                             ids=["none", "bool", "float", "negative", "str",
+                                  "bool-in-list", "negative-in-list"])
+    @pytest.mark.parametrize("eta, live", [(0.5, True), (32.0, False)],
+                             ids=["live", "empty"])
+    def test_bad_seed_rejected(self, seed, eta, live):
+        data, _ = single_predictor_instance(3)
+        fit = fit_joint_mode(data, Hyper(eta))
+        assert fit.state.active.any() == live
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            mc_log_evidence(fit, data, Hyper(eta, mu=EVIDENCE_MU), k=10.0,
+                            draws=10, seed=seed)
+
     @pytest.mark.parametrize("k", [0.5, 1000.0])
     @pytest.mark.parametrize("seed", range(4))
     def test_draws_are_generator_uniform(self, monkeypatch, seed, k):

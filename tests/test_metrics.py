@@ -114,6 +114,12 @@ class TestMedianBootstrap:
         with pytest.raises(EmptyInput):
             median_and_bootstrap_se([], seed=0)
 
+    @pytest.mark.parametrize("seed", [None, True, 2.5, -1, "7"])
+    def test_bad_seed_rejected(self, seed):
+        # None would draw fresh OS entropy, so no two calls would agree
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            median_and_bootstrap_se([1.0, 2.0, 3.0, 4.0], n_boot=10, seed=seed)
+
     @pytest.mark.parametrize("n_boot", [1, 2.5, 2.0, "500", None])
     def test_bad_n_boot_rejected(self, n_boot):
         with pytest.raises(ValueError, match="^n_boot must be an integer >= 2, got "):

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +18,17 @@ from adaridge import model
 def test_every_exported_name_resolves():
     missing = [name for name in adaridge.__all__ if not hasattr(adaridge, name)]
     assert missing == []
+
+
+def test_the_exports_are_the_modules_exports():
+    # each public name is declared once, in its module's __all__, and the
+    # package republishes exactly those
+    declared = ["__version__", "AdaRidgeError"]
+    for info in pkgutil.iter_modules(adaridge.__path__):
+        module = importlib.import_module(f"adaridge.{info.name}")
+        declared += getattr(module, "__all__", [])
+    assert len(set(adaridge.__all__)) == len(adaridge.__all__)
+    assert sorted(adaridge.__all__) == sorted(declared)
 
 
 def test_every_error_class_is_raised():

@@ -34,6 +34,16 @@ class TestMakeCovariance:
         with pytest.raises(ValueError):
             make_covariance(9)
 
+    @pytest.mark.parametrize("model_id, message", [
+        (True, "^model_id must be an integer >= 0, got True$"),
+        (3.0, "^model_id must be an integer >= 0, got 3.0$"),
+        (-1, "^model_id must be an integer >= 0, got -1$"),
+        (np.int64(4), "^unknown model_id 4$"),
+    ], ids=["bool", "float", "negative", "unknown"])
+    def test_bad_model_id_rejected(self, model_id, message):
+        with pytest.raises(ValueError, match=message):
+            make_covariance(model_id)
+
 
 class TestDrawDataset:
     def test_noiseless_recovery(self):

@@ -468,7 +468,7 @@ class TestFitMemo:
 # Each in-process fit entry point, a function inside its pin to probe, and
 # the error the entry point raises on a constant response.
 PINNED_ENTRIES = {
-    "select_eta": (evidence_module, "_score",
+    "select_eta": (evidence_module, "laplace_log_evidence",
                    lambda d: select_eta(d, (0.0, 1.0)), NonFiniteEvidence),
     "fit_joint_mode": (solver_module, "_fit_joint_mode",
                        lambda d: fit_joint_mode(d, Hyper(0.5)), ExactFit),
