@@ -95,8 +95,7 @@ DEFAULT_K_SWEEP = (3.0, 10.0, 100.0, 1000.0)
 DEFAULT_K = 1000.0
 
 EVIDENCE_METHODS = ("laplace", "mc")
-# An evidence value must beat the best so far by this to replace it.
-EVIDENCE_TIE = 1e-12
+EVIDENCE_TIE = 1e-12  # a value must beat the best so far by this to replace it
 
 @dataclass(frozen=True)
 class EvidenceEstimate:
@@ -324,17 +323,9 @@ def _check_grid(grid, name: str = "grid") -> tuple[float, ...]:
     return grid
 
 
-@_one_blas_thread()
-def select_eta(
-    data: Dataset,
-    grid=DEFAULT_ETA_GRID,
-    method: str = "laplace",
-    opts: FitOptions = FitOptions(),
-    *,
-    k: float | None = None,
-    draws: int = 1000,
-    seed: int = 0,
-) -> EbSelection:
+def select_eta(data: Dataset, grid=DEFAULT_ETA_GRID, method: str = "laplace",
+               opts: FitOptions = FitOptions(), *, k: float | None = None,
+               draws: int = 1000, seed: int = 0) -> EbSelection:
     """Empirical-Bayes choice of the shrinkage level: fit the joint mode
     at every grid value, score each fit with the chosen evidence method
     (``"laplace"`` or ``"mc"``) under ``Hyper(eta, mu=EVIDENCE_MU)``, and
@@ -346,45 +337,68 @@ def select_eta(
     if every point does, with a message that names each point's error.
     Data whose ``X'X`` or ``X'y`` overflows raise ``NonFiniteInput``.
     Monte-Carlo draws for grid point ``gi`` come from ``default_rng([seed,
-    gi, round(k)])``: they depend on its grid position, not on evaluation order.
-    The whole selection runs its BLAS on one thread (see
-    ``model._one_blas_thread``).
+    gi, round(k)])``: they depend on its grid position, not on evaluation
+    order.  The whole selection runs its BLAS on one thread (see
+    ``model._one_blas_thread``); it is the one-width case of ``_select_sweep``.
     """
+
+    k = DEFAULT_K if k is None else k
+    return _select_sweep(data, grid, method, opts, [k], draws, seed)[0][0]
+
+
+def _argmax(values) -> int | None:
+    """Index of the largest value that is not ``None`` (``None`` if there
+    is none); a tie within ``EVIDENCE_TIE`` goes to the earlier index."""
+
+    best = None
+    for i, value in enumerate(values):
+        if value is not None and (best is None or value > values[best] + EVIDENCE_TIE):
+            best = i
+    return best
+
+
+@_one_blas_thread()
+def _select_sweep(data, grid, method, opts, ks, draws, seed):
+    """``select_eta`` at each box width in ``ks`` in one pass over the
+    grid, fitting each point once; a failed fit fails it at every width.
+    Returns one ``EbSelection`` per width and the index of the width whose
+    winner has the largest integral, ``log_value + log_box_volume`` (a
+    Laplace value is one already): the experiment's ``aris-eb-best``."""
 
     grid = _check_grid(grid)
     if method not in EVIDENCE_METHODS:
         raise ValueError(f"unknown evidence method {method!r}")
-    k = _check_number(DEFAULT_K if k is None else k, "k", 0.0)
+    ks = [_check_number(k, "k", 0.0) for k in ks]
     draws = _check_count(draws, "draws")
     seed = _check_count(seed, "seed", 0)
 
-    estimates: list[EvidenceEstimate | None] = []
-    best = None
-    errors: list[str] = []
+    fits, estimates, errors = [], [[] for _ in ks], [[] for _ in ks]
     for gi, eta in enumerate(grid):
         try:
             fit = fit_joint_mode(data, Hyper(eta), opts)
             h = Hyper(eta, mu=EVIDENCE_MU)
-            if method == "laplace":
-                est = laplace_log_evidence(fit, data, h)
-            else:
-                est = mc_log_evidence(fit, data, h, k=k, draws=draws,
-                                      seed=[seed, gi, round(k)])
         except NonFiniteInput:
             raise  # the data, not this grid point, are at fault
         except AdaRidgeError as exc:
-            errors.append(f"eta={eta:g}: {type(exc).__name__}: {exc}")
-            estimates.append(None)
-            continue
-        estimates.append(est)
-        if best is None or est.log_value > estimates[best[0]].log_value + EVIDENCE_TIE:
-            best = gi, fit
-    if best is None:
-        raise NonFiniteEvidence(
-            "every grid point failed; " + "; ".join(errors))
-    return EbSelection(
-        grid=grid,
-        estimates=tuple(estimates),
-        best_eta=grid[best[0]],
-        refit=best[1],
-    )
+            fit = exc  # raised again at every width
+        fits.append(fit)
+        for w, k in enumerate(ks):
+            try:
+                if isinstance(fit, AdaRidgeError):
+                    raise fit
+                est = (laplace_log_evidence(fit, data, h) if method == "laplace"
+                       else mc_log_evidence(fit, data, h, k=k, draws=draws,
+                                            seed=[seed, gi, round(k)]))
+            except AdaRidgeError as exc:
+                errors[w].append(f"eta={eta:g}: {type(exc).__name__}: {exc}")
+                est = None
+            estimates[w].append(est)
+
+    selections, integrals = [], []
+    for ests, errs in zip(estimates, errors):
+        gi = _argmax([None if est is None else est.log_value for est in ests])
+        if gi is None:
+            raise NonFiniteEvidence("every grid point failed; " + "; ".join(errs))
+        selections.append(EbSelection(grid, tuple(ests), grid[gi], fits[gi]))
+        integrals.append(ests[gi].log_value + (ests[gi].log_box_volume or 0.0))
+    return tuple(selections), _argmax(integrals)

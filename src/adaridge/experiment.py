@@ -35,8 +35,8 @@ from .evidence import (
     DEFAULT_ETA_GRID,
     DEFAULT_K_SWEEP,
     EVIDENCE_METHODS,
-    EVIDENCE_TIE,
     _check_grid,
+    _select_sweep,
     select_eta,
 )
 from .metrics import (
@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 ESTIMATORS = ("aris-eb", "aris-eta0", "ols", "ridge-gcv", "em", "aris-path")
+# The report row of Monte-Carlo aris-eb at one box width k.
+_EB_ROW = "aris-eb-k{:g}"
 
 
 class ExperimentFailure(AdaRidgeError):
@@ -194,8 +196,9 @@ def _record(rep: int, name: str, detail: str, mse=None, c_count=None,
 def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
     """Fit every configured estimator on replication ``rep`` and score it.
 
-    Returns one record per report row (the Monte-Carlo sweep produces one
-    row per box width plus a best-by-evidence row).
+    Returns one record per report row.  Monte-Carlo ``aris-eb`` is one
+    ``evidence._select_sweep`` over ``k_sweep``: a row per box width, and
+    ``aris-eb-best``, a copy of the row of the width the sweep picks.
     """
 
     spec = DgpSpec(config.model_id, config.n, config.sigma,
@@ -227,30 +230,18 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
             emf = fit_em(data, Hyper(config.em_eta), opts, config.em_variant)
             records.append(scored("em", emf.beta, emf.active,
                                   f"eta={config.em_eta:g};{config.em_variant}"))
+        elif name == "aris-eb" and config.evidence_method == "laplace":
+            sel = select_eta(data, config.eta_grid, "laplace", opts)
+            records.append(scored("aris-eb", sel.refit.state.beta,
+                                  sel.refit.state.active, f"eta={sel.best_eta:g}"))
         elif name == "aris-eb":
-            if config.evidence_method == "laplace":
-                sel = select_eta(data, config.eta_grid, "laplace", opts)
-                records.append(scored("aris-eb", sel.refit.state.beta,
-                                      sel.refit.state.active,
-                                      f"eta={sel.best_eta:g}"))
-            else:
-                best = None
-                for kk in config.k_sweep:
-                    sel = select_eta(
-                        data, config.eta_grid, "mc", opts, k=kk,
-                        draws=config.mc_draws,
-                        seed=_derive_seed(config.master_seed, rep, 2),
-                    )
-                    rec = scored(f"aris-eb-k{kk:g}", sel.refit.state.beta,
-                                 sel.refit.state.active, f"eta={sel.best_eta:g}")
-                    records.append(rec)
-                    est = sel.estimates[sel.grid.index(sel.best_eta)]
-                    total = est.log_value + est.log_box_volume
-                    if best is None or total > best[0] + EVIDENCE_TIE:
-                        best = (total, kk, sel, rec)
-                _, kk, sel, rec = best
-                records.append({**rec, "estimator": "aris-eb-best",
-                                "detail": f"k={kk:g};eta={sel.best_eta:g}"})
+            ks = config.k_sweep
+            sels, top = _select_sweep(data, config.eta_grid, "mc", opts, ks, config.mc_draws,
+                                      _derive_seed(config.master_seed, rep, 2))
+            rows = [scored(_EB_ROW.format(k), sel.refit.state.beta, sel.refit.state.active,
+                           f"eta={sel.best_eta:g}") for k, sel in zip(ks, sels)]
+            records += rows + [{**rows[top], "estimator": "aris-eb-best",
+                                "detail": f"k={ks[top]:g};eta={sels[top].best_eta:g}"}]
         elif name == "aris-path":
             masks = []  # memo hits where aris-eb ran; failed fits add no mask
             for eta in config.eta_grid:
@@ -296,7 +287,7 @@ def _row_order(config: ExperimentConfig) -> list[str]:
     order = []
     for name in config.estimators:
         if name == "aris-eb" and config.evidence_method == "mc":
-            order.extend(f"aris-eb-k{k:g}" for k in config.k_sweep)
+            order.extend(map(_EB_ROW.format, config.k_sweep))
             order.append("aris-eb-best")
         else:
             order.append(name)

@@ -68,19 +68,14 @@ class TruthRecord:
 def make_covariance(model_id: int) -> np.ndarray:
     """Predictor correlation matrix for the given design."""
 
-    model_id = _check_count(model_id, "model_id", 0)
+    if (model_id := _check_count(model_id, "model_id", 0)) not in MODEL_BETAS:
+        raise ValueError(f"model_id must be one of {sorted(MODEL_BETAS)}")
     if model_id == 0:
-        c = np.eye(4)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    c[i, j] = -0.39
+        c = np.full((4, 4), -0.39)
         c[3, :3] = c[:3, 3] = 0.23
-    elif model_id in (1, 2, 3):
-        idx = np.arange(8)
-        c = 0.5 ** np.abs(np.subtract.outer(idx, idx))
+        np.fill_diagonal(c, 1.0)
     else:
-        raise ValueError(f"unknown model_id {model_id}")
+        c = 0.5 ** np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
     return c
 
 

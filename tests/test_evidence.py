@@ -650,6 +650,50 @@ class TestEvidenceMemo:
         ev.select_eta(data, method="laplace")
         assert len(calls) == first
 
+    def test_sweep_equals_one_select_eta_per_width(self, monkeypatch):
+        import adaridge.evidence as ev
+
+        # eta -0.6 fails in its Monte-Carlo box (no finite curvature below
+        # eta -1/2) and eta 0.5 in its fit, each at every width
+        real = ev.fit_joint_mode
+
+        def fit_failing_at_half(data, h, opts):
+            if h.eta == 0.5:
+                raise SingularSystem("synthetic failure")
+            return real(data, h, opts)
+
+        monkeypatch.setattr(ev, "fit_joint_mode", fit_failing_at_half)
+        data = self.small_study_data()
+        grid, ks = (-0.6, 0.0, 0.5, 2.0, 8.0), (3.0, 10.0, 100.0, 1000.0)
+        sels, top = ev._select_sweep(data, grid, "mc", FitOptions(), ks, 200, 4)
+        assert len(sels) == len(ks)
+        best = None
+        for w, (kk, sel) in enumerate(zip(ks, sels)):
+            alone = select_eta(fresh_copy(data), grid, "mc", k=kk, draws=200, seed=4)
+            assert sel.grid == alone.grid == grid
+            assert sel.estimates == alone.estimates
+            assert sel.estimates[0] is None and sel.estimates[2] is None
+            assert sel.best_eta == alone.best_eta
+            for name in ("beta", "v_inv", "active"):
+                assert same_bits(getattr(sel.refit.state, name),
+                                 getattr(alone.refit.state, name))
+            assert sel.refit.state.sigma2.hex() == alone.refit.state.sigma2.hex()
+            # the winner's box integral; a width must beat the best by 1e-12
+            est = sel.estimates[grid.index(sel.best_eta)]
+            total = est.log_value + est.log_box_volume
+            if best is None or total > best[1] + 1e-12:
+                best = w, total
+        assert top == best[0]
+
+        # both points alone fail every width, with the errors select_eta names
+        with pytest.raises(NonFiniteEvidence) as swept:
+            ev._select_sweep(data, (-0.6, 0.5), "mc", FitOptions(), ks, 200, 4)
+        with pytest.raises(NonFiniteEvidence) as alone:
+            select_eta(fresh_copy(data), (-0.6, 0.5), "mc", k=ks[0], draws=200, seed=4)
+        assert str(swept.value) == str(alone.value)
+        assert "eta=-0.6: EmptyBox: " in str(swept.value)
+        assert "eta=0.5: SingularSystem: synthetic failure" in str(swept.value)
+
     def test_laplace_on_a_memo_hit_equals_a_fresh_copy(self):
         data, _, _ = random_instance(8)
         h = Hyper(0.5, mu=EVIDENCE_MU)

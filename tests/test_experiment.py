@@ -33,6 +33,21 @@ master_seed = 11
 estimators = aris-eb, aris-eta0, ols, ridge-gcv, em, aris-path
 """
 
+MC_CONFIG_TEXT = """
+# Monte-Carlo evidence with a three-width k-sweep
+model_id = 3
+n = 20
+sigma = 3
+replications = 4
+test_size = 300
+eta_grid = -0.25, 0, 0.5, 2, 8
+evidence_method = mc
+k_sweep = 3, 100, 1000
+mc_draws = 100
+master_seed = 4
+estimators = aris-eb, aris-path
+"""
+
 
 class TestParseConfig:
     def test_full_round_trip(self):
@@ -203,6 +218,24 @@ class TestRunReplication:
         best = records[-1]
         assert best["detail"].startswith("k=")
 
+    def test_mc_sweep_fits_each_grid_point_once(self, monkeypatch):
+        import adaridge.evidence as ev
+
+        calls = {"fit_joint_mode": 0, "mc_log_evidence": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(ev, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(ev, name, counted)
+        cfg = ExperimentConfig(3, 20, 3.0, 1, test_size=200, evidence_method="mc",
+                               mc_draws=200, estimators=("aris-eb", "aris-eta0"))
+        run_replication(cfg, 0)
+        # one fit per grid point, and one Monte-Carlo score per point and width
+        points = len(cfg.eta_grid)
+        assert calls == {"fit_joint_mode": points,
+                         "mc_log_evidence": points * len(cfg.k_sweep)}
+
     @pytest.mark.parametrize("method", ["laplace", "mc"])
     def test_path_record_independent_of_order_and_evidence(self, method,
                                                            monkeypatch):
@@ -265,8 +298,9 @@ class TestRunExperiment:
             assert rows[name].cm == float(recs[name]["correct_model"])
             assert rows[name].mean_c == float(recs[name]["c_count"])
 
-    def test_worker_count_invariance(self, tmp_path):
-        cfg = parse_config(CONFIG_TEXT)
+    @staticmethod
+    def assert_worker_count_invariant(text, tmp_path):
+        cfg = parse_config(text)
         r1 = run_experiment(cfg, tmp_path / "a", jobs=1)
         r2 = run_experiment(cfg, tmp_path / "b", jobs=3)
         assert (tmp_path / "a" / "report.csv").read_bytes() == \
@@ -274,6 +308,15 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "replications.csv").read_bytes() == \
                (tmp_path / "b" / "replications.csv").read_bytes()
         assert r1.rows == r2.rows
+
+    def test_worker_count_invariance(self, tmp_path):
+        self.assert_worker_count_invariant(CONFIG_TEXT, tmp_path)
+
+    def test_worker_count_invariance_mc_sweep(self, tmp_path):
+        self.assert_worker_count_invariant(MC_CONFIG_TEXT, tmp_path)
+        rows = (tmp_path / "a" / "report.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            "aris-eb-k3", "aris-eb-k100", "aris-eb-k1000", "aris-eb-best", "aris-path"]
 
     def test_aggregates_recomputable_from_replications(self, tmp_path):
         from adaridge import median_and_bootstrap_se

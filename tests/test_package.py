@@ -201,18 +201,20 @@ def _fresh_python(code: str) -> str:
 
 
 def test_fit_fingerprint_repeats_itself():
-    # tools/fit_fingerprint.py checks a change for bit-identical fits, so
-    # one tree must print the same count and digest on every run
+    # tools/fit_fingerprint.py checks a change for bit-identical fits and
+    # MC k-sweep records, so one tree must print the same counts and
+    # digests on every run
     tool = Path(__file__).resolve().parents[1] / "tools" / "fit_fingerprint.py"
     outputs = []
     for _ in range(2):
         out = subprocess.run([sys.executable, str(tool), "--seeds", "1"],
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        outputs.append(out.stdout.split())
+        outputs.append([line.split() for line in out.stdout.splitlines()])
     assert outputs[0] == outputs[1]
-    fits, _, _, digest = outputs[0]
+    (fits, _, _, digest), (reps, _, _, _, study) = outputs[0]
     assert fits == "228" and re.fullmatch("[0-9a-f]{64}", digest)
+    assert reps == "1" and re.fullmatch("[0-9a-f]{64}", study)
 
 
 def test_importing_the_package_imports_no_scipy_linalg():

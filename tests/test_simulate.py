@@ -38,9 +38,10 @@ class TestMakeCovariance:
         (True, "^model_id must be an integer >= 0, got True$"),
         (3.0, "^model_id must be an integer >= 0, got 3.0$"),
         (-1, "^model_id must be an integer >= 0, got -1$"),
-        (np.int64(4), "^unknown model_id 4$"),
+        (np.int64(4), r"^model_id must be one of \[0, 1, 2, 3\]$"),
     ], ids=["bool", "float", "negative", "unknown"])
     def test_bad_model_id_rejected(self, model_id, message):
+        # the messages of test_bad_model_id_rejected_by_the_spec
         with pytest.raises(ValueError, match=message):
             make_covariance(model_id)
 

@@ -1,5 +1,6 @@
-"""Print one sha256 digest over the bits of a fixed sweep of fits, so that
-two source trees can be checked for bit-identical fitting.
+"""Print sha256 digests over the bits of a fixed sweep of fits and of a
+Monte-Carlo k-sweep study, so that two source trees can be checked for
+bit-identical fitting and MC selection.
 
     python3 tools/fit_fingerprint.py [--seeds N]
 
@@ -15,8 +16,16 @@ The sweep draws designs 0-3 at n = 20, 50 and 100 with seeds 0..N-1
   ``s2_trace``, the iteration count and ``active``.
 
 A fit or polish that raises contributes its error's type and message.
-The output is the number of fits and the digest; it depends only on the
-package under ``src/`` of the tree this script sits in.
+
+The study digest covers the records ``run_replication`` returns for
+replications 0..N-1 of a design-3, n = 20 config with MC evidence at the
+four widths of ``DEFAULT_K_SWEEP`` and the estimators ``aris-eb``,
+``aris-eta0`` and ``aris-path``: every key and value, a failed
+replication contributing its error.
+
+The output is two lines, the number of fits with their digest and the
+number of replications with theirs; both depend only on the package under
+``src/`` of the tree this script sits in.
 """
 
 import argparse
@@ -31,15 +40,18 @@ sys.path[:0] = [str(ROOT / "src")]
 
 from adaridge import (  # noqa: E402
     DEFAULT_ETA_GRID,
+    DEFAULT_K_SWEEP,
     EVIDENCE_MU,
     AdaRidgeError,
     DgpSpec,
+    ExperimentConfig,
     Hyper,
     draw_dataset,
     fit_em,
     fit_joint_mode,
     standardize,
 )
+from adaridge.experiment import run_replication  # noqa: E402
 from adaridge.solver import _polished_mode  # noqa: E402
 
 DESIGNS = (0, 1, 2, 3)
@@ -101,6 +113,24 @@ def fingerprint(seeds: int) -> tuple[int, str]:
     return fits, digest.hexdigest()
 
 
+def study_fingerprint(seeds: int) -> str:
+    """Digest of the MC k-sweep study's records for replications
+    ``0..seeds-1``."""
+
+    config = ExperimentConfig(3, 20, SIGMA, seeds, test_size=1000,
+                              evidence_method="mc", k_sweep=DEFAULT_K_SWEEP,
+                              estimators=("aris-eb", "aris-eta0", "aris-path"))
+    digest = hashlib.sha256()
+    for rep in range(seeds):
+        try:
+            for record in run_replication(config, rep):
+                for key, value in record.items():
+                    feed(digest, key, value)
+        except (AdaRidgeError, ValueError) as err:
+            feed(digest, rep, type(err).__name__, str(err))
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=15,
@@ -110,6 +140,7 @@ def main(argv=None) -> int:
         parser.error("--seeds must be at least 1")
     fits, digest = fingerprint(args.seeds)
     print(f"{fits} fits sha256 {digest}")
+    print(f"{args.seeds} mc-sweep replications sha256 {study_fingerprint(args.seeds)}")
     return 0
 
 
