@@ -18,9 +18,7 @@ pool, and restores its counts once the replications have ended.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -132,10 +130,11 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat ``key = value`` experiment-configuration grammar.
 
     One assignment per line; ``#`` starts a comment; list values are
-    comma-separated.  Unknown keys are rejected.
+    comma-separated.  Unknown and repeated keys are rejected.
     """
 
     values: dict = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,6 +144,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         try:
+            if key in lines:
+                raise ValueError(f"key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
             if key in _INT_KEYS:
                 values[key] = int(val)
             elif key in _FLOAT_KEYS:
@@ -283,6 +285,19 @@ def _worker(args) -> tuple[int, list[dict] | None, str, int | None]:
     return rep, recs, err, _blas_threads()
 
 
+def _pool(jobs: int):
+    """A process pool of ``jobs`` workers, forked where the platform can
+    fork.  The pool modules are imported here, so a run without a pool
+    never loads them."""
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+
+
 def _row_order(config: ExperimentConfig) -> list[str]:
     order = []
     for name in config.estimators:
@@ -390,8 +405,9 @@ def run_experiment(
     (``model._one_blas_thread``), restored when they end.  With one worker
     they run in the calling process.  Otherwise the workers fork under the
     pin, so they inherit one BLAS thread and OpenBLAS never starts its
-    thread pool in them; where fork is not available they start with their
-    default count and pin it themselves in each fit.
+    thread pool in them, and they inherit ``numpy.random`` already
+    imported; where fork is not available they start with their default
+    count and pin it themselves in each fit.
     """
 
     jobs = (os.cpu_count() or 1) if jobs is None else _check_count(jobs, "jobs")
@@ -404,9 +420,9 @@ def run_experiment(
         if jobs == 1:
             outcomes = [_worker(task) for task in tasks]
         else:
-            context = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            # Forked workers inherit numpy.random instead of each importing it.
+            import numpy.random  # noqa: F401
+            with _pool(jobs) as pool:
                 outcomes = list(pool.map(_worker, tasks))
     threads = [t for *_, t in outcomes if t is not None]
 

@@ -304,6 +304,15 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", str(cfg))
         assert code == 2
 
+    def test_repeated_config_key_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("model_id = 3\nn = 20\nsigma = 3\nn = 40\nreplications = 2\n")
+        code, out, err = run_cli(capsys, "experiment", str(cfg), "--out",
+                                 str(tmp_path / "o"), "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == "error: config line 4: key 'n' repeats line 2\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_bad_jobs_exit_code(self, tmp_path, capsys, jobs):
         cfg = tmp_path / "cfg.txt"

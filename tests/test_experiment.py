@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -59,6 +60,12 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("model_id = 1\nn = 10\nsigma = 1\nreplications = 1\nfoo = 2")
+
+    def test_repeated_key_names_both_lines(self):
+        # a repeat is an error, not a silent override by the later line
+        with pytest.raises(ValueError,
+                           match="^config line 4: key 'n' repeats line 2$"):
+            parse_config("model_id = 1\nn = 20\nsigma = 1\nn = 40\nreplications = 1")
 
     def test_malformed_number_names_line(self):
         with pytest.raises(ValueError, match=r"config line 2: invalid literal"):
@@ -425,12 +432,9 @@ class TestBlasThreads:
 
     def test_parent_threads_restored_when_the_pool_raises(
             self, controls, monkeypatch, tmp_path):
-        pinned = []
+        pinned, built = [], []
 
         class FailingPool:
-            def __init__(self, **kwargs):
-                pass
-
             def __enter__(self):
                 return self
 
@@ -441,7 +445,15 @@ class TestBlasThreads:
                 pinned.extend(get() for _, get in controls)
                 raise RuntimeError("pool broke")
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", FailingPool)
+        def pool(jobs):
+            # the workers fork from here: numpy.random must be loaded by now
+            built.append((jobs, "numpy.random" in sys.modules))
+            return FailingPool()
+
+        # unload numpy.random, so that only the run itself can load it again
+        monkeypatch.delitem(sys.modules, "numpy.random")
+        monkeypatch.delattr(np, "random")
+        monkeypatch.setattr(experiment, "_pool", pool)
         before = [get() for _, get in controls]
         try:
             for set_threads, _ in controls:
@@ -450,6 +462,7 @@ class TestBlasThreads:
                 run_experiment(parse_config(CONFIG_TEXT), tmp_path, jobs=2)
             assert pinned == [1] * len(controls)
             assert [get() for _, get in controls] == [2] * len(controls)
+            assert built == [(2, True)]
         finally:
             for (set_threads, _), count in zip(controls, before):
                 set_threads(count)

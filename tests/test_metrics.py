@@ -12,6 +12,7 @@ from adaridge import (
 )
 from adaridge import test_mse as prediction_mse
 from adaridge.errors import DimensionMismatch, EmptyInput
+from adaridge.metrics import _median
 
 
 class TestPredictionMse:
@@ -124,3 +125,59 @@ class TestMedianBootstrap:
     def test_bad_n_boot_rejected(self, n_boot):
         with pytest.raises(ValueError, match="^n_boot must be an integer >= 2, got "):
             median_and_bootstrap_se([1.0, 2.0], n_boot=n_boot)
+
+
+# Value pools for the median checks: ties, signed zeros, infinities, NaN.
+_TIES = (0.0, 1.0, 1.0, 2.5, 7.0)
+_EXTREMES = (-np.inf, -0.0, 0.0, 0.0, 1.0, 3.0, np.inf)
+_WITH_NAN = (np.nan, -1.0, 0.5, 2.0, np.inf)
+
+
+class TestMedianHelper:
+    """``_median`` is ``np.median`` along the last axis, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise_median(a):
+        with np.errstate(invalid="ignore"):  # inf - inf, as in np.median
+            got, want = _median(a), np.median(a, axis=-1)
+        assert np.asarray(got).shape == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_one_dimensional(self, n, rng):
+        self.assert_bitwise_median(rng.standard_normal(n))
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_each_row_of_a_bootstrap_array(self, n, rng):
+        self.assert_bitwise_median(rng.standard_normal((50, n)))
+
+    @pytest.mark.parametrize("pool", [_TIES, _EXTREMES, _WITH_NAN],
+                             ids=["ties", "extremes", "nan"])
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_drawn_from_a_small_pool(self, n, pool, rng):
+        rows = rng.choice(np.array(pool), size=(50, n))
+        self.assert_bitwise_median(rows)
+        for row in rows[:5]:
+            self.assert_bitwise_median(row)
+
+    def test_nan_anywhere_gives_nan(self):
+        for i in range(5):
+            row = np.arange(5.0)
+            row[i] = np.nan
+            assert np.isnan(_median(row))
+        assert np.isnan(_median(np.array([[1.0, np.nan], [2.0, 3.0]]))).tolist() == [
+            True, False]
+
+
+@pytest.mark.parametrize("values, n_boot, seed, expected", [
+    (np.random.default_rng(5).standard_normal(41), 200, 3,
+     ("-0x1.37a450bd38387p-2", "0x1.786bf64e8129ep-3")),
+    (np.exp(np.random.default_rng(6).standard_normal(30)), 500, 0,
+     ("0x1.619ef35dd548ap+0", "0x1.38691b21991a1p-2")),
+    ([1.0, 2.0, 2.0, 3.0, np.inf, 5.0], 50, 9, ("0x1.4000000000000p+1", "nan")),
+], ids=["odd-normal", "even-lognormal", "with-inf"])
+def test_median_and_bootstrap_se_keeps_its_values(values, n_boot, seed, expected):
+    # np.median's values for these inputs, pinned bit for bit
+    with np.errstate(invalid="ignore"):  # the bootstrap sd of an inf median
+        got = median_and_bootstrap_se(values, n_boot=n_boot, seed=seed)
+    assert tuple(x.hex() for x in got) == expected

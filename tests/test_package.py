@@ -227,6 +227,30 @@ def test_importing_the_package_imports_no_scipy_linalg():
     assert set(loaded.split()) <= {"scipy.linalg._flapack"}
 
 
+def test_a_run_without_a_pool_loads_no_pool_or_masked_array_modules(tmp_path):
+    # numpy.ma (about 15 ms, 1.2 MB; np.median imports it), multiprocessing
+    # and concurrent.futures (about 8 ms, 1 MB) serve no fit and no
+    # one-worker run; numpy itself may load some of them (1.24 loads numpy.ma)
+    loaded = _fresh_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "def watched():\n"
+        "    return {m for m in sys.modules if m.split('.')[0] in"
+        " ('multiprocessing', 'concurrent') or m.split('.')[:2] == ['numpy', 'ma']}\n"
+        "base = watched()\n"
+        "import adaridge, adaridge.cli\n"
+        "from adaridge import ExperimentConfig, run_experiment, select_eta, standardize\n"
+        "rng = np.random.default_rng(0)\n"
+        "x = rng.standard_normal((40, 4))\n"
+        "data, _ = standardize(x, x[:, 0] + rng.standard_normal(40))\n"
+        "select_eta(data, (0.0, 1.0))\n"
+        "config = ExperimentConfig(3, 30, 3.0, 2, test_size=50, eta_grid=(0.0, 1.0),"
+        " estimators=('aris-eb', 'ols'))\n"
+        f"run_experiment(config, {str(tmp_path)!r}, jobs=1)\n"
+        "print(' '.join(sorted(watched() - base)))")
+    assert loaded == ""
+
+
 def test_potrf_and_potrs_are_scipys_own():
     from scipy.linalg import get_lapack_funcs
 
