@@ -32,7 +32,7 @@ from .model import (
     destandardize_beta,
     standardize,
 )
-from .simulate import DgpSpec, dataset_to_csv, draw_dataset, draw_test_set
+from .simulate import MODEL_BETAS, DgpSpec, dataset_to_csv, draw_dataset, draw_test_set
 from .solver import fit_joint_mode
 
 EXIT_OK = 0
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_experiment)
 
     p_sim = sub.add_parser("simulate", help="write a simulated dataset to CSV")
-    p_sim.add_argument("--model", type=int, required=True, choices=[0, 1, 2, 3])
+    p_sim.add_argument("--model", type=int, required=True, choices=sorted(MODEL_BETAS))
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--sigma", type=float, required=True)
     p_sim.add_argument("--seed", type=int, required=True)

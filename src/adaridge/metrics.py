@@ -61,9 +61,12 @@ def path_contains_truth(fits_over_grid, support_true) -> bool:
 
 def median_and_bootstrap_se(values, n_boot: int = 500, seed: int = 0) -> tuple[float, float]:
     """Sample median (mean of the middle two for even counts) and the
-    standard deviation of ``n_boot`` bootstrap medians of ``default_rng(seed)``."""
+    standard deviation of ``n_boot`` bootstrap medians of ``default_rng(seed)``
+    of the 1-D ``values``, else ``DimensionMismatch`` naming their shape."""
 
     vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1:
+        raise DimensionMismatch(f"values must be 1-D, got shape {vals.shape}")
     if vals.size == 0:
         raise EmptyInput("no values to summarize")
     _check_count(n_boot, "n_boot", 2)

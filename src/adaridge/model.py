@@ -44,10 +44,8 @@ from .errors import (
 # the precision prior.  Must stay far below prune_tol for pruning to fire.
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-# The solvers start from the unridged solve of ``X'X`` when its Cholesky
-# factor's squared smallest-to-largest pivot ratio exceeds
-# ``START_PIVOT_RATIO``, and otherwise from the solve ridged by
-# ``FALLBACK_RIDGE`` (p >= n, duplicated or near-duplicated columns).
+# The start's bound on its factor's squared pivot ratio, and the ridge of
+# its fallback solve (see ``Dataset.initial_beta``).
 START_PIVOT_RATIO = 1e-8
 FALLBACK_RIDGE = 1e-6
 
@@ -66,16 +64,16 @@ def _lapack_extension(directory: str):
     return module
 
 
-# The LAPACK routines behind scipy.linalg.cho_factor / cho_solve, the very
-# objects scipy.linalg's own lookup of "potrf" and "potrs" returns, taken
-# from scipy's LAPACK extension loaded from its file.  The package never
+# The LAPACK routine dposv, Cholesky factor and solve in one call, the
+# very object scipy.linalg's own lookup of "posv" returns, taken from
+# scipy's LAPACK extension loaded from its file.  The package never
 # imports the scipy.linalg package: in scipy 1.17 it pulls in numpy.f2py,
 # numpy.testing and unittest, and with it importing adaridge took
 # 0.38-0.61 s and 57.5 MB of RSS, without it 0.21-0.32 s and 34.3 MB
 # (fresh processes on a 2-core machine).  Top-level scipy comes first; on
 # Windows it sets up the wheel's library path.
 _FLAPACK = _lapack_extension(os.path.join(os.path.dirname(scipy.__file__), "linalg"))
-_POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
+_POSV = _FLAPACK.dposv
 
 # numpy's core extension module under its 2.x and 1.x names; it links
 # numpy's BLAS as _FLAPACK links scipy's, and a symbol lookup through
@@ -227,43 +225,40 @@ def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return s2
 
 
-def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray,
-                 min_pivot_ratio: float = 0.0) -> np.ndarray:
-    """Solve ``(gram + diag(d)) x = rhs`` by Cholesky factorization.
+def _chol_solve(a: np.ndarray, rhs: np.ndarray):
+    """Solve ``a x = rhs`` by Cholesky factorization, the package's one
+    LAPACK call, and return ``(x, pivots)``, the diagonal of the lower
+    factor; ``SingularSystem`` where ``a`` is not positive definite.
+
+    ``a`` must be a symmetric, F-ordered float64 array; the factor
+    overwrites it.  The factor and solve are those of
+    ``scipy.linalg.cho_factor``/``cho_solve``, without their wrapper
+    overhead or finiteness checks.
+    """
+
+    c, x, info = _POSV(a, rhs, lower=1, overwrite_a=1)
+    # info > 0 is the order of the failing leading minor; info < 0, a
+    # malformed argument, a square float64 array cannot be.
+    if info > 0:
+        raise SingularSystem(
+            f"{info}-th leading minor of the array is not positive definite")
+    return x, c.diagonal()
+
+
+def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(gram + diag(d)) x = rhs`` by :func:`_chol_solve`, which
+    raises ``SingularSystem`` where the matrix is not positive definite.
 
     ``d`` is a vector or a scalar added to the diagonal of a copy of
     ``gram``; ``gram`` itself is left unchanged.  ``gram`` must be exactly
     symmetric, as ``X'X`` and its ``_live`` slices are: the copy is taken
     of ``gram.T``, which for a C-ordered ``gram`` is already in the
-    F order LAPACK wants.  The factorization is the one
-    ``scipy.linalg.cho_factor``/``cho_solve`` compute, without their
-    wrapper overhead or finiteness checks.  A ``min_pivot_ratio`` above 0
-    also requires the squared ratio of the factor's smallest to largest
-    pivot to exceed it; only the start (``Dataset.initial_beta``) asks.
-
-    Raises
-    ------
-    SingularSystem
-        If ``gram + diag(d)`` is not positive definite, or its factor
-        fails the pivot-ratio test.
+    F order LAPACK wants.
     """
 
     a = np.array(gram.T, order="F")
     a.flat[:: a.shape[0] + 1] += d
-    # info < 0 flags a malformed argument, which a square float64 array
-    # cannot be; info > 0 is the order of the failing leading minor.
-    c, info = _POTRF(a, lower=1, overwrite_a=1, clean=0)
-    if info > 0:
-        raise SingularSystem(
-            f"{info}-th leading minor of the array is not positive definite")
-    if min_pivot_ratio:
-        pivots = c.diagonal()
-        ratio = (pivots.min() / pivots.max()) ** 2
-        if not ratio > min_pivot_ratio:
-            raise SingularSystem(
-                f"squared pivot ratio {ratio:.3g} is not above {min_pivot_ratio:g}")
-    x, _ = _POTRS(c, rhs, lower=1)
-    return x
+    return _chol_solve(a, rhs)[0]
 
 
 @dataclass(frozen=True)
@@ -335,11 +330,10 @@ class Dataset:
     @cached_property
     def initial_beta(self) -> np.ndarray:
         """Start of the iterative solvers, solved from the cached ``X'X``:
-        least squares by Cholesky when the factor is well conditioned (its
-        squared smallest-to-largest pivot ratio above
-        ``START_PIVOT_RATIO``), else the solve ridged by ``FALLBACK_RIDGE``.
-        A singular ``X'X`` (p >= n, duplicated columns) fails the factor or
-        the ratio and so takes the ridged solve.
+        least squares by Cholesky when the factor's squared
+        smallest-to-largest pivot ratio is above ``START_PIVOT_RATIO``, else
+        (p >= n, duplicated columns: a failed factor or ratio) the solve
+        ridged by ``FALLBACK_RIDGE``.
 
         Raises
         ------
@@ -348,7 +342,11 @@ class Dataset:
         """
 
         try:
-            beta = _ridge_solve(self.xtx, 0.0, self.xty, START_PIVOT_RATIO)
+            beta, pivots = _chol_solve(np.array(self.xtx.T, order="F"), self.xty)
+            ratio = (pivots.min() / pivots.max()) ** 2
+            if not ratio > START_PIVOT_RATIO:
+                raise SingularSystem(
+                    f"squared pivot ratio {ratio:.3g} is not above {START_PIVOT_RATIO:g}")
         except SingularSystem:
             try:
                 beta = _ridge_solve(self.xtx, FALLBACK_RIDGE, self.xty)

@@ -25,15 +25,14 @@ from functools import partial
 import numpy as np
 
 from .baselines import fit_ols
-from .errors import ExactFit, NonFiniteInput, NonInteriorMode
+from .errors import ExactFit, NonFiniteInput, NonInteriorMode, SingularSystem
 from .model import (
-    _POTRF,
-    _POTRS,
     Dataset,
     FitOptions,
     Hyper,
     ModeFit,
     PosteriorState,
+    _chol_solve,
     _live,
     _one_blas_thread,
     _read_only,
@@ -290,16 +289,16 @@ def _newton_step(beta, s2, v_inv, x, y, xtx, h: Hyper):
     s.flat[: p * (p + 2) : p + 2] -= bv * wb
     s[:p, p] = s[p, :p] = sb - bv * ws
     s[p, p] = ss - sv @ ws
-    chol, info = _POTRF(s, lower=1, overwrite_a=1, clean=0)
-    if info:
-        return None
     rhs = np.empty(p + 1)
     rhs[:p] = gb - wb * gv
     rhs[p] = gs - ws @ gv
-    d, _ = _POTRS(chol, rhs, lower=1)
+    try:
+        d, pivots = _chol_solve(s, rhs)
+    except SingularSystem:
+        return None
     db, ds = d[:p], d[p]
     dv = (gv - bv * db - sv * ds) / vv
-    logdet = np.log(vv).sum() + 2.0 * np.log(chol.diagonal()).sum()
+    logdet = np.log(vv).sum() + 2.0 * np.log(pivots).sum()
     return db, ds, dv, float(logdet), quad
 
 

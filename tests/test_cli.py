@@ -15,6 +15,7 @@ from adaridge import (
     standardize,
 )
 from adaridge.cli import build_parser, main
+from adaridge.simulate import MODEL_BETAS
 from conftest import wide_design
 
 
@@ -64,6 +65,16 @@ class TestSimulate:
         assert code == 2 and stdout == ""
         assert err == "error: --test-size must be an integer >= 1, got 0\n"
         assert not out.exists() and not test.exists()
+
+    def test_unknown_model_id_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--model", "4", "--n", "40", "--sigma", "3",
+                  "--seed", "1", "--out", str(out)])
+        assert exited.value.code == 2
+        choices = ", ".join(str(m) for m in sorted(MODEL_BETAS))
+        assert f"--model: invalid choice: 4 (choose from {choices})" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFit:

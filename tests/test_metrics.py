@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,13 @@ class TestMedianBootstrap:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             median_and_bootstrap_se([], seed=0)
+
+    @pytest.mark.parametrize("values", [5.0, np.arange(6.0).reshape(3, 2),
+                                        np.arange(6.0).reshape(2, 3)])
+    def test_values_not_1d_rejected(self, values):
+        message = f"values must be 1-D, got shape {np.shape(values)}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            median_and_bootstrap_se(values, n_boot=10, seed=0)
 
     @pytest.mark.parametrize("seed", [None, True, 2.5, -1, "7"])
     def test_bad_seed_rejected(self, seed):

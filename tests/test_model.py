@@ -24,14 +24,12 @@ from adaridge.errors import (
     NoInitializer,
     NonFiniteInput,
     NonPositiveSigma2,
-    SingularSystem,
     ZeroNormColumn,
 )
 from adaridge.model import (
-    _POTRF,
-    _POTRS,
     FALLBACK_RIDGE,
     START_PIVOT_RATIO,
+    _chol_solve,
     _live,
     _ridge_solve,
 )
@@ -350,16 +348,18 @@ class TestStart:
                 <= 1e-12 * np.abs(ols).max())
 
     def test_pivot_ratio_test(self):
-        # diag(1, r) factors with pivots 1 and sqrt(r): its squared pivot
-        # ratio is r, and only the start's solve tests it
-        rhs = np.ones(2)
-        above = np.diag([1.0, 2 * START_PIVOT_RATIO])
-        below = np.diag([1.0, START_PIVOT_RATIO / 2])
-        assert same_bits(_ridge_solve(above, 0.0, rhs, START_PIVOT_RATIO),
-                         _ridge_solve(above, 0.0, rhs))
-        _ridge_solve(below, 0.0, rhs)
-        with pytest.raises(SingularSystem, match="pivot ratio"):
-            _ridge_solve(below, 0.0, rhs, START_PIVOT_RATIO)
+        # X'X = diag(1, r) factors with pivots 1 and sqrt(r): its squared
+        # pivot ratio is r, and the start takes the ridged solve only when
+        # r is not above START_PIVOT_RATIO
+        for factor, ridged in ((1.01, False), (0.99, True)):
+            r = factor * START_PIVOT_RATIO
+            data = Dataset(np.array([[1.0, 0.0], [0.0, math.sqrt(r)], [0.0, 0.0]]),
+                           np.ones(3))
+            assert data.xtx[1, 1] == pytest.approx(r, rel=1e-15)
+            plain = _ridge_solve(data.xtx, 0.0, data.xty)
+            fallback = _ridge_solve(data.xtx, FALLBACK_RIDGE, data.xty)
+            assert not same_bits(plain, fallback)
+            assert same_bits(data.initial_beta, fallback if ridged else plain)
 
 
 def column_gather(data: Dataset, idx):
@@ -370,19 +370,25 @@ def column_gather(data: Dataset, idx):
 
 
 def ridge_solve_from_a_plain_copy(gram, d, rhs):
-    """``_ridge_solve`` as it copied ``gram`` itself into F order."""
+    """``_ridge_solve`` as it copied ``gram`` itself into F order and
+    called LAPACK's factor and solve, ``potrf`` then ``potrs``, one at a
+    time; returns the solution and the factor's pivots."""
 
+    from scipy.linalg import get_lapack_funcs
+
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
     a = np.array(gram, order="F")
     a.flat[:: a.shape[0] + 1] += d
-    c, info = _POTRF(a, lower=1, overwrite_a=1, clean=0)
+    c, info = potrf(a, lower=1, overwrite_a=1, clean=0)
     assert info == 0
-    return _POTRS(c, rhs, lower=1)[0]
+    return potrs(c, rhs, lower=1)[0], c.diagonal()
 
 
 @pytest.mark.parametrize("n, p", [(20, 8), (100, 8), (800, 200), (50, 200)])
 def test_ridge_solve_copies_a_symmetric_gram(n, p):
     # _ridge_solve copies gram.T, which is gram only when X'X and its
-    # slices are exactly symmetric
+    # slices are exactly symmetric; dposv, behind _chol_solve, is potrf
+    # then potrs
     rng = np.random.default_rng([n, p])
     data = Dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
     assert same_bits(data.xtx, data.xtx.T)
@@ -390,8 +396,12 @@ def test_ridge_solve_copies_a_symmetric_gram(n, p):
         _, xtx, xty = _live(data, idx)
         assert same_bits(xtx, xtx.T)
         d = rng.uniform(1e-6, 1.0, idx.size)
-        assert same_bits(_ridge_solve(xtx, d, xty),
-                         ridge_solve_from_a_plain_copy(xtx, d, xty))
+        x, pivots = ridge_solve_from_a_plain_copy(xtx, d, xty)
+        assert same_bits(_ridge_solve(xtx, d, xty), x)
+        a = np.array(xtx, order="F")
+        a.flat[:: idx.size + 1] += d
+        got = _chol_solve(a, xty)
+        assert same_bits(got[0], x) and same_bits(got[1], pivots)
 
 
 class TestLive:

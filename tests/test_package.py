@@ -96,17 +96,25 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-def _calls_by_function(node, where=None):
+def _nodes_by_function(node, where=None):
+    """``(enclosing function name, node)`` for every node under ``node``,
+    the name being ``None`` at module level."""
+
+    for child in ast.iter_child_nodes(node):
+        yield where, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _nodes_by_function(child, inner)
+
+
+def _calls_by_function(node):
     """``(enclosing function name, called name)`` for every call under
     ``node``, ``called`` being the attribute or the bare name called."""
 
-    for child in ast.iter_child_nodes(node):
+    for where, child in _nodes_by_function(node):
         if isinstance(child, ast.Call):
             func = child.func
             yield where, (func.attr if isinstance(func, ast.Attribute)
                           else getattr(func, "id", None))
-        inner = child.name if isinstance(child, ast.FunctionDef) else where
-        yield from _calls_by_function(child, inner)
 
 
 def test_every_exported_function_has_a_caller_in_the_package():
@@ -154,6 +162,30 @@ def test_ridge_solves_only_in_the_cycle_and_the_start():
             if name == "_ridge_solve":
                 solves.add((path.name, where))
     assert solves == {("solver.py", "_cycle"), ("model.py", "initial_beta")}
+
+
+def test_only_chol_solve_calls_lapack():
+    # _FLAPACK is scipy's LAPACK extension: its one routine the package
+    # binds is dposv, as _POSV, and _chol_solve is the one function that
+    # reaches it.  Its __file__ serves the BLAS thread pin.
+    src = Path(adaridge.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+
+    def routine(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "_FLAPACK" and not node.attr.startswith("__"))
+
+    routines = {(name, where, node.attr) for name, tree in trees.items()
+                for where, node in _nodes_by_function(tree) if routine(node)}
+    assert routines == {("model.py", None, "dposv")}
+    bound = {target.id for tree in trees.values() for node in tree.body
+             if isinstance(node, ast.Assign) and routine(node.value)
+             for target in node.targets}
+    assert bound == {"_POSV"}
+    callers = {(name, where) for name, tree in trees.items()
+               for where, node in _nodes_by_function(tree)
+               if where and isinstance(node, ast.Name) and node.id in bound}
+    assert callers == {("model.py", "_chol_solve")}
 
 
 def test_least_squares_only_in_fit_ols():
@@ -251,20 +283,20 @@ def test_a_run_without_a_pool_loads_no_pool_or_masked_array_modules(tmp_path):
     assert loaded == ""
 
 
-def test_potrf_and_potrs_are_scipys_own():
+def test_posv_is_scipys_own():
     from scipy.linalg import get_lapack_funcs
 
-    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-    assert potrf is model._POTRF and potrs is model._POTRS
+    (posv,) = get_lapack_funcs(("posv",), dtype=np.float64)
+    assert posv is model._POSV
 
 
-def test_potrf_and_potrs_are_scipys_own_when_scipy_linalg_came_first():
+def test_posv_is_scipys_own_when_scipy_linalg_came_first():
     assert _fresh_python(
         "import numpy as np\n"
         "from scipy.linalg import get_lapack_funcs\n"
         "from adaridge import model\n"
-        "potrf, potrs = get_lapack_funcs(('potrf', 'potrs'), dtype=np.float64)\n"
-        "print(potrf is model._POTRF and potrs is model._POTRS)") == "True"
+        "(posv,) = get_lapack_funcs(('posv',), dtype=np.float64)\n"
+        "print(posv is model._POSV)") == "True"
 
 
 def test_a_directory_without_the_lapack_extension_raises(tmp_path):
