@@ -44,7 +44,7 @@ def fit_ridge_gcv(data: Dataset) -> RidgeFit:
     u, s, vt = np.linalg.svd(data.x, full_matrices=False)
     uty = u.T @ data.y
     n = data.n
-    yty = float(data.y @ data.y)
+    yty = data.yty
 
     shrink = s**2 / (s**2 + LAMBDA_GRID[:, None])   # hat-matrix diagonals in U-space
     fitted_norm2 = np.sum((shrink * uty) ** 2, axis=1)

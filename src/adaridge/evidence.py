@@ -20,9 +20,10 @@ Hessian of the log joint density (the precision block eliminated by a
 Schur complement), which the solver's conditional-update cycle only warms
 up.  A mode Newton cannot reach raises ``NonInteriorMode``, so both
 methods fail on the same fits.  The last Newton step gives the Laplace log
-determinant and log joint density.  The reduced model is the fit's own
-view, ``model._live``, and the solver memoizes each polished mode on the
-dataset, so this module keeps no state of its own.
+determinant and log joint density.  The reduced model is the fit's live
+coordinates (``model._live_gram`` and ``model._live_columns``), and the
+solver memoizes each polished mode on the dataset, so this module keeps
+no state of its own.
 
 Two conventions here are deliberate and documented:
 
@@ -69,7 +70,7 @@ from .model import (
     ModeFit,
     _check_count,
     _check_number,
-    _live,
+    _live_gram,
     _log_joint_density,
     _one_blas_thread,
 )
@@ -155,7 +156,7 @@ def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstim
             "least-squares boundary")
 
     if p_active == 0:
-        yty = float(data.y @ data.y)
+        yty = data.yty
         s2 = yty / (n + 2)
         lj = _log_joint_density(yty, s2, np.empty(0), n, h)
         curv = -(n / 2.0 + 1.0) / s2**2 + yty / s2**3
@@ -255,7 +256,7 @@ def mc_log_evidence(
     state = fit.state
     p_active = int(state.active.sum())
     n = data.n
-    yty = float(data.y @ data.y)
+    yty = data.yty
 
     if p_active == 0:
         value = (math.lgamma(n / 2.0) - (n / 2.0) * math.log(math.pi)
@@ -277,7 +278,7 @@ def mc_log_evidence(
 
     # Generator.uniform(lo, hi, (draws, p)) computes exactly this.
     u = lo + width * np.random.default_rng(seed).random((draws, p_active))
-    _, xtx, xty = _live(data, np.flatnonzero(state.active))
+    xtx, xty = _live_gram(data, np.flatnonzero(state.active))
 
     # A draw with a zero precision (possible only where lo is 0) has zero
     # prior density; when there is none, the draws are scored uncopied.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -445,6 +446,10 @@ def run_experiment(
         "package_version": __version__,
         "failures": [{"replication": r, "error": e} for r, e in failures],
         "environment": {
+            "python": platform.python_version(),
+            # not platform.platform(): it runs `uname -p` in a subprocess
+            "platform": "-".join((platform.system(), platform.release(),
+                                  platform.machine())),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "numpy_blas": _blas_build(np.show_config),

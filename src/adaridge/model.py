@@ -251,7 +251,7 @@ def _ridge_solve(gram: np.ndarray, d, rhs: np.ndarray) -> np.ndarray:
 
     ``d`` is a vector or a scalar added to the diagonal of a copy of
     ``gram``; ``gram`` itself is left unchanged.  ``gram`` must be exactly
-    symmetric, as ``X'X`` and its ``_live`` slices are: the copy is taken
+    symmetric, as ``X'X`` and its ``_live_gram`` slices are: the copy is taken
     of ``gram.T``, which for a C-ordered ``gram`` is already in the
     F order LAPACK wants.
     """
@@ -305,8 +305,8 @@ class Dataset:
 
     @cached_property
     def _xt(self) -> np.ndarray:
-        """``X'`` as a C-contiguous (p, n) copy, whose rows ``_live``
-        copies as contiguous blocks."""
+        """``X'`` as a C-contiguous (p, n) copy, whose rows
+        ``_live_columns`` copies as contiguous blocks."""
         return _read_only(np.ascontiguousarray(self.x.T))
 
     @cached_property
@@ -318,6 +318,11 @@ class Dataset:
     def xty(self) -> np.ndarray:
         """``X'y``, shape (p,); ``NonFiniteInput`` where it overflows."""
         return _finite_product(self.x.T @ self.y, "X'y")
+
+    @cached_property
+    def yty(self) -> float:
+        """``y'y``, the residual sum of the empty model."""
+        return float(self.y @ self.y)
 
     @cached_property
     def _memo(self) -> dict:
@@ -343,11 +348,10 @@ class Dataset:
 
         try:
             beta, pivots = _chol_solve(np.array(self.xtx.T, order="F"), self.xty)
-            ratio = (pivots.min() / pivots.max()) ** 2
-            if not ratio > START_PIVOT_RATIO:
-                raise SingularSystem(
-                    f"squared pivot ratio {ratio:.3g} is not above {START_PIVOT_RATIO:g}")
+            well_posed = (pivots.min() / pivots.max()) ** 2 > START_PIVOT_RATIO
         except SingularSystem:
+            well_posed = False
+        if not well_posed:
             try:
                 beta = _ridge_solve(self.xtx, FALLBACK_RIDGE, self.xty)
             except SingularSystem as exc:
@@ -357,22 +361,38 @@ class Dataset:
         return _read_only(beta)
 
 
-def _live(data: Dataset, idx: np.ndarray):
-    """``X``, ``X'X`` and ``X'y`` restricted to the coordinates ``idx``, the
-    one such restriction.
+def _live_gram(data: Dataset, idx: np.ndarray):
+    """``X'X`` and ``X'y`` restricted to the coordinates ``idx``: all that
+    the solver's cycle and the Monte-Carlo evidence read of the data
+    besides ``y'y``.
+
+    ``idx`` must be ascending and free of duplicates.  The slices are
+    taken from the cached ``X'X`` and ``X'y``; when ``idx`` is every
+    coordinate, they are read-only views of the cache, not copies.
+    """
+
+    if idx.size == data.p:
+        return data.xtx, data.xty
+    return data.xtx.take(idx, 0).take(idx, 1), data.xty[idx]
+
+
+def _live_columns(data: Dataset, idx: np.ndarray) -> np.ndarray:
+    """The columns of ``X`` at the coordinates ``idx``, for the residuals
+    that the Gram slices of :func:`_live_gram` cannot give to full
+    precision: the evidence polish's Newton gradient and the cycle's
+    residual sums on near-exact fits.
 
     ``idx`` must be ascending and free of duplicates.  The columns are
     copied from contiguous rows of the cached ``X'`` into an F-ordered
     ``(n, idx.size)`` array, the layout numpy gives a column gather of
-    ``x``, so BLAS products on it round as they would on that gather; the
-    products are sliced from the cached ``X'X`` and ``X'y``.  When ``idx``
-    is every coordinate, the three arrays are read-only views of the
-    cache, not copies.
+    ``x``, so BLAS products on it round as they would on that gather.
+    When ``idx`` is every coordinate, the result is a read-only view of
+    the cache, not a copy.
     """
 
     if idx.size == data.p:
-        return data._xt.T, data.xtx, data.xty
-    return data._xt.take(idx, 0).T, data.xtx.take(idx, 0).take(idx, 1), data.xty[idx]
+        return data._xt.T
+    return data._xt.take(idx, 0).T
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Every :class:`ModeFit` is assembled by ``_finish`` from the live
 coordinates and the per-iteration trace.  This module alone reads and
 writes ``Dataset._memo``, which holds the fits of :func:`fit_joint_mode`
 and the modes that ``_polished_mode`` re-polishes for evidence.  The
-polish runs on the fit's live view (``model._live``): Newton steps on the
+polish runs on the fit's live columns and Gram slices: Newton steps on the
 exact Hessian of the log joint density.  The same cycle, without pruning,
 only warms Newton up; no Newton mode means ``NonInteriorMode``.
 
@@ -33,7 +33,8 @@ from .model import (
     ModeFit,
     PosteriorState,
     _chol_solve,
-    _live,
+    _live_columns,
+    _live_gram,
     _one_blas_thread,
     _read_only,
     _ridge_solve,
@@ -50,6 +51,9 @@ POLISH_NEWTON_MAX_STEPS = 20
 POLISH_MAX_ITER = 200
 # Halvings of one Newton step before the polish gives up on Newton.
 POLISH_MAX_HALVINGS = 40
+# The share of y'y below which ``_cycle`` takes a residual sum from the
+# live columns instead of the Gram slices: at most 4 digits cancel above it.
+GRAM_RSS_FLOOR = 1e-4
 
 
 def _ols_boundary_fit(data: Dataset, h: Hyper) -> ModeFit:
@@ -102,8 +106,8 @@ def fit_joint_mode(data: Dataset, h: Hyper,
     A coefficient too large to square (above about 1.3e154) would leave a
     zero precision, and raises ``NonFiniteInput`` instead.
 
-    ``X'X``, ``X'y`` and the start are computed once per :class:`Dataset`
-    object and shared by every fit on it.  So is the fit
+    ``X'X``, ``X'y``, ``y'y`` and the start are computed once per
+    :class:`Dataset` object and shared by every fit on it.  So is the fit
     itself: a second call with an equal ``(h, opts)`` on the same dataset
     object returns the same :class:`ModeFit`, whose arrays are read-only.
     A failed fit is not kept and raises again on the next call.  Each
@@ -114,8 +118,8 @@ def fit_joint_mode(data: Dataset, h: Hyper,
         + log(1/sigma2) + sum_j log Gamma(v_inv_j; eta + 1, mu)
 
     with its quadratic term ``rss + beta' V^{-1} beta`` taken
-    from the residual the next iteration computes anyway (one extra
-    residual after the last iteration).  The loop keeps only those terms;
+    from the residual sum the next iteration computes anyway (one extra
+    residual sum after the last iteration).  The loop keeps only those terms;
     the trace is evaluated when it is first read.  A fit that is not in
     the memo runs its BLAS on one thread (see ``model._one_blas_thread``);
     a memo hit leaves the thread counts alone.
@@ -191,22 +195,47 @@ def _cycle(data: Dataset, idx: np.ndarray, beta: np.ndarray, step,
     ``max_iter`` iterations; pruning every coordinate in iteration ``k``
     stops at once, as converged after ``k``.
 
+    The residual sum comes from the live Gram slices (``model._live_gram``)
+    as ``rss = y'y - beta'(2 X'y - X'X beta)``, in O(live^2) rather than
+    the O(n live) of ``||y - X beta||^2``.  The form subtracts terms of
+    the size of ``y'y`` (the fit ``||X beta||^2`` of a ridge solution
+    never exceeds ``y'y``), so it loses about ``log10(y'y / rss)`` digits.
+    Above ``GRAM_RSS_FLOOR * y'y`` that is at most 4, and ``rss`` holds
+    about 1e-11 relative; below it, ``rss`` is taken explicitly from the
+    live columns (``model._live_columns``) instead.  So a near-exact fit
+    (an R^2 above 1 - ``GRAM_RSS_FLOOR``, as near-interpolating p >= n
+    fits have) sees the residual sums of the explicit form, and raises
+    its ``ExactFit`` where one is zero.
+
     Returns ``(idx, beta, w, iterations, converged, trace, rss)``:
     ``trace`` holds each iteration's ``(quad, scale, w)``, with empty
     weights in an iteration that prunes every coordinate, and ``rss`` is
     the residual sum at the final coefficients (``y'y`` for none).
     """
 
-    # The data restricted to the live coordinates is re-sliced only when
-    # pruning shrinks them.
-    y = data.y
-    x, xtx, xty = _live(data, idx)
+    # The live Gram slices and 2 X'y are re-taken only when pruning
+    # shrinks the live set; the live columns only when a residual sum
+    # falls back to them.
+    y, yty = data.y, data.yty
+    xtx, xty = _live_gram(data, idx)
+    xty2 = 2.0 * xty
+    x = None
+
+    def residual_sum(beta):
+        nonlocal x
+        rss = yty - float(beta @ (xty2 - xtx @ beta))
+        if rss >= GRAM_RSS_FLOOR * yty:
+            return rss
+        if x is None:
+            x = _live_columns(data, idx)
+        r = y - x @ beta
+        return float(r @ r)
+
     w = np.zeros(idx.size)
     trace = []
     it, converged = 0, False
     while True:
-        r = y - x @ beta
-        rss = float(r @ r)
+        rss = residual_sum(beta)
         if converged or it == max_iter:
             return idx, beta, w, it, converged, trace, rss
         it += 1
@@ -216,13 +245,14 @@ def _cycle(data: Dataset, idx: np.ndarray, beta: np.ndarray, step,
             idx, beta, vtilde = idx[keep], beta[keep], vtilde[keep]
             if idx.size == 0:
                 trace.append((quad, scale, vtilde))
-                return idx, beta, vtilde, it, True, trace, float(y @ y)
+                return idx, beta, vtilde, it, True, trace, yty
             # Release the old live arrays first, so no two copies coexist.
-            del x, xtx, xty
-            x, xtx, xty = _live(data, idx)
+            del xtx, xty, xty2
+            x = None
+            xtx, xty = _live_gram(data, idx)
+            xty2 = 2.0 * xty
             if reweight:
-                r = y - x @ beta
-                scale = step(float(r @ r), beta, w[keep])[1]
+                scale = step(residual_sum(beta), beta, w[keep])[1]
         w = weights(scale, vtilde, beta)
         trace.append((quad, scale, w))
         beta_new = _ridge_solve(xtx, w, xty)
@@ -367,7 +397,7 @@ def _polished_mode(fit: ModeFit, data: Dataset, h: Hyper):
         state = fit.state
         idx = np.flatnonzero(state.active)
         beta, sigma2, v_inv = state.beta[idx], state.sigma2, state.v_inv[idx]
-        x, xtx, _ = _live(data, idx)
+        x, (xtx, _) = _live_columns(data, idx), _live_gram(data, idx)
         polished = _newton_polish(x, data.y, xtx, h, beta, sigma2, v_inv)
         if polished is None:
             # A prune tolerance of 0 turns pruning off, so the vectors keep

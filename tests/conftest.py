@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 
 from adaridge import Dataset, Hyper, PosteriorState, standardize
-from adaridge.model import _live
+from adaridge.model import _live_columns, _live_gram
 from adaridge.solver import _cycle, _joint_step
 from oracles import log_joint_posterior
 
@@ -78,12 +78,14 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def live_view(data: Dataset, idx):
-    """``data`` restricted to the coordinates ``idx`` by ``model._live``,
-    the view the solver, the polish, MC evidence and EM work on: the live
-    columns and the slices of the cached ``X'X`` and ``X'y``, with the
-    ``y``, ``n`` and ``p`` that the reference formulas read."""
+    """``data`` restricted to the coordinates ``idx`` by
+    ``model._live_columns`` and ``model._live_gram``, the view the solver,
+    the polish, MC evidence and EM work on: the live columns and the
+    slices of the cached ``X'X`` and ``X'y``, with the ``y``, ``n`` and
+    ``p`` that the reference formulas read."""
 
-    x, xtx, xty = _live(data, np.asarray(idx))
+    idx = np.asarray(idx)
+    x, (xtx, xty) = _live_columns(data, idx), _live_gram(data, idx)
     return SimpleNamespace(x=x, y=data.y, xtx=xtx, xty=xty, n=data.n, p=x.shape[1])
 
 

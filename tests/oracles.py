@@ -22,6 +22,10 @@ as one dense matrix, for comparison with finite differences.
 
 :func:`ridge_gcv_loop` scores the GCV penalties one at a time, as
 :func:`adaridge.fit_ridge_gcv` did before it scored the grid in one pass.
+
+:func:`explicit_residual_cycle` is ``adaridge.solver._cycle`` as it took
+every residual sum as ``||y - X beta||^2`` from the live columns, before
+it took them from the Gram slices.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from adaridge.model import (
     Hyper,
     ModeFit,
     PosteriorState,
+    _live_columns,
+    _live_gram,
     _log_joint_density,
     _ridge_solve,
 )
@@ -272,3 +278,39 @@ def ridge_gcv_loop(data: Dataset) -> RidgeFit:
     score, lam = best
     beta = vt.T @ ((s / (s**2 + lam)) * uty)
     return RidgeFit(beta=beta, lam=float(lam), gcv_score=float(score))
+
+
+def explicit_residual_cycle(data: Dataset, idx, beta, step, max_iter, conv_tol,
+                            prune_tol, *, weights=lambda scale, vtilde, b: 1.0 / vtilde,
+                            reweight=False):
+    """``adaridge.solver._cycle`` with each residual sum taken explicitly,
+    ``||y - X beta||^2`` on the live columns: the same signature and the
+    same ``(idx, beta, w, iterations, converged, trace, rss)``."""
+
+    y = data.y
+    x, (xtx, xty) = _live_columns(data, idx), _live_gram(data, idx)
+    w = np.zeros(idx.size)
+    trace = []
+    it, converged = 0, False
+    while True:
+        r = y - x @ beta
+        rss = float(r @ r)
+        if converged or it == max_iter:
+            return idx, beta, w, it, converged, trace, rss
+        it += 1
+        quad, scale, vtilde = step(rss, beta, w)
+        if prune_tol and (dead := vtilde < prune_tol).any():
+            keep = ~dead
+            idx, beta, vtilde = idx[keep], beta[keep], vtilde[keep]
+            if idx.size == 0:
+                trace.append((quad, scale, vtilde))
+                return idx, beta, vtilde, it, True, trace, float(y @ y)
+            x, (xtx, xty) = _live_columns(data, idx), _live_gram(data, idx)
+            if reweight:
+                r = y - x @ beta
+                scale = step(float(r @ r), beta, w[keep])[1]
+        w = weights(scale, vtilde, beta)
+        trace.append((quad, scale, w))
+        beta_new = _ridge_solve(xtx, w, xty)
+        converged = float((abs(beta_new - beta) / (1.0 + abs(beta))).max()) < conv_tol
+        beta = beta_new

@@ -1,5 +1,7 @@
 import json
 import os
+import platform
+import subprocess
 import sys
 import tempfile
 
@@ -376,19 +378,28 @@ class TestRunExperiment:
         report = run_experiment(cfg, tmp_path)
         assert report.provenance["environment"]["jobs"] == min(os.cpu_count() or 1, 3)
 
-    def test_provenance_records_numeric_environment(self, tmp_path):
+    def test_provenance_records_numeric_environment(self, tmp_path, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a run at one job starts no process")
+
+        # platform.platform() would start one, for `uname -p`
+        monkeypatch.setattr(subprocess, "Popen", no_process)
         cfg = ExperimentConfig(3, 40, 3.0, 1, test_size=100, eta_grid=(0.0,),
                                estimators=("ols",), master_seed=6)
         run_experiment(cfg, tmp_path, jobs=1)
         env = json.loads((tmp_path / "provenance.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["platform"] == "-".join(
+            (platform.system(), platform.release(), platform.machine()))
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
         assert env["jobs"] == 1
-        assert set(env) == {"numpy", "scipy", "numpy_blas", "scipy_blas",
-                            "jobs", "blas_threads"}
-        for name in ("report.csv", "replications.csv"):
+        assert set(env) == {"python", "platform", "numpy", "scipy", "numpy_blas",
+                            "scipy_blas", "jobs", "blas_threads"}
+        for name in ("report.csv", "replications.csv", "report.txt"):
             text = (tmp_path / name).read_text()
             assert np.__version__ not in text and "blas" not in text
+            assert env["platform"] not in text
 
     @pytest.mark.parametrize("show_config", [
         lambda mode: {},                      # no "Build Dependencies"

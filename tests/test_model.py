@@ -30,7 +30,8 @@ from adaridge.model import (
     FALLBACK_RIDGE,
     START_PIVOT_RATIO,
     _chol_solve,
-    _live,
+    _live_columns,
+    _live_gram,
     _ridge_solve,
 )
 from adaridge.simulate import DgpSpec, draw_dataset
@@ -363,8 +364,8 @@ class TestStart:
 
 
 def column_gather(data: Dataset, idx):
-    """The restriction ``_live`` replaced: a numpy column gather of ``x``
-    and an ``np.ix_`` slice of ``X'X``."""
+    """The restrictions ``_live_columns`` and ``_live_gram`` replaced: a
+    numpy column gather of ``x`` and an ``np.ix_`` slice of ``X'X``."""
 
     return data.x[:, idx], data.xtx[np.ix_(idx, idx)], data.xty[idx]
 
@@ -393,7 +394,7 @@ def test_ridge_solve_copies_a_symmetric_gram(n, p):
     data = Dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
     assert same_bits(data.xtx, data.xtx.T)
     for idx in (np.arange(p), np.flatnonzero(rng.random(p) < 0.5)):
-        _, xtx, xty = _live(data, idx)
+        xtx, xty = _live_gram(data, idx)
         assert same_bits(xtx, xtx.T)
         d = rng.uniform(1e-6, 1.0, idx.size)
         x, pivots = ridge_solve_from_a_plain_copy(xtx, d, xty)
@@ -413,7 +414,7 @@ class TestLive:
         rng = np.random.default_rng(seed)
         data = Dataset(rng.standard_normal((n, len(mask))), rng.standard_normal(n))
         idx = np.flatnonzero(mask)
-        x, xtx, xty = _live(data, idx)
+        x, (xtx, xty) = _live_columns(data, idx), _live_gram(data, idx)
         old_x, old_xtx, old_xty = column_gather(data, idx)
         assert same_bits(x, old_x)
         assert same_bits(xtx, old_xtx)
@@ -427,7 +428,8 @@ class TestLive:
 
     def test_full_set_is_a_read_only_view_of_the_cache(self, rng):
         data = Dataset(rng.standard_normal((30, 6)), rng.standard_normal(30))
-        x, xtx, xty = _live(data, np.arange(data.p))
+        idx = np.arange(data.p)
+        x, (xtx, xty) = _live_columns(data, idx), _live_gram(data, idx)
         assert np.shares_memory(x, data._xt)
         assert np.shares_memory(xtx, data.xtx)
         assert np.shares_memory(xty, data.xty)
@@ -435,10 +437,10 @@ class TestLive:
         assert same_bits(x, data.x)
 
     def test_results_bitwise_those_of_the_column_gather(self, monkeypatch):
-        # One pruning instance through every caller of ``_live``: Laplace
-        # and MC selection (the solver's cycle and polish, MC's X'X slice)
-        # and EM (through the solver's cycle), each on a fresh dataset, so
-        # no memo carries over.
+        # One pruning instance through every caller of ``_live_columns``
+        # and ``_live_gram``: Laplace and MC selection (the solver's cycle
+        # and polish, MC's X'X slice) and EM (through the solver's cycle),
+        # each on a fresh dataset, so no memo carries over.
         rng = np.random.default_rng(14)
         beta = np.zeros(80)
         beta[rng.choice(80, 6, replace=False)] = rng.uniform(1.0, 3.0, 6)
@@ -459,5 +461,8 @@ class TestLive:
 
         new = run()
         for module in (solver, evidence):
-            monkeypatch.setattr(module, "_live", column_gather)
+            monkeypatch.setattr(module, "_live_gram",
+                                lambda data, idx: column_gather(data, idx)[1:])
+        monkeypatch.setattr(solver, "_live_columns",
+                            lambda data, idx: column_gather(data, idx)[0])
         assert run() == new

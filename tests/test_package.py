@@ -302,3 +302,15 @@ def test_posv_is_scipys_own_when_scipy_linalg_came_first():
 def test_a_directory_without_the_lapack_extension_raises(tmp_path):
     with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
         model._lapack_extension(str(tmp_path))
+
+
+def test_the_workflow_names_only_files_that_exist():
+    # The CI workflow runs scripts and tests by path; a moved or deleted
+    # one would first fail on a runner.  The workflow is read as text,
+    # since the test extras install no YAML parser, and no step is run.
+    root = Path(__file__).resolve().parents[1]
+    text = (root / ".github" / "workflows" / "tests.yml").read_text()
+    paths = set(re.findall(r"(?<![\w./-])((?:tools|benchmarks|tests)/[\w./-]*\w)", text))
+    assert {"tools/line_coverage.py", "tools/check_golden_pool.py",
+            "benchmarks/run.py"} <= paths
+    assert sorted(p for p in paths if not (root / p).is_file()) == []

@@ -1,8 +1,10 @@
+import contextlib
 import ctypes
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adaridge.em as em_module
@@ -20,8 +22,8 @@ from adaridge import (
     select_eta,
     standardize,
 )
-from adaridge.errors import (ExactFit, NonFiniteEvidence, NonFiniteInput, RankDeficient,
-                             SingularSystem)
+from adaridge.errors import (AdaRidgeError, ExactFit, NonFiniteEvidence, NonFiniteInput,
+                             RankDeficient, SingularSystem)
 from adaridge.evidence import DEFAULT_ETA_GRID
 from adaridge.model import (
     MACHINE_EPS,
@@ -34,7 +36,8 @@ from adaridge.simulate import DgpSpec, draw_dataset
 from adaridge.solver import _derivatives, _newton_step
 from conftest import (fd_gradient, joint_cycle, random_instance, toeplitz_design,
                       wide_design)
-from oracles import assemble_hessian, fit_reweighted_ridge, log_joint_posterior
+from oracles import (assemble_hessian, explicit_residual_cycle, fit_reweighted_ridge,
+                     log_joint_posterior)
 
 
 def orthonormal_data(rng, n=20, p=3):
@@ -413,6 +416,7 @@ class TestLeanKernel:
         fit_joint_mode(data, Hyper(-0.5))
         np.testing.assert_array_equal(data.initial_beta, start)
         np.testing.assert_array_equal(data.xtx, data.x.T @ data.x)
+        assert data.yty == float(data.y @ data.y)
         for arr in (data.xtx, data.xty, data.initial_beta):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -723,3 +727,79 @@ def test_rescaling_raw_columns_leaves_the_fit_unchanged(n, p, seed, choose):
         assert np.linalg.norm(pb - pa) <= 1e-10 * np.linalg.norm(pa)
     assert (select_eta(other, method="laplace").best_eta
             == select_eta(plain, method="laplace").best_eta)
+
+
+# The fits that go through ``solver._cycle``: the joint mode above its
+# least-squares boundary and both EM variants above theirs.
+CYCLE_FITS = (
+    [lambda d, eta=eta: fit_joint_mode(d, Hyper(eta)) for eta in (-0.25, 0.0, 1.0, 4.0)]
+    + [lambda d, eta=eta, v=v: fit_em(d, Hyper(eta), variant=v)
+       for v, etas in (("independent-prior", (-1.0, 0.0)), ("explicit-sigma", (0.0, 1.0)))
+       for eta in etas])
+
+
+def cycle_outcomes(x, y, cycle=None):
+    """Each fit of ``CYCLE_FITS`` on a fresh ``Dataset(x, y)``, so no memo
+    carries over, with ``cycle`` standing in for ``solver._cycle`` unless
+    it is None: ``(iterations, converged, active, beta)``, or the type of
+    the error a fit raises."""
+
+    with contextlib.ExitStack() as stack:
+        if cycle is not None:
+            for module in (solver_module, em_module):
+                stack.enter_context(mock.patch.object(module, "_cycle", cycle))
+        out = []
+        for fit in CYCLE_FITS:
+            try:
+                f = fit(Dataset(x, y))
+            except AdaRidgeError as exc:
+                out.append(type(exc))
+                continue
+            state = getattr(f, "state", f)
+            out.append((f.iterations, f.converged, state.active, state.beta))
+        return out
+
+
+@example(n=5, p=12, seed=0, noise=-6.0)
+@given(n=st.integers(5, 60), p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       noise=st.floats(-6.0, 0.0))
+def test_the_cycle_matches_the_explicit_residual_cycle(n, p, seed, noise):
+    """Taking the residual sums from the Gram slices changes no iteration
+    count, convergence flag, active set or error, and moves coefficients
+    by at most 1e-10 of the largest one, on raw columns scaled by
+    ``exp(U(-8, 8))``, about half the coefficients in ``[1, 3]`` and noise
+    of scale ``10**noise``."""
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    beta = np.where(rng.random(p) < 0.5, rng.uniform(1.0, 3.0, p), 0.0)
+    y = x @ beta + 10.0**noise * rng.standard_normal(n)
+    x *= np.exp(rng.uniform(-8.0, 8.0, p))
+    for got, want in zip(cycle_outcomes(x, y),
+                         cycle_outcomes(x, y, explicit_residual_cycle)):
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+        assert np.abs(got[3] - want[3]).max() <= 1e-10 * np.abs(want[3]).max()
+
+
+def test_near_interpolating_residual_sums_come_from_the_columns():
+    # At p > n the ridged start nearly interpolates y, so the Gram form
+    # would cancel to noise; every such residual sum is the explicit one,
+    # as the explicit-residual cycle takes them.
+    x, y = wide_design(0)
+    data, _ = standardize(x, y)
+    gathers = []
+    real = solver_module._live_columns
+
+    def counted(data, idx):
+        gathers.append(idx.size)
+        return real(data, idx)
+
+    with mock.patch.object(solver_module, "_live_columns", counted):
+        got = cycle_outcomes(data.x, data.y)
+    assert gathers and max(gathers) >= data.n
+    for a, b in zip(got, cycle_outcomes(data.x, data.y, explicit_residual_cycle)):
+        assert a is b if isinstance(b, type) else (
+            a[:2] == b[:2] and np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3]))
