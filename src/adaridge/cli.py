@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("config", help="flat key=value configuration file")
     p_exp.add_argument("--out", default="experiment-out", help="output directory")
     p_exp.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: all cores)")
+                       help="worker processes (default: every CPU this "
+                            "process may run on)")
     p_exp.add_argument("--allow-failures", action="store_true",
                        help="record failed replications instead of aborting")
     p_exp.set_defaults(func=cmd_experiment)

@@ -207,12 +207,17 @@ def run_replication(config: ExperimentConfig, rep: int) -> list[dict]:
     spec = DgpSpec(config.model_id, config.n, config.sigma,
                    seed=_derive_seed(config.master_seed, rep))
     raw_train, truth = draw_dataset(spec)
-    test = draw_test_set(spec, truth, config.test_size)
     data, std = standardize(raw_train.x, raw_train.y)
     support = truth.support_true
     opts = FitOptions()
+    test = None
 
     def scored(name, beta_std, active, detail="") -> dict:
+        # The test set has its own stream, so drawing it on first use leaves
+        # every value as it is, and a run that scores nothing never draws it.
+        nonlocal test
+        if test is None:
+            test = draw_test_set(spec, truth, config.test_size)
         mse = test_mse(destandardize_beta(beta_std, std), std.y_mean, test)
         return _record(rep, name, detail, mse, *support_metrics(active, support))
 
@@ -284,6 +289,15 @@ def _worker(args) -> tuple[int, list[dict] | None, str, int | None]:
     except Exception as exc:  # recorded; aborts later unless allowed
         recs, err = None, f"{type(exc).__name__}: {exc}"
     return rep, recs, err, _blas_threads()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can say, else
+    the machine's count."""
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pool(jobs: int):
@@ -398,9 +412,11 @@ def run_experiment(
     from the aggregates; a replication's error never escapes otherwise.
     Results are byte-identical for any ``jobs`` value.
 
-    ``jobs`` is the worker count: ``None`` means every core, and any other
-    value must be an integer >= 1 (``ValueError`` before any file is
-    written).  At most ``min(jobs, replications)`` workers run.
+    ``jobs`` is the worker count: ``None`` means every CPU this process may
+    run on (its affinity set where the platform has one, so a ``taskset``
+    or a CPU-limited container is not oversubscribed), and any other value
+    must be an integer >= 1 (``ValueError`` before any file is written).
+    At most ``min(jobs, replications)`` workers run.
 
     The replications run with the caller's BLAS pinned to one thread
     (``model._one_blas_thread``), restored when they end.  With one worker
@@ -411,7 +427,7 @@ def run_experiment(
     count and pin it themselves in each fit.
     """
 
-    jobs = (os.cpu_count() or 1) if jobs is None else _check_count(jobs, "jobs")
+    jobs = _usable_cpus() if jobs is None else _check_count(jobs, "jobs")
     jobs = min(jobs, config.replications)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

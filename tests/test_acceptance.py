@@ -1,45 +1,37 @@
 """Acceptance suite: every shipped criterion at its stated tolerance.
 
 Each test prints one ``ACCEPTANCE <id>: PASS/FAIL`` line (visible with
-``pytest -s`` or in captured output).  The replication studies parallelize
-across processes; every value is deterministic given the frozen seeds.
+``pytest -s`` or in captured output).  The replication studies C1-C4 run
+the shipped ``run_experiment``, each design once on every usable CPU, and
+read ``cm`` and ``median_mse`` off its report rows; every value is
+deterministic given the frozen seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
 
 import numpy as np
 from scipy.integrate import quad
 
 from adaridge import (
-    DgpSpec,
     FitOptions,
     Hyper,
-    destandardize_beta,
-    draw_dataset,
-    draw_test_set,
     fit_em,
     fit_joint_mode,
     fit_ols,
-    fit_ridge_gcv,
     mc_log_evidence,
     laplace_log_evidence,
-    path_contains_truth,
-    select_eta,
     standardize,
-    support_metrics,
 )
-from adaridge import test_mse as prediction_mse
 from adaridge.evidence import EVIDENCE_MU
-from adaridge.experiment import ExperimentConfig, _derive_seed, run_experiment
+from adaridge.experiment import ExperimentConfig, run_experiment
 from adaridge.model import PosteriorState
 from adaridge.solver import _derivatives, _polished_mode
 from conftest import fd_hessian, log_joint_of_theta, random_instance
 from oracles import assemble_hessian, conditional_marginal, fit_reweighted_ridge
-
-DEFAULT_GRID = (-0.45, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 def _check(label: str, ok: bool, detail: str):
@@ -47,112 +39,75 @@ def _check(label: str, ok: bool, detail: str):
     assert ok, f"{label}: {detail}"
 
 
-# ---------------------------------------------------------------- workers
+# ---------------------------------------------------------------- designs
 
-def _rep_eta0(args):
-    model, n, sigma, master, rep = args
-    spec = DgpSpec(model, n, sigma, seed=_derive_seed(master, rep))
-    raw, truth = draw_dataset(spec)
-    data, std = standardize(raw.x, raw.y)
-    fit = fit_joint_mode(data, Hyper(0.0))
-    _, _, cm = support_metrics(fit.state.active, truth.support_true)
-    test = draw_test_set(spec, truth, 10_000)
-    mse = prediction_mse(destandardize_beta(fit.state.beta, std), std.y_mean, test)
-    return cm, mse
-
-
-def _rep_path(args):
-    model, n, sigma, master, rep = args
-    spec = DgpSpec(model, n, sigma, seed=_derive_seed(master, rep))
-    raw, truth = draw_dataset(spec)
-    data, _ = standardize(raw.x, raw.y)
-    masks = [fit_joint_mode(data, Hyper(e)).state.active for e in DEFAULT_GRID]
-    return path_contains_truth(masks, truth.support_true)
+# Each design carries only the estimators its criteria read.
+C1_N300 = ExperimentConfig(0, 300, 3.0, 1000, master_seed=100,
+                           estimators=("aris-eta0", "aris-path"))
+C1_N120 = ExperimentConfig(0, 120, 5.0, 1000, master_seed=101,
+                           estimators=("aris-eta0",))
+C2_LAPLACE = ExperimentConfig(3, 100, 3.0, 100, master_seed=102,
+                              estimators=("aris-eb", "aris-eta0"))
+C2_MC = ExperimentConfig(3, 20, 3.0, 100, master_seed=103, evidence_method="mc",
+                         k_sweep=(1000.0,), estimators=("aris-eb",))
+C3 = ExperimentConfig(1, 100, 3.0, 100, master_seed=104,
+                      estimators=("aris-eta0", "ols"))
+C4 = ExperimentConfig(2, 100, 3.0, 100, master_seed=105,
+                      estimators=("ridge-gcv", "aris-eta0"))
 
 
-def _rep_eb(args):
-    model, n, sigma, master, rep, method, k = args
-    spec = DgpSpec(model, n, sigma, seed=_derive_seed(master, rep))
-    raw, truth = draw_dataset(spec)
-    data, std = standardize(raw.x, raw.y)
-    sel = select_eta(data, DEFAULT_GRID, method=method, k=k,
-                     seed=_derive_seed(master, rep, 2))
-    st = sel.refit.state
-    _, _, cm = support_metrics(st.active, truth.support_true)
-    test = draw_test_set(spec, truth, 10_000)
-    mse = prediction_mse(destandardize_beta(st.beta, std), std.y_mean, test)
-    return cm, mse
+@functools.cache
+def _rows(config: ExperimentConfig) -> dict:
+    """The report rows of one ``run_experiment`` of ``config``, by
+    estimator; two criteria on one design share the run."""
 
-
-def _rep_baselines(args):
-    model, n, sigma, master, rep = args
-    spec = DgpSpec(model, n, sigma, seed=_derive_seed(master, rep))
-    raw, truth = draw_dataset(spec)
-    data, std = standardize(raw.x, raw.y)
-    test = draw_test_set(spec, truth, 10_000)
-    ols_mse = prediction_mse(destandardize_beta(fit_ols(data), std), std.y_mean, test)
-    ridge = fit_ridge_gcv(data)
-    ridge_mse = prediction_mse(destandardize_beta(ridge.beta, std), std.y_mean, test)
-    return ols_mse, ridge_mse
-
-
-def _pmap(fn, argslist):
-    with ProcessPoolExecutor() as pool:
-        return list(pool.map(fn, argslist, chunksize=8))
+    with tempfile.TemporaryDirectory() as out:
+        report = run_experiment(config, out)
+    return {row.estimator: row for row in report.rows}
 
 
 # ---------------------------------------------------------------- criteria
 
 class TestCriterion1Model0:
     def test_exact_support_n300(self):
-        r = _pmap(_rep_eta0, [(0, 300, 3.0, 100, i) for i in range(1000)])
-        prop = float(np.mean([cm for cm, _ in r]))
+        prop = _rows(C1_N300)["aris-eta0"].cm
         _check("C1 support n=300", abs(prop - 0.944) <= 0.03,
                f"proportion={prop:.3f}, target 0.944 +/- 0.03")
 
     def test_exact_support_n120(self):
-        r = _pmap(_rep_eta0, [(0, 120, 5.0, 101, i) for i in range(1000)])
-        prop = float(np.mean([cm for cm, _ in r]))
+        prop = _rows(C1_N120)["aris-eta0"].cm
         _check("C1 support n=120", abs(prop - 0.895) <= 0.04,
                f"proportion={prop:.3f}, target 0.895 +/- 0.04")
 
     def test_path_recovery_n300(self):
-        r = _pmap(_rep_path, [(0, 300, 3.0, 100, i) for i in range(1000)])
-        prop = float(np.mean(r))
+        prop = _rows(C1_N300)["aris-path"].cm
         _check("C1 path n=300", prop >= 0.95, f"proportion={prop:.3f}, need >= 0.95")
 
 
 class TestCriterion2Model3:
     def test_laplace_eb_n100(self):
-        r = _pmap(_rep_eb, [(3, 100, 3.0, 102, i, "laplace", None)
-                            for i in range(100)])
-        cm = float(np.mean([c for c, _ in r]))
-        med = float(np.median([m for _, m in r]))
+        row = _rows(C2_LAPLACE)["aris-eb"]
+        cm, med = row.cm, row.median_mse
         ok = cm >= 0.90 and abs(med - 9.1452) / 9.1452 <= 0.03
         _check("C2 eb-laplace n=100", ok,
                f"cm={cm:.2f} (need >= 0.90), median_mse={med:.4f} "
                f"(9.1452 +/- 3%)")
 
     def test_eta0_n100(self):
-        r = _pmap(_rep_eta0, [(3, 100, 3.0, 102, i) for i in range(100)])
-        cm = float(np.mean([c for c, _ in r]))
+        cm = _rows(C2_LAPLACE)["aris-eta0"].cm
         _check("C2 eta0 n=100", abs(cm - 0.71) <= 0.10,
                f"cm={cm:.2f}, target 0.71 +/- 0.10")
 
     def test_mc_eb_n20(self):
-        r = _pmap(_rep_eb, [(3, 20, 3.0, 103, i, "mc", 1000.0)
-                            for i in range(100)])
-        cm = float(np.mean([c for c, _ in r]))
+        cm = _rows(C2_MC)["aris-eb-k1000"].cm
         _check("C2 eb-mc k=1000 n=20", cm >= 0.85, f"cm={cm:.2f}, need >= 0.85")
 
 
 class TestCriterion3Model1:
     def test_eta0_and_ols(self):
-        r0 = _pmap(_rep_eta0, [(1, 100, 3.0, 104, i) for i in range(100)])
-        cm = float(np.mean([c for c, _ in r0]))
-        med = float(np.median([m for _, m in r0]))
-        rb = _pmap(_rep_baselines, [(1, 100, 3.0, 104, i) for i in range(100)])
-        ols_med = float(np.median([o for o, _ in rb]))
+        rows = _rows(C3)
+        cm, med = rows["aris-eta0"].cm, rows["aris-eta0"].median_mse
+        ols_med = rows["ols"].median_mse
         ok = (abs(med - 9.3409) / 9.3409 <= 0.03
               and abs(cm - 0.75) <= 0.10
               and abs(ols_med - 9.7112) / 9.7112 <= 0.03)
@@ -163,10 +118,8 @@ class TestCriterion3Model1:
 
 class TestCriterion4Model2:
     def test_ridge_and_eta0(self):
-        rb = _pmap(_rep_baselines, [(2, 100, 3.0, 105, i) for i in range(100)])
-        ridge_med = float(np.median([r for _, r in rb]))
-        r0 = _pmap(_rep_eta0, [(2, 100, 3.0, 105, i) for i in range(100)])
-        cm = float(np.mean([c for c, _ in r0]))
+        rows = _rows(C4)
+        ridge_med, cm = rows["ridge-gcv"].median_mse, rows["aris-eta0"].cm
         ok = abs(ridge_med - 9.6199) <= 0.3 and cm <= 0.05
         _check("C4 model-2 spot check", ok,
                f"ridge median_mse={ridge_med:.4f} (9.6199 +/- 0.3), "
@@ -337,7 +290,7 @@ class TestCriterion8Determinism:
     def test_report_bytes_invariant_to_worker_count(self, tmp_path):
         cfg = ExperimentConfig(
             model_id=3, n=60, sigma=3.0, replications=8, test_size=1000,
-            eta_grid=DEFAULT_GRID, evidence_method="laplace",
+            evidence_method="laplace",
             estimators=("aris-eb", "aris-eta0", "ols", "ridge-gcv"),
             master_seed=808,
         )

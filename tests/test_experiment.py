@@ -278,6 +278,23 @@ class TestRunReplication:
         monkeypatch.setattr(ev, name, last_point_only)
         assert path_record(("aris-eb", "aris-path")) == alone
 
+    def test_the_test_set_is_drawn_only_for_a_scored_estimator(self, monkeypatch):
+        drawn = []
+
+        def counted(spec, truth, m):
+            drawn.append(m)
+            return real(spec, truth, m)
+
+        real = experiment.draw_test_set
+        monkeypatch.setattr(experiment, "draw_test_set", counted)
+        base = dict(model_id=3, n=40, sigma=3.0, replications=1, test_size=200,
+                    eta_grid=(0.0, 1.0), master_seed=7)
+        run_replication(ExperimentConfig(**base, estimators=("aris-path",)), 0)
+        assert drawn == []
+        # once per replication, however many estimators it scores
+        run_replication(ExperimentConfig(
+            **base, estimators=("aris-path", "aris-eta0", "ols")), 0)
+        assert drawn == [200]
 
     def test_a_failed_grid_fit_is_left_off_the_path(self):
         # p = 8 > n = 6: on this replication the fit at eta -0.45 raises
@@ -376,7 +393,46 @@ class TestRunExperiment:
         cfg = ExperimentConfig(3, 40, 3.0, 3, test_size=100, eta_grid=(0.0,),
                                estimators=("ols",), master_seed=6)
         report = run_experiment(cfg, tmp_path)
-        assert report.provenance["environment"]["jobs"] == min(os.cpu_count() or 1, 3)
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        assert report.provenance["environment"]["jobs"] == min(usable, 3)
+
+    def test_default_jobs_counts_only_the_usable_cpus(self, tmp_path, monkeypatch):
+        def no_pool(jobs):
+            raise AssertionError("one usable CPU starts no pool")
+
+        # one CPU of eight, as under `taskset -c 0`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiment, "_pool", no_pool)
+        cfg = ExperimentConfig(3, 40, 3.0, 2, test_size=100, eta_grid=(0.0,),
+                               estimators=("ols",), master_seed=6)
+        run_experiment(cfg, tmp_path)
+        env = json.loads((tmp_path / "provenance.json").read_text())["environment"]
+        assert env["jobs"] == 1
+
+    @pytest.mark.parametrize("cpus, jobs", [(8, 2), (None, 1)])
+    def test_default_jobs_without_an_affinity_set_reads_the_cpu_count(
+            self, tmp_path, monkeypatch, cpus, jobs):
+        class InProcessPool:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        built = []
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(experiment, "_pool",
+                            lambda n: built.append(n) or InProcessPool())
+        cfg = ExperimentConfig(3, 40, 3.0, 2, test_size=100, eta_grid=(0.0,),
+                               estimators=("ols",), master_seed=6)
+        report = run_experiment(cfg, tmp_path)
+        assert report.provenance["environment"]["jobs"] == jobs
+        assert built == ([jobs] if jobs > 1 else [])
 
     def test_provenance_records_numeric_environment(self, tmp_path, monkeypatch):
         def no_process(*args, **kwargs):
