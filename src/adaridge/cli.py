@@ -133,6 +133,8 @@ def cmd_fit(args) -> int:
                 }
                 for eta, est in zip(sel.grid, sel.estimates)
             ]
+            out["failed"] = [{"eta": eta, "error": err}
+                             for eta, err in zip(sel.grid, sel.errors) if err is not None]
         else:
             fit = fit_joint_mode(data, Hyper(eta), opts)
             out["eta"] = eta

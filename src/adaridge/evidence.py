@@ -21,9 +21,10 @@ Schur complement), which the solver's conditional-update cycle only warms
 up.  A mode Newton cannot reach raises ``NonInteriorMode``, so both
 methods fail on the same fits.  The last Newton step gives the Laplace log
 determinant and log joint density.  The reduced model is the fit's live
-coordinates (``model._live_gram`` and ``model._live_columns``), and the
-solver memoizes each polished mode on the dataset, so this module keeps
-no state of its own.
+coordinates: slices of the cached ``X'X`` and ``X'y`` (``model._live_gram``)
+and, once per polish, a gather of the live columns of ``X``
+(``model._live_columns``).  The solver memoizes each polished mode on the
+dataset, so this module keeps no state of its own.
 
 Two conventions here are deliberate and documented:
 
@@ -124,7 +125,8 @@ class EvidenceEstimate:
 @dataclass(frozen=True)
 class EbSelection:
     """Grid of candidate shrinkage levels with their evidence values
-    (``None`` where a point failed), the winner, and its fit.  The other
+    (``None`` where a point failed, with the ``"<Type>: <message>"`` of its
+    error at its place in ``errors``), the winner, and its fit.  The other
     grid fits stay in the dataset's memo: ``fit_joint_mode(data,
     Hyper(eta), opts)`` on the same ``data`` returns them without refitting.
     """
@@ -133,6 +135,7 @@ class EbSelection:
     estimates: tuple[EvidenceEstimate | None, ...]
     best_eta: float
     refit: ModeFit
+    errors: tuple[str | None, ...]
 
 
 def laplace_log_evidence(fit: ModeFit, data: Dataset, h: Hyper) -> EvidenceEstimate:
@@ -390,16 +393,18 @@ def _select_sweep(data, grid, method, opts, ks, draws, seed):
                 est = (laplace_log_evidence(fit, data, h) if method == "laplace"
                        else mc_log_evidence(fit, data, h, k=k, draws=draws,
                                             seed=[seed, gi, round(k)]))
+                err = None
             except AdaRidgeError as exc:
-                errors[w].append(f"eta={eta:g}: {type(exc).__name__}: {exc}")
-                est = None
+                est, err = None, f"{type(exc).__name__}: {exc}"
             estimates[w].append(est)
+            errors[w].append(err)
 
     selections, integrals = [], []
     for ests, errs in zip(estimates, errors):
         gi = _argmax([None if est is None else est.log_value for est in ests])
         if gi is None:
-            raise NonFiniteEvidence("every grid point failed; " + "; ".join(errs))
-        selections.append(EbSelection(grid, tuple(ests), grid[gi], fits[gi]))
+            raise NonFiniteEvidence("every grid point failed; " + "; ".join(
+                f"eta={eta:g}: {err}" for eta, err in zip(grid, errs)))
+        selections.append(EbSelection(grid, tuple(ests), grid[gi], fits[gi], tuple(errs)))
         integrals.append(ests[gi].log_value + (ests[gi].log_box_volume or 0.0))
     return tuple(selections), _argmax(integrals)

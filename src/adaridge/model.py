@@ -298,16 +298,10 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    # The products, the transposed copy ``_xt`` and the memo below are
-    # computed on first use and kept for the life of the dataset, so every
-    # fit on it shares them.  They are read-only; ``x`` and ``y`` must not
-    # be modified once any of them exists.
-
-    @cached_property
-    def _xt(self) -> np.ndarray:
-        """``X'`` as a C-contiguous (p, n) copy, whose rows
-        ``_live_columns`` copies as contiguous blocks."""
-        return _read_only(np.ascontiguousarray(self.x.T))
+    # The products and the memo below are computed on first use and kept
+    # for the life of the dataset, so every fit on it shares them; no copy
+    # of ``x`` is (``_live_columns`` gathers columns on demand).  They are
+    # read-only; ``x`` and ``y`` must not be modified once any of them exists.
 
     @cached_property
     def xtx(self) -> np.ndarray:
@@ -382,17 +376,14 @@ def _live_columns(data: Dataset, idx: np.ndarray) -> np.ndarray:
     precision: the evidence polish's Newton gradient and the cycle's
     residual sums on near-exact fits.
 
-    ``idx`` must be ascending and free of duplicates.  The columns are
-    copied from contiguous rows of the cached ``X'`` into an F-ordered
-    ``(n, idx.size)`` array, the layout numpy gives a column gather of
-    ``x``, so BLAS products on it round as they would on that gather.
-    When ``idx`` is every coordinate, the result is a read-only view of
-    the cache, not a copy.
+    ``idx`` must be ascending and free of duplicates.  The result is a
+    fresh ``(n, idx.size)`` gather of ``x``, also when ``idx`` is every
+    coordinate: numpy lays a column gather out in F order whatever the
+    order of ``x``, and BLAS products round by that layout, so ``x``
+    itself, C-ordered, would give other bits.
     """
 
-    if idx.size == data.p:
-        return data._xt.T
-    return data._xt.take(idx, 0).T
+    return data.x[:, idx]
 
 
 @dataclass(frozen=True)

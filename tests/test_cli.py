@@ -254,25 +254,44 @@ class TestFit:
         assert code == 3 and out == ""
         assert "NonInteriorMode" in err
 
-    @pytest.mark.parametrize("method", ["laplace", "mc"])
-    def test_evidence_value_of_an_unreachable_mode_is_a_solver_error(
-            self, tmp_path, capsys, method):
+    def make_unreachable_mode_csv(self, path):
         # a study replication whose eta=16 mode Newton cannot reach (see
         # test_evidence.py::TestNewtonPolish), written out exactly
         from adaridge.experiment import _derive_seed
         from adaridge.simulate import DgpSpec, draw_dataset
 
         raw, _ = draw_dataset(DgpSpec(3, 100, 3.0, seed=_derive_seed(83, 6)))
-        path = tmp_path / "d.csv"
         rows = [",".join([f"x{j + 1}" for j in range(raw.p)] + ["y"])] + [
             ",".join(repr(float(v)) for v in list(xi) + [yi])
             for xi, yi in zip(raw.x, raw.y)
         ]
         path.write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("method", ["laplace", "mc"])
+    def test_evidence_value_of_an_unreachable_mode_is_a_solver_error(
+            self, tmp_path, capsys, method):
+        path = tmp_path / "d.csv"
+        self.make_unreachable_mode_csv(path)
         code, out, err = run_cli(capsys, "fit", str(path), "--eta", "16",
                                  "--evidence", method, "--evidence-value")
         assert code == 3 and out == ""
         assert "NonInteriorMode" in err
+
+    @pytest.mark.parametrize("method", ["laplace", "mc"])
+    def test_eb_lists_why_each_grid_point_failed(self, tmp_path, capsys, method):
+        path = tmp_path / "d.csv"
+        self.make_unreachable_mode_csv(path)
+        code, out, _ = run_cli(capsys, "fit", str(path), "--eta", "eb",
+                               "--grid", "-0.25", "16", "--evidence", method)
+        assert code == 0
+        result = json.loads(out)
+        assert result["selected_eta"] == -0.25
+        scored, failed = result["evidence"]
+        assert scored["eta"] == -0.25 and failed is None
+        assert result["failed"] == [{
+            "eta": 16.0,
+            "error": "NonInteriorMode: Newton finds no joint mode from the fit "
+                     "or from the cycle"}]
 
     def test_solver_error_exit_code(self, tmp_path, capsys):
         # a single observation centers to an exactly-zero response, so the

@@ -935,8 +935,15 @@ class TestNewtonPolish:
         # The failed point is recorded as such, and the selection is the
         # one it was when this point was scored off the mode.
         sel = select_eta(data)
-        assert sel.estimates[sel.grid.index(16.0)] is None
+        gi = sel.grid.index(16.0)
+        assert sel.estimates[gi] is None
         assert sel.best_eta == -0.25
+        # and says why, at that point only
+        assert sel.errors[gi] == ("NonInteriorMode: Newton finds no joint mode "
+                                  "from the fit or from the cycle")
+        assert len(sel.errors) == len(sel.grid)
+        assert [err is None for err in sel.errors] == [
+            est is not None for est in sel.estimates]
 
     def test_failed_polish_is_kept(self, monkeypatch):
         import adaridge.solver as solver

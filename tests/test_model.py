@@ -405,7 +405,49 @@ def test_ridge_solve_copies_a_symmetric_gram(n, p):
         assert same_bits(got[0], x) and same_bits(got[1], pivots)
 
 
+def reachable_arrays(obj, seen=None):
+    """Every array reachable from ``obj`` through dicts (keys too),
+    sequences, object attributes and array bases, each once."""
+
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        yield from reachable_arrays(obj.base, seen)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from reachable_arrays(key, seen)
+            yield from reachable_arrays(value, seen)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from reachable_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from reachable_arrays(vars(obj), seen)
+
+
 class TestLive:
+    def test_a_fitted_dataset_holds_the_design_once(self):
+        # After Laplace and MC selection on a design that prunes, no array
+        # the dataset keeps (its cached products, the memoized fits and
+        # polished modes) is near the size of ``x``, but ``x`` itself.
+        rng = np.random.default_rng(33)
+        beta = np.zeros(60)
+        beta[rng.choice(60, 5, replace=False)] = rng.uniform(1.0, 3.0, 5)
+        data = standardize(*toeplitz_design(400, beta, 1.0, rng))[0]
+        for method, kw in (("laplace", {}), ("mc", {"draws": 200})):
+            assert not select_eta(data, method=method, **kw).refit.state.active.all()
+        polished = [hit for hit in data._memo.values() if isinstance(hit, tuple) and hit]
+        assert polished
+        arrays = list(reachable_arrays(vars(data)))
+        assert any(arr is data.x for arr in arrays)
+        assert any(arr is data.xtx for arr in arrays)
+        assert all(any(arr is part for arr in arrays) for part in polished[0][:3:2])
+        large = [arr.shape for arr in arrays
+                 if arr is not data.x and arr.nbytes >= data.x.nbytes / 4]
+        assert large == []
+
     @given(n=st.integers(1, 300), mask=st.lists(st.booleans(), min_size=1, max_size=40),
            seed=st.integers(0, 2**32 - 1))
     @example(n=50, mask=[False] * 7, seed=0)
@@ -430,10 +472,13 @@ class TestLive:
         data = Dataset(rng.standard_normal((30, 6)), rng.standard_normal(30))
         idx = np.arange(data.p)
         x, (xtx, xty) = _live_columns(data, idx), _live_gram(data, idx)
-        assert np.shares_memory(x, data._xt)
         assert np.shares_memory(xtx, data.xtx)
         assert np.shares_memory(xty, data.xty)
-        assert not (x.flags.writeable or xtx.flags.writeable or xty.flags.writeable)
+        assert not (xtx.flags.writeable or xty.flags.writeable)
+        # the columns are a fresh gather in the layout of any other gather,
+        # not ``x`` itself, which is C-ordered
+        assert not np.shares_memory(x, data.x)
+        assert x.flags.f_contiguous and data.x.flags.c_contiguous
         assert same_bits(x, data.x)
 
     def test_results_bitwise_those_of_the_column_gather(self, monkeypatch):
