@@ -299,8 +299,8 @@ class Dataset:
         return self.x.shape[1]
 
     # The products and the memo below are computed on first use and kept
-    # for the life of the dataset, so every fit on it shares them; no copy
-    # of ``x`` is (``_live_columns`` gathers columns on demand).  They are
+    # for the life of the dataset, so every fit on it shares them.  None is
+    # a copy of ``x``: ``_live_columns`` gathers columns on demand.  They are
     # read-only; ``x`` and ``y`` must not be modified once any of them exists.
 
     @cached_property
