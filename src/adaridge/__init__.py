@@ -11,9 +11,8 @@ reference comparison studies against least squares and GCV-tuned ridge.
 
 __version__ = "0.1.0"
 
-from . import baselines, em, evidence, experiment, metrics, model, simulate, solver
+from . import baselines, evidence, experiment, metrics, model, simulate, solver
 from .baselines import *
-from .em import *
 from .errors import AdaRidgeError
 from .evidence import *
 from .experiment import *
@@ -23,5 +22,5 @@ from .simulate import *
 from .solver import *
 
 __all__ = ["__version__", "AdaRidgeError", *model.__all__, *solver.__all__,
-           *em.__all__, *baselines.__all__, *evidence.__all__, *simulate.__all__,
-           *metrics.__all__, *experiment.__all__]
+           *baselines.__all__, *evidence.__all__, *simulate.__all__, *metrics.__all__,
+           *experiment.__all__]

@@ -28,7 +28,6 @@ import scipy
 
 from . import __version__
 from .baselines import fit_ols, fit_ridge_gcv
-from .em import VARIANTS, fit_em
 from .errors import AdaRidgeError
 from .evidence import (
     DEFAULT_ETA_GRID,
@@ -55,7 +54,7 @@ from .model import (
     standardize,
 )
 from .simulate import DgpSpec, draw_dataset, draw_test_set
-from .solver import fit_joint_mode
+from .solver import VARIANTS, fit_em, fit_joint_mode
 
 __all__ = [
     "ExperimentConfig",

@@ -46,17 +46,10 @@ def support_metrics(active, support_true) -> tuple[int, int, bool]:
 def path_contains_truth(fits_over_grid, support_true) -> bool:
     """True when some fit along the grid selects exactly the true support."""
 
-    sup = np.asarray(support_true, dtype=bool)
     masks = list(fits_over_grid)
     if not masks:
         raise EmptyInput("need at least one grid fit")
-    for mask in masks:
-        act = np.asarray(mask, dtype=bool)
-        if act.shape != sup.shape:
-            raise DimensionMismatch("masks must have equal length")
-        if (act == sup).all():
-            return True
-    return False
+    return any(support_metrics(mask, support_true)[2] for mask in masks)
 
 
 def median_and_bootstrap_se(values, n_boot: int = 500, seed: int = 0) -> tuple[float, float]:

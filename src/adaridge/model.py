@@ -32,7 +32,6 @@ import scipy
 
 from .errors import (
     DimensionMismatch,
-    ExactFit,
     NoInitializer,
     NonFiniteInput,
     NonPositiveSigma2,
@@ -213,16 +212,6 @@ def _finite_product(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} has non-finite entries: the data overflow it")
     return _read_only(arr)
-
-
-def _rss(y: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """Residual sum of squares ``||y - X b||^2``; zero raises ``ExactFit``."""
-
-    r = y - x @ b
-    s2 = float(r @ r)
-    if s2 == 0.0:
-        raise ExactFit("zero residual: the coefficients interpolate y exactly")
-    return s2
 
 
 def _chol_solve(a: np.ndarray, rhs: np.ndarray):

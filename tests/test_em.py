@@ -17,8 +17,8 @@ from adaridge import (
     select_eta,
     standardize,
 )
-from adaridge.em import VARIANTS
 from adaridge.errors import ExactFit
+from adaridge.solver import VARIANTS
 from conftest import live_view, random_instance, toeplitz_design
 from oracles import em_step, em_step_explicit_sigma
 

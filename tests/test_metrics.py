@@ -83,6 +83,19 @@ class TestPathContainsTruth:
         with pytest.raises(DimensionMismatch, match="equal length"):
             path_contains_truth([np.ones(3, dtype=bool)], np.ones(2, dtype=bool))
 
+    def test_stops_at_the_first_match(self):
+        # masks after the first exact match are not read, so a later
+        # mask of the wrong length raises nothing
+        sup = np.array([True, False])
+        assert path_contains_truth([sup, np.ones(3, dtype=bool)], sup)
+
+    def test_hit_is_an_exactly_equal_mask(self, rng):
+        for _ in range(50):
+            sup = rng.random(4) < 0.5
+            masks = list(rng.random((3, 4)) < 0.5)
+            assert path_contains_truth(masks, sup) == any(
+                (m == sup).all() for m in masks)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyInput):
             path_contains_truth([], np.array([True]))

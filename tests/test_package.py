@@ -4,8 +4,10 @@ import inspect
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -145,10 +147,11 @@ def test_fit_results_are_built_only_in_finish():
     builders = set()
     for path in src.glob("*.py"):
         for where, name in _calls_by_function(ast.parse(path.read_text())):
-            if name in ("ModeFit", "PosteriorState"):
+            if name in ("ModeFit", "PosteriorState", "EmFit"):
                 builders.add((path.name, where, name))
     assert builders == {("solver.py", "_finish", "ModeFit"),
-                        ("solver.py", "_finish", "PosteriorState")}
+                        ("solver.py", "_finish", "PosteriorState"),
+                        ("solver.py", "fit_em", "EmFit")}
 
 
 
@@ -202,8 +205,12 @@ def test_least_squares_only_in_fit_ols():
 
 
 def test_em_runs_no_loop_of_its_own():
+    # EM iterates only through solver._cycle
     src = Path(adaridge.__file__).parent
-    loops = [node for node in ast.walk(ast.parse((src / "em.py").read_text()))
+    em = [node for node in ast.parse((src / "solver.py").read_text()).body
+          if isinstance(node, ast.FunctionDef) and node.name in ("fit_em", "_em_step")]
+    assert len(em) == 2
+    loops = [node for fn in em for node in ast.walk(fn)
              if isinstance(node, (ast.For, ast.While))]
     assert loops == []
 
@@ -247,6 +254,17 @@ def test_fit_fingerprint_repeats_itself():
     (fits, _, _, digest), (reps, _, _, _, study) = outputs[0]
     assert fits == "228" and re.fullmatch("[0-9a-f]{64}", digest)
     assert reps == "1" and re.fullmatch("[0-9a-f]{64}", study)
+
+
+def test_the_golden_pool_check_rejects_an_unknown_workload():
+    # a misspelt workload exits 2, naming the known ones, before the
+    # workload named ahead of it runs
+    tool = Path(__file__).resolve().parents[1] / "tools" / "check_golden_pool.py"
+    out = subprocess.run([sys.executable, str(tool), "study-laplace", "fit-wid"],
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("unknown workload fit-wid; "
+                          "known: study-laplace, study-mc, fit-wide\n")
 
 
 def test_importing_the_package_imports_no_scipy_linalg():
@@ -314,3 +332,65 @@ def test_the_workflow_names_only_files_that_exist():
     assert {"tools/line_coverage.py", "tools/check_golden_pool.py",
             "benchmarks/run.py"} <= paths
     assert sorted(p for p in paths if not (root / p).is_file()) == []
+
+
+def _workflow_runs(text: str) -> list[str]:
+    """The ``run:`` values of a workflow read as text: one-line plain
+    values and dedented ``|`` blocks."""
+
+    runs, lines = [], text.splitlines()
+    for i, line in enumerate(lines):
+        m = re.match(r"( *(?:- )?)run:(.*)$", line)
+        if not m:
+            continue
+        value = m.group(2).strip()
+        # only the two forms read here: a quoted, folded or chomped value
+        # would need a YAML parser
+        assert value and value[0] not in "'\"[{>" and value not in ("|-", "|+"), line
+        if value != "|":
+            runs.append(value)
+            continue
+        block = []
+        for body in lines[i + 1:]:
+            if body.strip() and len(body) - len(body.lstrip()) <= len(m.group(1)):
+                break
+            block.append(body)
+        runs.append(textwrap.dedent("\n".join(block)).rstrip("\n") + "\n")
+    return runs
+
+
+def _python_snippets(script: str) -> list[str]:
+    """The code of every ``python -c`` / ``python3 -c`` in a bash script."""
+
+    words = shlex.split(script.replace("\\\n", " "), comments=True)
+    return [code for cmd, flag, code in zip(words, words[1:], words[2:])
+            if cmd in ("python", "python3") and flag == "-c"]
+
+
+def test_the_workflow_steps_parse():
+    # A quoting slip in a step's bash or in an inline Python snippet would
+    # first show on a runner; here every run value must pass bash -n and
+    # every snippet compile.  No step is run.
+    root = Path(__file__).resolve().parents[1]
+    runs = _workflow_runs((root / ".github" / "workflows" / "tests.yml").read_text())
+    assert "python3 tools/line_coverage.py" in runs
+    assert any(run.startswith("for check in ") for run in runs)
+    for run in runs:
+        out = subprocess.run(["bash", "-n"], input=run, capture_output=True, text=True,
+                             timeout=30)
+        assert out.returncode == 0, (run, out.stderr)
+    snippets = [code for run in runs for code in _python_snippets(run)]
+    assert "import adaridge.cli" in snippets
+    assert sum("json.loads" in code for code in snippets) == 2
+    for code in snippets:
+        compile(code, "<workflow snippet>", "exec")
+
+
+def test_the_workflow_runs_read_as_text_are_yamls_own():
+    # the text reader above against a YAML parser, where one is installed
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    text = (root / ".github" / "workflows" / "tests.yml").read_text()
+    parsed = [step["run"] for job in yaml.safe_load(text)["jobs"].values()
+              for step in job["steps"] if "run" in step]
+    assert _workflow_runs(text) == parsed

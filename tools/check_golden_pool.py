@@ -7,7 +7,8 @@ A timed benchmark run reaches only the pool inputs its time allows, in a
 seed-dependent order; this check covers all of them.  It drives the
 benchmark's own workload and comparison code (``benchmarks/workloads.py``
 and ``benchmarks/golden.py``) without changing it, and runs each study at
-one job, since the outputs do not depend on the worker count.
+one job, since the outputs do not depend on the worker count.  An unknown
+workload name exits 2 before any input runs.
 """
 
 import sys
@@ -44,6 +45,11 @@ def check(name: str, work: Path) -> int:
 
 
 def main(names) -> int:
+    unknown = [name for name in names if name not in workloads.WORKLOADS]
+    if unknown:
+        print(f"unknown workload {', '.join(unknown)}; "
+              f"known: {', '.join(workloads.WORKLOADS)}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as work:
         failed = sum([check(name, Path(work)) for name in names or workloads.WORKLOADS])
     return 1 if failed else 0
